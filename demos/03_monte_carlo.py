@@ -2,9 +2,11 @@
 
 Draws sample paths by sampling each exponential holding time directly (no
 time discretization), then compares the Monte Carlo mean and quantiles of
-the absorption time with the analytic sum of reciprocal rates.  The same
-master seed always reproduces the same summary, bit for bit, even when the
-replicates run on a process pool.
+the absorption time with the analytic sum of reciprocal rates.  Replicates
+are drawn in blocks of 1024, one seeded stream per block, so replicate i
+depends only on the master seed and i: the same master seed reproduces the
+same summary bit for bit, for any replicate count and even when whole
+blocks run on a process pool.
 """
 
 from purebirth import (empirical_distribution_at, estimate_absorption_time,
@@ -14,7 +16,8 @@ from purebirth import (empirical_distribution_at, estimate_absorption_time,
 model = hypergeometric_mixing(20, 1.0, 0.31)
 report = expected_absorption_time(model)
 
-print("one sample path (time, infected):")
+print("replicate 0 of master seed 2024, the first path of block 0 "
+      "(time, infected):")
 path = simulate_path(model, 1, replicate_stream(2024, 0))
 print("  " + "  ".join(f"({t:.2f}, {k})" for t, k in path.events[:8]) + " ...")
 print(f"  absorbed at t = {path.terminal_time:.2f}\n")

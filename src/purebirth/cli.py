@@ -21,8 +21,9 @@ from . import __version__
 from .analytic import expected_absorption_time
 from .errors import PureBirthError
 from .forward import SolverConfig, forward_grid
-from .montecarlo import (estimate_absorption_time, explosion_study,
-                         replicate_stream, simulate_path)
+from .montecarlo import (QUANTILE_LEVELS, RNG_SCHEME,
+                         estimate_absorption_time, event_time_blocks,
+                         explosion_study)
 from .rates import build_rate_model
 
 PROB_FLOOR = 1e-12
@@ -254,13 +255,16 @@ def _require_arg(args, name):
     return value
 
 
+def _jobs(args):
+    return 1 if args.jobs is None else args.jobs
+
+
 def _summary_row(summary):
-    header = ["replicates", "master_seed", "mean", "std_error",
-              "q05", "q25", "q50", "q75", "q95", "time_unit"]
+    header = ["replicates", "master_seed", "mean", "std_error"] + [
+        f"q{round(100 * q):02d}" for q in QUANTILE_LEVELS] + ["time_unit"]
     row = [summary.replicates, summary.master_seed, summary.mean,
            summary.std_error] + [summary.quantiles[q] for q in
-                                 (0.05, 0.25, 0.50, 0.75, 0.95)]
-    row.append(summary.time_unit)
+                                 QUANTILE_LEVELS] + [summary.time_unit]
     return header, row
 
 
@@ -270,22 +274,20 @@ def _cmd_simulate(args):
     replicates = _require_arg(args, "replicates")
     seed = _require_arg(args, "seed")
     summary = estimate_absorption_time(model, start, replicates, seed,
-                                       n_jobs=args.jobs or 1)
+                                       n_jobs=_jobs(args))
     if args.trajectories:
         with open(args.trajectories, "w", encoding="utf-8",
                   newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(["replicate", "time", "state"])
-            for i in range(replicates):
-                path = simulate_path(model, start, replicate_stream(seed, i))
-                for t, state in path.events:
-                    writer.writerow([i, fmt(t), state])
+            handle.write("replicate,time,state\n")
+            for first, times in event_time_blocks(model, start, replicates,
+                                                  seed):
+                for i, row in enumerate(times.tolist(), first):
+                    handle.writelines(f"{i},{t:.17g},{k}\n"
+                                      for k, t in enumerate(row, start))
     header, row = _summary_row(summary)
     _write_rows(args, header, [row],
-                _metadata(args, "simulate", seed=seed, replicates=replicates))
-
-
-_SWEEP_KEY = {"N": "N", "p": "p", "mu": "mu", "lambda": "lambda", "c": "c"}
+                _metadata(args, "simulate", seed=seed, replicates=replicates,
+                          rng_scheme=RNG_SCHEME))
 
 
 def _cmd_sweep(args):
@@ -300,7 +302,7 @@ def _cmd_sweep(args):
     rows = []
     for value in grid:
         spec = _model_spec(args)
-        spec[_SWEEP_KEY[param]] = value
+        spec[param] = value
         try:
             model = build_rate_model(spec)
             report = expected_absorption_time(model, args.start or 1)
@@ -313,18 +315,18 @@ def _cmd_sweep(args):
 
 def _cmd_explosion(args):
     spec = _model_spec(args)
-    spec.setdefault("family", "powerlaw")
     spec["family"] = spec["family"] or "powerlaw"
     spec["exponent"] = spec["exponent"] if spec["exponent"] is not None else 2.0
     model = build_rate_model(spec)
     report = explosion_study(model, args.start or 1,
                              _require_arg(args, "replicates"),
                              _require_arg(args, "seed"),
-                             n_jobs=args.jobs or 1)
+                             n_jobs=_jobs(args))
     header, row = _summary_row(report.summary)
     header = ["cap", "analytic_mean", "limit_bound"] + header
     row = [report.cap, report.analytic_mean, report.limit_bound] + row
-    _write_rows(args, header, [row], _metadata(args, "explosion"))
+    _write_rows(args, header, [row],
+                _metadata(args, "explosion", rng_scheme=RNG_SCHEME))
 
 
 _COMMANDS = {
@@ -343,7 +345,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if getattr(args, "config", None):
             _apply_config(args, args.config)
         _COMMANDS[args.command](args)
-    except (PureBirthError, OSError, ValueError) as exc:
+    except (PureBirthError, OSError, ValueError, ArithmeticError) as exc:
         print(f"purebirth: error: {exc}", file=sys.stderr)
         return 1
     return 0

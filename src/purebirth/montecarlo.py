@@ -1,16 +1,21 @@
 """Exact-event Monte Carlo simulation of the pure-birth chain.
 
-Each replicate gets its own random stream derived from
-(master_seed, replicate index) via numpy's SeedSequence spawn keys, so
-results are bit-identical for a given master seed regardless of how the
-replicates are scheduled (serial or any process pool).  Holding times are
-sampled by inverse CDF, -ln(U)/lambda_k with U open in (0, 1), which makes
-terminal times scale exactly when every rate is scaled under a common seed.
+Replicates come in blocks of BLOCK, and block b of a master seed draws from
+its own stream, replicate_stream(master_seed, b) (numpy SeedSequence spawn
+key (b,)).  The stream yields the block's holding times state by state,
+BLOCK numbers per transient state, in strips of STRIP states.  So replicate
+i's holding time in its j-th transient state depends only on
+(master_seed, i, j): not on the replicate count, the strip size, the worker
+count or the cap.  A partial last block still draws BLOCK replicates.
+Holding times are -ln(U)/lambda_k with U = 1 - V in (0, 1] for numpy's
+double V, so terminal times scale exactly when every rate is scaled under a
+common seed.  RNG_SCHEME names this scheme in the CLI's JSON metadata.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -21,12 +26,16 @@ from .errors import OutOfRange, StateOutOfRange, WrongFamily
 from .rates import POWERLAW, RateModel, power_law, rate_at
 
 QUANTILE_LEVELS = (0.05, 0.25, 0.50, 0.75, 0.95)
+BLOCK = 1024                  # replicates per seeded stream
+STRIP = (1 << 16) // BLOCK    # transient states drawn at a time
+RNG_SCHEME = "pcg64-block1024-v2"
 
 
-def replicate_stream(master_seed: int, index: int) -> np.random.Generator:
-    """Independent stream for one replicate, a pure function of its inputs."""
+def replicate_stream(master_seed: int, block: int) -> np.random.Generator:
+    """The stream of replicates block * BLOCK .. (block + 1) * BLOCK - 1,
+    a pure function of its inputs."""
     return np.random.default_rng(
-        np.random.SeedSequence(master_seed, spawn_key=(index,)))
+        np.random.SeedSequence(master_seed, spawn_key=(block,)))
 
 
 @dataclass(frozen=True)
@@ -68,76 +77,91 @@ class ExplosionReport:
     limit_bound: float
 
 
-def _holding_times(model: RateModel, start_state: int,
-                   rng: np.random.Generator) -> np.ndarray:
-    """One exponential holding time per transient state >= start_state."""
-    absorbing = model.absorbing_state
-    lam = np.array([rate_at(model, k) for k in range(start_state, absorbing)])
-    if lam.size == 0:
-        return lam
-    u = rng.random(lam.size)
-    while (zero := u == 0.0).any():  # log(0) guard; probability ~2^-53
-        u[zero] = rng.random(int(zero.sum()))
-    return -np.log(u) / lam
-
-
-def simulate_path(model: RateModel, start_state: int,
-                  stream: np.random.Generator) -> Trajectory:
-    """One exact sample path from start_state to the absorbing/cap state."""
+def _transient_rates(model: RateModel, start_state: int) -> np.ndarray:
+    """Rates of the transient states start_state, ..., absorbing - 1."""
     absorbing = model.absorbing_state
     if not 1 <= start_state <= absorbing:
         raise StateOutOfRange(
             f"start_state {start_state} outside [1, {absorbing}]")
-    holds = _holding_times(model, start_state, stream)
-    times = np.concatenate(([0.0], np.cumsum(holds)))
-    events = [(float(t), start_state + i) for i, t in enumerate(times)]
+    return np.array([rate_at(model, k) for k in range(start_state, absorbing)])
+
+
+def _strips(stream: np.random.Generator, lam: np.ndarray):
+    """The sampling kernel for one block: strips of up to STRIP rows, where
+    row j of strip k holds, for each of the BLOCK replicates, the time it
+    leaves its (k * STRIP + j)-th transient state."""
+    total = np.zeros(BLOCK)
+    for k in range(0, lam.size, STRIP):
+        times = stream.random((min(STRIP, lam.size - k), BLOCK))
+        np.subtract(1.0, times, out=times)
+        np.log(times, out=times)
+        np.divide(times, -lam[k:k + len(times), None], out=times)
+        times[0] += total
+        total = np.cumsum(times, axis=0, out=times)[-1]
+        yield times
+
+
+def event_time_blocks(model: RateModel, start_state: int, replicates: int,
+                      master_seed: int):
+    """Yield (first replicate, times) block by block; row r of ``times``
+    holds the times at which replicate first + r enters each state from
+    start_state (0) on.  A block takes 8 KB per transient state."""
+    lam = _transient_rates(model, start_state)
+    for first in range(0, replicates, BLOCK):
+        stream = replicate_stream(master_seed, first // BLOCK)
+        times = np.vstack([np.zeros((1, BLOCK)), *_strips(stream, lam)])
+        yield first, times[:, :replicates - first].T
+
+
+def simulate_path(model: RateModel, start_state: int,
+                  stream: np.random.Generator) -> Trajectory:
+    """One exact sample path from start_state to the absorbing/cap state,
+    the first of the block ``stream`` draws: with replicate_stream(seed, b)
+    it is replicate b * BLOCK of master seed ``seed``."""
+    lam = _transient_rates(model, start_state)
+    times = [0.0] + [x for strip in _strips(stream, lam) for x in strip[:, 0]]
+    events = [(float(t), k) for k, t in enumerate(times, start_state)]
     return Trajectory(events=events, absorbed=True,
-                      terminal_time=float(times[-1]))
+                      terminal_time=events[-1][0])
 
 
-def _simulate_chunk(model, start_state, master_seed, lo, hi, t):
-    lam = np.array([rate_at(model, k)
-                    for k in range(start_state, model.absorbing_state)])
+def _simulate_chunk(lam, start_state, master_seed, lo, hi, t):
+    """Terminal times (and states at t) of replicates lo..hi-1, lo a
+    multiple of BLOCK, holding at most two strips at a time."""
     terminal = np.empty(hi - lo)
-    states = np.empty(hi - lo, dtype=np.int64) if t is not None else None
-    for i in range(lo, hi):
-        rng = replicate_stream(master_seed, i)
-        if lam.size:
-            u = rng.random(lam.size)
-            while (zero := u == 0.0).any():
-                u[zero] = rng.random(int(zero.sum()))
-            cum = np.cumsum(-np.log(u) / lam)
-            terminal[i - lo] = cum[-1]
-        else:
-            cum = lam
-            terminal[i - lo] = 0.0
-        if t is not None:
-            states[i - lo] = start_state + np.searchsorted(cum, t, side="right")
-    return lo, terminal, states
+    states = None if t is None else np.full(hi - lo, start_state, np.int64)
+    for first in range(lo, hi, BLOCK):
+        n = min(BLOCK, hi - first)
+        rows = slice(first - lo, first - lo + n)
+        times = np.zeros((1, BLOCK))  # no transient state: absorbed at 0
+        for times in _strips(replicate_stream(master_seed, first // BLOCK),
+                             lam):
+            if states is not None:
+                states[rows] += np.count_nonzero(times[:, :n] <= t, axis=0)
+        terminal[rows] = times[-1, :n]
+    return terminal, states
 
 
 def _simulate_ensemble(model, start_state, replicates, master_seed,
                        t=None, n_jobs=1):
     """Terminal times (and states at time t) for every replicate, in
-    replicate order regardless of how the chunks are scheduled."""
-    terminal = np.empty(replicates)
-    states = np.empty(replicates, dtype=np.int64) if t is not None else None
-    if n_jobs and n_jobs > 1:
-        chunk = -(-replicates // n_jobs)
-        bounds = [(lo, min(lo + chunk, replicates))
-                  for lo in range(0, replicates, chunk)]
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            futures = [pool.submit(_simulate_chunk, model, start_state,
-                                   master_seed, lo, hi, t)
-                       for lo, hi in bounds]
-            for future in futures:
-                lo, term, st = future.result()
-                terminal[lo:lo + len(term)] = term
-                if states is not None:
-                    states[lo:lo + len(st)] = st
+    replicate order.  Up to min(n_jobs, cpu count, blocks) workers each
+    take a run of whole blocks, so any n_jobs gives the same arrays."""
+    if n_jobs < 1:
+        raise OutOfRange(f"n_jobs must be >= 1, got {n_jobs}")
+    lam = _transient_rates(model, start_state)
+    n_blocks = -(-replicates // BLOCK)
+    workers = min(n_jobs, os.cpu_count() or 1, n_blocks)
+    step = -(-n_blocks // max(workers, 1)) * BLOCK
+    chunks = [(lam, start_state, master_seed, lo, min(lo + step, replicates),
+               t) for lo in range(0, replicates, step)]
+    if len(chunks) > 1:
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+            parts = list(pool.map(_simulate_chunk, *zip(*chunks)))
     else:
-        _, terminal, states = _simulate_chunk(model, start_state, master_seed,
-                                              0, replicates, t)
+        parts = [_simulate_chunk(*chunk) for chunk in chunks]
+    terminal = np.concatenate([term for term, _ in parts])
+    states = None if t is None else np.concatenate([st for _, st in parts])
     return terminal, states
 
 
@@ -168,8 +192,8 @@ def empirical_distribution_at(model: RateModel, start_state: int, t: float,
                               replicates: int, master_seed: int,
                               n_jobs: int = 1) -> StateHistogram:
     """Replicate counts per state at time t (empirical forward solution)."""
-    if t < 0:
-        raise OutOfRange(f"t must be >= 0, got {t}")
+    if not (math.isfinite(t) and t >= 0):
+        raise OutOfRange(f"t must be finite and >= 0, got {t}")
     if replicates < 1:
         raise OutOfRange(f"replicates must be >= 1, got {replicates}")
     _, states_at_t = _simulate_ensemble(model, start_state, replicates,

@@ -1,11 +1,14 @@
 import csv
+import io
 import json
 import math
 
 import pytest
 
-from purebirth import absorption_probability, power_law
-from purebirth.cli import main
+from purebirth import absorption_probability, hypergeometric_mixing, power_law
+from purebirth.cli import fmt, main
+from purebirth.montecarlo import (RNG_SCHEME, _simulate_ensemble,
+                                  event_time_blocks)
 
 
 def run_csv(capsys, argv):
@@ -29,6 +32,11 @@ class TestExpectTime:
                                 "--N", "6700", "--mu", "3", "--p", "0.31",
                                 "--unit", "days"])
         assert float(rows[0]["approx_mean"]) == pytest.approx(9.47, abs=0.01)
+
+    def test_overflow_is_an_error_not_a_traceback(self, capsys):
+        assert main(["expect-time", "--family", "powerlaw", "--c", "1",
+                     "--exponent", "2000", "--cap", "10"]) == 1
+        assert capsys.readouterr().err.startswith("purebirth: error: ")
 
     def test_invalid_population_exits_nonzero(self, capsys):
         assert main(["expect-time", "--family", "yule", "--N", "1",
@@ -132,6 +140,42 @@ class TestSimulate:
         for i in range(50):
             per = [r for r in rows if int(r["replicate"]) == i]
             assert [r["state"] for r in per] == ["1", "2"]
+
+    def test_trajectory_dump_replays_the_ensemble(self, tmp_path):
+        dump = tmp_path / "paths.csv"
+        assert main(["simulate", "--family", "hypergeometric", "--N", "5",
+                     "--lambda", "1", "--p", "0.5", "--replicates", "1100",
+                     "--seed", "5", "--trajectories", str(dump),
+                     "--out", str(tmp_path / "s.csv")]) == 0
+        model = hypergeometric_mixing(5, 1.0, 0.5)
+        terminal, _ = _simulate_ensemble(model, 1, 1100, 5)
+        rows = list(csv.DictReader(dump.read_text().splitlines()))
+        last = [float(r["time"]) for r in rows if r["state"] == "5"]
+        assert last == terminal.tolist()
+        # the bytes the csv module writes for the same events
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(["replicate", "time", "state"])
+        for first, times in event_time_blocks(model, 1, 1100, 5):
+            for i, row in enumerate(times.tolist(), first):
+                for state, t in enumerate(row, 1):
+                    writer.writerow([i, fmt(t), state])
+        assert dump.read_text() == expected.getvalue()
+
+    @pytest.mark.parametrize("command", ["simulate", "explosion"])
+    def test_jobs_below_one_rejected(self, capsys, command):
+        assert main([command, "--family", "powerlaw", "--c", "1",
+                     "--exponent", "2", "--cap", "20", "--replicates", "10",
+                     "--seed", "1", "--jobs", "0"]) == 1
+        assert "n_jobs must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "explosion"])
+    def test_json_metadata_names_rng_scheme(self, capsys, command):
+        assert main([command, "--family", "powerlaw", "--c", "1",
+                     "--exponent", "2", "--cap", "20", "--replicates", "10",
+                     "--seed", "1", "--format", "json"]) == 0
+        meta = json.loads(capsys.readouterr().out)["metadata"]
+        assert meta["rng_scheme"] == RNG_SCHEME
 
     def test_missing_seed_fails(self, capsys):
         assert main(["simulate", "--family", "hypergeometric", "--N", "3",

@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from purebirth import montecarlo
 from purebirth import (OutOfRange, StateOutOfRange, WrongFamily,
                        empirical_distribution_at, estimate_absorption_time,
                        expected_absorption_time, explosion_study,
                        forward_probabilities, hypergeometric_mixing,
                        power_law, powerlaw_expected_time, replicate_stream,
                        simulate_path, yule_scaled)
+from purebirth.montecarlo import (_simulate_ensemble, _transient_rates,
+                                  event_time_blocks)
 
 SEED = 123
 
@@ -70,9 +73,9 @@ class TestEstimateAbsorptionTime:
     def test_regression_pin_two_replicates(self):
         model = hypergeometric_mixing(3, 1.0, 1.0)
         summary = estimate_absorption_time(model, 1, 2, 20240101)
-        assert summary.mean == 1.7343387977931508
-        assert summary.std_error == 1.1709369283448292
-        assert summary.quantiles[0.5] == 1.7343387977931508
+        assert summary.mean == 6.9218116535881995
+        assert summary.std_error == 3.2088365434585815
+        assert summary.quantiles[0.5] == 6.9218116535881995
 
     def test_reproducible_across_runs_and_schedules(self):
         model = hypergeometric_mixing(10, 1.0, 0.31)
@@ -113,6 +116,17 @@ class TestEstimateAbsorptionTime:
             estimate_absorption_time(hypergeometric_mixing(3, 1, 1), 1, 1,
                                      SEED)
 
+    def test_start_state_validated(self):
+        with pytest.raises(StateOutOfRange):
+            estimate_absorption_time(hypergeometric_mixing(4, 1, 1), 5, 10,
+                                     SEED)
+
+    @pytest.mark.parametrize("n_jobs", [0, -3])
+    def test_n_jobs_below_one_rejected(self, n_jobs):
+        with pytest.raises(OutOfRange):
+            estimate_absorption_time(hypergeometric_mixing(3, 1, 1), 1, 10,
+                                     SEED, n_jobs=n_jobs)
+
 
 class TestEmpiricalDistribution:
     def test_time_zero_is_point_mass(self):
@@ -137,6 +151,12 @@ class TestEmpiricalDistribution:
         snap = forward_probabilities(model, 1, t)
         tv = 0.5 * np.abs(hist.counts / reps - snap.probabilities).sum()
         assert tv <= 0.01
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
+    def test_time_must_be_finite_and_nonnegative(self, t):
+        with pytest.raises(OutOfRange):
+            empirical_distribution_at(hypergeometric_mixing(4, 1, 1), 1, t,
+                                      10, SEED)
 
     def test_parallel_schedule_identical(self):
         model = hypergeometric_mixing(8, 1.0, 0.31)
@@ -199,3 +219,76 @@ def test_replicate_streams_are_independent_of_count():
     assert summary_small.mean != summary_large.mean
     path_again = simulate_path(model, 1, replicate_stream(SEED, 3))
     assert path_again.terminal_time == t_first
+
+
+class TestBlockStreams:
+    def test_replicate_depends_only_on_seed_and_index(self):
+        model = hypergeometric_mixing(6, 1.0, 0.5)
+        terminal, states = _simulate_ensemble(model, 1, 2049, SEED, t=1.0)
+        for count in (1, 1023, 1024, 1025):
+            part, part_states = _simulate_ensemble(model, 1, count, SEED,
+                                                   t=1.0)
+            assert (part == terminal[:count]).all()
+            assert (part_states == states[:count]).all()
+
+    def test_any_n_jobs_gives_identical_arrays(self):
+        model = hypergeometric_mixing(8, 1.0, 0.31)
+        runs = [_simulate_ensemble(model, 1, 2500, SEED, t=2.0, n_jobs=k)
+                for k in (1, 2, 3)]
+        for terminal, states in runs[1:]:
+            assert (terminal == runs[0][0]).all()
+            assert (states == runs[0][1]).all()
+
+    def test_doubling_every_rate_halves_every_time(self):
+        # cap 200 spans several strips of the kernel
+        slow, fast = power_law(2.0, 2.0, 200), power_law(4.0, 2.0, 200)
+        assert (_transient_rates(fast, 1)
+                == 2.0 * _transient_rates(slow, 1)).all()
+        for (_, a), (_, b) in zip(event_time_blocks(slow, 1, 1500, SEED),
+                                  event_time_blocks(fast, 1, 1500, SEED)):
+            assert (b == a / 2.0).all()
+
+    def test_common_random_numbers_across_caps(self):
+        (_, a), = event_time_blocks(power_law(1.0, 2.0, 100), 1, 100, SEED)
+        (_, b), = event_time_blocks(power_law(1.0, 2.0, 300), 1, 100, SEED)
+        assert (b[:, :a.shape[1]] == a).all()
+
+    def test_path_is_first_replicate_of_its_block(self):
+        model = hypergeometric_mixing(9, 1.0, 0.31)
+        terminal, _ = _simulate_ensemble(model, 1, 2049, SEED)
+        for block in (0, 1, 2):
+            path = simulate_path(model, 1,
+                                 montecarlo.replicate_stream(SEED, block))
+            assert path.terminal_time == terminal[block * montecarlo.BLOCK]
+
+    def test_workers_clamped_to_jobs_cpus_and_blocks(self, monkeypatch):
+        seen = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InlinePool)
+        model = hypergeometric_mixing(4, 1.0, 1.0)
+        serial, _ = _simulate_ensemble(model, 1, 3000, SEED)
+        for cpus, n_jobs, replicates, want in ((64, 10 ** 6, 3000, [3]),
+                                               (64, 2, 3000, [2]),
+                                               (2, 8, 3000, [2]),
+                                               (64, 8, 1000, []),
+                                               (64, 1, 3000, [])):
+            monkeypatch.setattr(montecarlo.os, "cpu_count",
+                                lambda cpus=cpus: cpus)
+            seen.clear()
+            terminal, _ = _simulate_ensemble(model, 1, replicates, SEED,
+                                             n_jobs=n_jobs)
+            assert seen == want
+            assert (terminal == serial[:replicates]).all()
