@@ -1,7 +1,7 @@
 """Watch the infection distribution evolve via the forward equations.
 
-Integrates p_k'(t) = lambda_{k-1} p_{k-1} - lambda_k p_k for a 30-person
-crowd and prints the distribution over the number infected at a few times,
+Solves p_k'(t) = lambda_{k-1} p_{k-1} - lambda_k p_k (by uniformization) for
+a 30-person crowd and prints the distribution over the number infected at a few times,
 together with the running absorption probability P(T <= t).
 """
 

@@ -20,7 +20,7 @@ from typing import Optional
 from . import __version__
 from .analytic import expected_absorption_time
 from .errors import PureBirthError
-from .forward import SolverConfig, forward_grid
+from .forward import FORWARD_SCHEME, SolverConfig, forward_grid
 from .montecarlo import (QUANTILE_LEVELS, RNG_SCHEME,
                          estimate_absorption_time, event_time_blocks,
                          explosion_study)
@@ -35,8 +35,7 @@ _KEY_TO_DEST = {
     "start": "start", "seed": "seed", "replicates": "replicates",
     "t": "t", "t-grid": "t_grid", "out": "out", "format": "format",
     "param": "param", "values": "values", "jobs": "jobs",
-    "trajectories": "trajectories", "method": "method",
-    "rel-tol": "rel_tol", "abs-tol": "abs_tol", "max-step": "max_step",
+    "trajectories": "trajectories", "abs-tol": "abs_tol",
 }
 
 
@@ -70,13 +69,6 @@ def _add_common_flags(parser):
     parser.add_argument("--config", help="flat key=value config file")
 
 
-def _add_solver_flags(parser):
-    parser.add_argument("--method", choices=["adaptive", "rk4"])
-    parser.add_argument("--rel-tol", dest="rel_tol", type=float)
-    parser.add_argument("--abs-tol", dest="abs_tol", type=float)
-    parser.add_argument("--max-step", dest="max_step", type=float)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="purebirth",
@@ -94,7 +86,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="state distribution from the forward equations")
     _add_model_flags(p)
     _add_common_flags(p)
-    _add_solver_flags(p)
+    p.add_argument("--abs-tol", dest="abs_tol", type=float,
+                   help="Poisson weight the forward sum may leave out per "
+                        "time (default 1e-10)")
     p.add_argument("--t", type=float, help="single evaluation time")
     p.add_argument("--t-grid", dest="t_grid",
                    help="comma-separated strictly increasing times")
@@ -148,8 +142,7 @@ def _apply_config(args: argparse.Namespace, path: str):
 def _coerce(dest, value):
     if dest in ("N", "cap", "start", "seed", "replicates", "jobs"):
         return int(value)
-    if dest in ("lam", "mu", "p", "c", "exponent", "t", "rel_tol",
-                "abs_tol", "max_step"):
+    if dest in ("lam", "mu", "p", "c", "exponent", "t", "abs_tol"):
         return float(value)
     return value
 
@@ -221,31 +214,22 @@ def _parse_grid(args):
     raise PureBirthError("forward requires --t or --t-grid")
 
 
-def _solver_config(args) -> SolverConfig:
-    kwargs = {}
-    if args.method is not None:
-        kwargs["method"] = args.method
-    if args.rel_tol is not None:
-        kwargs["rel_tol"] = args.rel_tol
-    if args.abs_tol is not None:
-        kwargs["abs_tol"] = args.abs_tol
-    if args.max_step is not None:
-        kwargs["max_step"] = args.max_step
-    return SolverConfig(**kwargs)
-
-
 def _cmd_forward(args):
     model = build_rate_model(_model_spec(args))
     grid = _parse_grid(args)
-    snapshots = forward_grid(model, args.start or 1, grid,
-                             _solver_config(args))
+    config = (SolverConfig() if args.abs_tol is None
+              else SolverConfig(abs_tol=args.abs_tol))
+    snapshots = forward_grid(model, args.start or 1, grid, config)
     rows = []
     for snap in snapshots:
         for state, prob in zip(snap.states, snap.probabilities):
             if prob > PROB_FLOOR:
                 rows.append([snap.time, int(state), float(prob)])
     _write_rows(args, ["time", "state", "probability"], rows,
-                _metadata(args, "forward", times=grid))
+                _metadata(args, "forward", times=grid,
+                          forward_scheme=FORWARD_SCHEME,
+                          max_mass_defect=max(s.mass_defect
+                                              for s in snapshots)))
 
 
 def _require_arg(args, name):

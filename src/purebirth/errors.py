@@ -9,7 +9,7 @@ class MissingParameter(PureBirthError):
     """A parameter required by the chosen rate family was not supplied."""
 
 
-class OutOfRange(PureBirthError):
+class OutOfRange(PureBirthError, ValueError):
     """A parameter value is outside its admissible range."""
 
 
@@ -31,4 +31,6 @@ class RepeatedRates(PureBirthError):
 
 
 class ToleranceNotMet(PureBirthError):
-    """The ODE integrator could not meet the requested error tolerances."""
+    """A forward solution failed its own checks: its probability mass is
+    off by more than the mass-defect limit, or a probability is negative
+    beyond roundoff."""

@@ -18,6 +18,7 @@ Models are immutable; every operation here is a pure function of
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -124,7 +125,8 @@ def build_rate_model(spec: dict) -> RateModel:
 
     Raises:
         MissingParameter: a key required by the family is absent.
-        OutOfRange: N < 2, p outside (0, 1], or a nonpositive rate.
+        OutOfRange: a non-finite input, N < 2, p outside (0, 1], a
+            nonpositive rate, or a largest rate that overflows a float.
         CapRequired: powerlaw family without a state cap.
     """
     if "family" not in spec or spec["family"] is None:
@@ -137,27 +139,28 @@ def build_rate_model(spec: dict) -> RateModel:
         n = _as_int(n, "N")
         if n < 2:
             raise OutOfRange(f"N must be >= 2, got {n}")
-        p = float(_require(spec, "p", family))
+        p = _require_float(spec, "p", family)
         if not 0.0 < p <= 1.0:
             raise OutOfRange(f"p must lie in (0, 1], got {p}")
         if family == HYPERGEOMETRIC:
-            lam = float(_require(spec, "lambda", family))
+            lam = _require_float(spec, "lambda", family)
             if lam <= 0.0:
                 raise OutOfRange(f"lambda must be positive, got {lam}")
-            return RateModel(family=HYPERGEOMETRIC, population=n,
-                             contact_rate=lam, transmission_prob=p,
-                             time_unit=time_unit)
-        mu = float(_require(spec, "mu", family))
+            return _checked(RateModel(
+                family=HYPERGEOMETRIC, population=n, contact_rate=lam,
+                transmission_prob=p, time_unit=time_unit))
+        mu = _require_float(spec, "mu", family)
         if mu <= 0.0:
             raise OutOfRange(f"mu must be positive, got {mu}")
-        return RateModel(family=YULE, population=n, per_capita_rate=mu,
-                         transmission_prob=p, time_unit=time_unit)
+        return _checked(RateModel(family=YULE, population=n,
+                                  per_capita_rate=mu, transmission_prob=p,
+                                  time_unit=time_unit))
 
     # powerlaw
-    c = float(_require(spec, "c", family))
+    c = _require_float(spec, "c", family)
     if c <= 0.0:
         raise OutOfRange(f"c must be positive, got {c}")
-    exponent = float(_require(spec, "exponent", family))
+    exponent = _require_float(spec, "exponent", family)
     cap = spec.get("cap")
     if cap is None:
         # every power-law state space is unbounded; computation needs a cap
@@ -166,8 +169,26 @@ def build_rate_model(spec: dict) -> RateModel:
     cap = _as_int(cap, "cap")
     if cap < 2:
         raise OutOfRange(f"cap must be >= 2, got {cap}")
-    return RateModel(family=POWERLAW, coefficient=c, exponent=exponent,
-                     state_cap=cap, time_unit=time_unit)
+    return _checked(RateModel(family=POWERLAW, coefficient=c,
+                              exponent=exponent, state_cap=cap,
+                              time_unit=time_unit))
+
+
+def _checked(model):
+    """The model, once its largest rate is known to be a finite float."""
+    if model.family == POWERLAW:
+        # c k^exponent is monotone in k
+        candidates = (1, model.state_cap - 1)
+    else:
+        # k (N - k) peaks at N // 2
+        candidates = (model.population // 2,)
+    try:
+        largest = max(rate_at(model, k) for k in candidates)
+    except OverflowError:
+        largest = math.inf
+    if not math.isfinite(largest):
+        raise OutOfRange(f"the largest rate overflows a float ({largest})")
+    return model
 
 
 def rate_at(model: RateModel, k: int) -> float:
@@ -197,7 +218,16 @@ def _require(spec, key, family):
     return value
 
 
+def _require_float(spec, key, family):
+    value = float(_require(spec, key, family))
+    if not math.isfinite(value):
+        raise OutOfRange(f"{key} must be finite, got {value}")
+    return value
+
+
 def _as_int(value, name):
+    if not math.isfinite(float(value)):
+        raise OutOfRange(f"{name} must be finite, got {value}")
     as_int = int(value)
     if as_int != float(value):
         raise OutOfRange(f"{name} must be an integer, got {value}")

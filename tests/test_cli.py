@@ -7,6 +7,7 @@ import pytest
 
 from purebirth import absorption_probability, hypergeometric_mixing, power_law
 from purebirth.cli import fmt, main
+from purebirth.forward import FORWARD_SCHEME, forward_grid
 from purebirth.montecarlo import (RNG_SCHEME, _simulate_ensemble,
                                   event_time_blocks)
 
@@ -32,6 +33,14 @@ class TestExpectTime:
                                 "--N", "6700", "--mu", "3", "--p", "0.31",
                                 "--unit", "days"])
         assert float(rows[0]["approx_mean"]) == pytest.approx(9.47, abs=0.01)
+
+    def test_overflowing_rates_are_an_error(self, capsys):
+        # mu = 1e308 used to print exact_mean 0 and variance 0
+        assert main(["expect-time", "--family", "yule", "--N", "10",
+                     "--mu", "1e308", "--p", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "largest rate overflows" in captured.err
 
     def test_overflow_is_an_error_not_a_traceback(self, capsys):
         assert main(["expect-time", "--family", "powerlaw", "--c", "1",
@@ -100,6 +109,50 @@ class TestForward:
     def test_rejects_unsorted_grid(self, capsys):
         assert main(["forward", "--family", "hypergeometric", "--N", "5",
                      "--lambda", "1", "--p", "1", "--t-grid", "2,1"]) != 0
+
+    @pytest.mark.parametrize("times", [["--t-grid", "1,nan"],
+                                       ["--t", "inf"], ["--t", "nan"]])
+    def test_non_finite_time_is_an_error(self, capsys, times):
+        assert main(["forward", "--family", "hypergeometric", "--N", "5",
+                     "--lambda", "1", "--p", "1"] + times) == 1
+        assert capsys.readouterr().err == \
+            "purebirth: error: times must be finite\n"
+
+    @pytest.mark.parametrize("flag", [["--method", "rk4"],
+                                      ["--rel-tol", "1e-6"],
+                                      ["--max-step", "0.1"]])
+    def test_removed_solver_flags_rejected(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["forward", "--family", "yule", "--N", "5", "--mu", "1",
+                  "--p", "1", "--t", "1"] + flag)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_abs_tol_flag_and_config_key(self, tmp_path, capsys):
+        argv = ["forward", "--family", "yule", "--N", "30", "--mu", "1",
+                "--p", "0.31", "--t", "3"]
+        tight = run_csv(capsys, argv)
+        loose = run_csv(capsys, argv + ["--abs-tol", "1e-4"])
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("abs-tol = 1e-4\n")
+        from_file = run_csv(capsys, argv + ["--config", str(cfg)])
+        assert from_file == loose
+        assert loose != tight
+        for a, b in zip(tight, loose):
+            assert abs(float(a["probability"]) - float(b["probability"])) \
+                <= 1e-4
+        assert main(argv + ["--abs-tol", "0"]) == 1
+        assert "abs_tol" in capsys.readouterr().err
+
+    def test_json_metadata_names_scheme_and_mass_defect(self, capsys):
+        assert main(["forward", "--family", "powerlaw", "--c", "1",
+                     "--exponent", "2", "--cap", "30", "--t-grid", "0,0.5,2",
+                     "--format", "json"]) == 0
+        meta = json.loads(capsys.readouterr().out)["metadata"]
+        assert meta["forward_scheme"] == FORWARD_SCHEME == "uniformization-v1"
+        snaps = forward_grid(power_law(1.0, 2.0, 30), 1, [0.0, 0.5, 2.0])
+        assert meta["max_mass_defect"] == max(s.mass_defect for s in snaps)
+        assert 0.0 <= meta["max_mass_defect"] <= 1e-12
 
 
 class TestSimulate:
@@ -253,6 +306,14 @@ class TestConfigFile:
         cfg.write_text("velocity = 3\n")
         assert main(["expect-time", "--config", str(cfg)]) != 0
         assert "velocity" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["method", "rel-tol", "max-step"])
+    def test_removed_solver_keys_rejected(self, tmp_path, capsys, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = 1\n")
+        assert main(["forward", "--family", "yule", "--N", "5", "--mu", "1",
+                     "--p", "1", "--t", "1", "--config", str(cfg)]) == 1
+        assert f"unknown key {key!r}" in capsys.readouterr().err
 
 
 def test_csv_has_no_trailing_whitespace(capsys):

@@ -1,12 +1,20 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from purebirth import (SolverConfig, StateOutOfRange, absorption_probability,
-                       expected_absorption_time, forward_grid,
-                       forward_probabilities, hitting_time_distribution,
-                       hypergeometric_mixing, mean_state, power_law)
+from purebirth import (OutOfRange, SolverConfig, StateOutOfRange,
+                       absorption_probability, expected_absorption_time,
+                       forward_grid, forward_probabilities,
+                       hitting_time_distribution, hypergeometric_mixing,
+                       mean_state, power_law, rate_at, yule_scaled)
 from purebirth.forward import DistributionSnapshot
 
 
@@ -86,10 +94,9 @@ class TestForwardProbabilities:
             forward_probabilities(model, 11, 1.0)
         with pytest.raises(ValueError):
             forward_probabilities(model, 1, -0.5)
-        with pytest.raises(ValueError):
-            SolverConfig(rel_tol=-1.0)
-        with pytest.raises(ValueError):
-            SolverConfig(method="euler")
+        for tol in (-1.0, 0.0, 1e-320, 1.0, math.nan):
+            with pytest.raises(ValueError):
+                SolverConfig(abs_tol=tol)
 
     def test_conservation_across_models(self):
         models = [hypergeometric_mixing(40, 1.0, 0.31),
@@ -101,15 +108,45 @@ class TestForwardProbabilities:
                 snap = forward_probabilities(model, 1, t)
                 assert snap.mass_defect <= 1e-8
 
-    def test_fixed_step_rk4_matches_adaptive(self):
+    def test_repeat_runs_are_bitwise_identical(self):
         model = hypergeometric_mixing(12, 1.0, 0.5)
-        config = SolverConfig(method="rk4")
-        a = forward_probabilities(model, 1, 2.0)
-        b = forward_probabilities(model, 1, 2.0, config)
-        np.testing.assert_allclose(a.probabilities, b.probabilities, atol=1e-7)
-        # fixed-step runs are bitwise deterministic
-        c = forward_probabilities(model, 1, 2.0, config)
-        assert (b.probabilities == c.probabilities).all()
+        for config in (None, SolverConfig(abs_tol=1e-6)):
+            a = forward_grid(model, 1, [0.5, 2.0, 9.0], config)
+            b = forward_grid(model, 1, [0.5, 2.0, 9.0], config)
+            for x, y in zip(a, b):
+                assert (x.probabilities == y.probabilities).all()
+                assert x.mass_defect == y.mass_defect
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_rejected(self, t):
+        model = linear_model(10)
+        with pytest.raises(OutOfRange):
+            forward_probabilities(model, 1, t)
+        with pytest.raises(OutOfRange):
+            forward_grid(model, 1, [1.0, t])
+
+    def test_time_overflowing_the_step_count_rejected(self):
+        with pytest.raises(OutOfRange):
+            forward_probabilities(power_law(1e300, 1.0, 10), 1, 1e10)
+
+    def test_huge_time_finishes_fast_and_is_absorbed(self):
+        model = hypergeometric_mixing(10, 1.0, 0.31)
+        start = time.perf_counter()
+        snap = forward_probabilities(model, 1, 1e9)
+        assert time.perf_counter() - start < 1.0
+        assert snap.probabilities[-1] == pytest.approx(1.0, abs=1e-10)
+        assert snap.mass_defect <= 1e-12
+
+    def test_abs_tol_bounds_the_error(self):
+        # loose tolerances cut the sum early; the error stays within abs_tol
+        model = hypergeometric_mixing(30, 1.0, 0.31)
+        times = [0.5, 5.0, 20.0, 80.0]
+        tight = forward_grid(model, 1, times, SolverConfig(abs_tol=1e-14))
+        for tol in (1e-3, 1e-6):
+            loose = forward_grid(model, 1, times, SolverConfig(abs_tol=tol))
+            for a, b in zip(tight, loose):
+                assert np.abs(a.probabilities - b.probabilities).max() <= tol
+                assert b.mass_defect <= 1e-12
 
 
 class TestMeanState:
@@ -180,3 +217,97 @@ def test_powerlaw_cap_collects_escaping_mass():
     snap = forward_probabilities(model, 1, math.pi ** 2 / 6.0)
     assert snap.probabilities[-1] > 0.4
     assert snap.mass_defect <= 1e-8
+
+
+@pytest.mark.parametrize("mean", [0.3, 40.0, 2.5e5, 1e8])
+def test_poisson_weights_keep_full_accuracy(mean):
+    # -a + n ln a - lgamma(n + 1) loses 1.6e-10 of the total weight at
+    # a = 2.5e5 and 1e-7 at a = 1e8; the saddle-point form keeps it
+    from purebirth.forward import _log_poisson
+
+    half = 14.0 * math.sqrt(mean) + 60.0
+    n = np.arange(max(0, int(mean - half)), int(mean + half))
+    weights = np.exp(_log_poisson(n, np.array([mean]))[0])
+    assert math.fsum(weights) == pytest.approx(1.0, abs=1e-13)
+    assert math.fsum(weights * n) == pytest.approx(mean, rel=1e-13)
+    small = n[n < 150]
+    direct = [math.exp(-mean + k * math.log(mean) - math.lgamma(k + 1.0))
+              for k in small]
+    np.testing.assert_allclose(weights[:small.size], direct, rtol=1e-12,
+                               atol=1e-300)
+
+
+def rk45_reference(model, start, times):
+    """Forward distribution by scipy's RK45 on the same bidiagonal system:
+    an oracle independent of the uniformization sum."""
+    from scipy.integrate import solve_ivp
+
+    lam = np.array([rate_at(model, k)
+                    for k in range(start, model.absorbing_state + 1)])
+
+    def rhs(_t, y):
+        out = -lam * y
+        out[1:] += lam[:-1] * y[:-1]
+        return out
+
+    y0 = np.zeros(lam.size)
+    y0[0] = 1.0
+    sol = solve_ivp(rhs, (0.0, max(times)), y0, method="RK45",
+                    t_eval=times, rtol=1e-8, atol=1e-10)
+    assert sol.success
+    return sol.y.T
+
+
+@pytest.mark.parametrize("model", [
+    hypergeometric_mixing(12, 1.0, 0.5),
+    hypergeometric_mixing(30, 2.0, 0.31),
+    yule_scaled(25, 1.0, 0.31),
+    power_law(1.0, 2.0, 15),
+    power_law(0.5, -1.0, 12),
+], ids=["hyper12", "hyper30", "yule25", "square15", "inverse12"])
+def test_matches_rk45_oracle(model):
+    mean = expected_absorption_time(model).exact_mean
+    times = [0.05 * mean, 0.5 * mean, mean, 3.0 * mean]
+    reference = rk45_reference(model, 1, times)
+    for snap, ref in zip(forward_grid(model, 1, times), reference):
+        assert np.abs(snap.probabilities - ref).max() <= 1e-8
+
+
+models = st.one_of(
+    st.builds(hypergeometric_mixing, st.integers(2, 40),
+              st.floats(0.1, 5.0), st.floats(0.05, 1.0)),
+    st.builds(yule_scaled, st.integers(2, 40), st.floats(0.1, 3.0),
+              st.floats(0.05, 1.0)),
+    st.builds(power_law, st.floats(0.1, 3.0), st.floats(-2.0, 2.0),
+              st.integers(2, 40)))
+time_grids = st.lists(st.floats(0.0, 50.0), min_size=1, max_size=8)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(model=models, times=time_grids, data=st.data())
+def test_property_mass_is_conserved(model, times, data):
+    start = data.draw(st.integers(1, model.absorbing_state), label="start")
+    for snap in forward_grid(model, start, times):
+        assert snap.mass_defect <= 1e-12
+        assert (snap.probabilities >= 0.0).all()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(model=models, times=time_grids)
+def test_property_absorption_never_decreases(model, times):
+    times = sorted(times)
+    absorbed = [s.probabilities[-1] for s in forward_grid(model, 1, times)]
+    # roundoff grows with the number of blocks summed, up to about 1e3 here
+    assert all(b >= a - 1e-12 for a, b in zip(absorbed, absorbed[1:]))
+
+
+def test_import_loads_no_scipy():
+    import purebirth
+
+    code = ("import sys, purebirth, purebirth.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    env = dict(os.environ, PYTHONPATH=str(
+        pathlib.Path(purebirth.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env).stdout
+    assert out.strip() == "[]"

@@ -47,6 +47,39 @@ class TestBuildRateModel:
         with pytest.raises(OutOfRange):
             power_law(rate, 2.0, 100)
 
+    @pytest.mark.parametrize("family, key, value", [
+        ("hypergeometric", "lambda", math.nan),
+        ("hypergeometric", "lambda", math.inf),
+        ("hypergeometric", "p", math.nan),
+        ("hypergeometric", "N", math.inf),
+        ("yule", "mu", math.inf),
+        ("yule", "mu", math.nan),
+        ("powerlaw", "c", math.inf),
+        ("powerlaw", "exponent", math.nan),
+        ("powerlaw", "exponent", -math.inf),
+        ("powerlaw", "cap", math.nan),
+    ])
+    def test_non_finite_input_rejected(self, family, key, value):
+        spec = {"hypergeometric": {"N": 10, "lambda": 1.0, "p": 0.5},
+                "yule": {"N": 10, "mu": 1.0, "p": 0.5},
+                "powerlaw": {"c": 1.0, "exponent": 2.0, "cap": 10}}[family]
+        with pytest.raises(OutOfRange):
+            build_rate_model({"family": family, **spec, key: value})
+
+    @pytest.mark.parametrize("build", [
+        lambda: yule_scaled(10, 1e308, 1.0),
+        lambda: hypergeometric_mixing(10, 1e308, 1.0),
+        lambda: power_law(1e308, 2.0, 10),
+        lambda: power_law(1.0, 400.0, 10),     # 9.0 ** 400 raises
+    ], ids=["yule", "hypergeometric", "powerlaw-c", "powerlaw-exponent"])
+    def test_overflowing_largest_rate_rejected(self, build):
+        with pytest.raises(OutOfRange):
+            build()
+
+    def test_decreasing_rates_peak_at_state_one(self):
+        # c k^exponent with a large negative exponent is largest at k = 1
+        assert rate_at(power_law(1.0, -400.0, 10), 1) == 1.0
+
     def test_unknown_family(self):
         with pytest.raises(OutOfRange):
             build_rate_model({"family": "logistic"})
