@@ -22,7 +22,8 @@ from .montecarlo import (ExplosionReport, MonteCarloSummary, StateHistogram,
                          estimate_absorption_time, explosion_study,
                          replicate_stream, simulate_path)
 from .rates import (RateModel, build_rate_model, hypergeometric_mixing,
-                    power_law, rate_at, transient_states, yule_scaled)
+                    power_law, rate_at, rate_vector, transient_states,
+                    yule_scaled)
 
 __all__ = [
     "AbsorptionTimeReport", "CapRequired", "DistributionSnapshot",
@@ -36,5 +37,6 @@ __all__ = [
     "explosion_study", "forward_grid", "forward_probabilities",
     "harmonic_number", "hitting_time_distribution", "hypergeometric_mixing",
     "mean_state", "power_law", "powerlaw_expected_time", "rate_at",
-    "replicate_stream", "simulate_path", "transient_states", "yule_scaled",
+    "rate_vector", "replicate_stream", "simulate_path", "transient_states",
+    "yule_scaled",
 ]

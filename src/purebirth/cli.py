@@ -2,10 +2,11 @@
 
 Subcommands: expect-time, forward, simulate, sweep, explosion.  Model
 parameters come from flags (--family, --N, --lambda, --mu, --p, --c,
---exponent, --cap, --unit) or a flat key=value config file (--config);
-flags override the file.  Data goes to --out or stdout as CSV (RFC-4180
-style, 17 significant digits) or JSON (metadata header plus one object per
-row); diagnostics go to stderr and any failure exits nonzero.
+--exponent, --cap, --unit) or a flat key=value config file (--config)
+whose keys are the long flag names of any subcommand; flags override the
+file.  Data goes to --out or stdout as CSV (RFC-4180 style, 17 significant
+digits) or JSON (metadata header plus one object per row); diagnostics go
+to stderr and any failure exits nonzero.
 """
 
 from __future__ import annotations
@@ -27,16 +28,6 @@ from .montecarlo import (QUANTILE_LEVELS, RNG_SCHEME,
 from .rates import build_rate_model
 
 PROB_FLOOR = 1e-12
-
-# config-file keys mirror flag names; map them onto argparse dests
-_KEY_TO_DEST = {
-    "family": "family", "N": "N", "lambda": "lam", "mu": "mu", "p": "p",
-    "c": "c", "exponent": "exponent", "cap": "cap", "unit": "unit",
-    "start": "start", "seed": "seed", "replicates": "replicates",
-    "t": "t", "t-grid": "t_grid", "out": "out", "format": "format",
-    "param": "param", "values": "values", "jobs": "jobs",
-    "trajectories": "trajectories", "abs-tol": "abs_tol",
-}
 
 
 def fmt(value) -> str:
@@ -120,8 +111,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(args: argparse.Namespace, path: str):
-    """Fill unset args from a flat key=value file; flags win."""
+def _config_actions(parser: argparse.ArgumentParser) -> dict:
+    """Config-file key -> argparse action: every subcommand's long flags
+    but --help and --config, named without the leading dashes."""
+    subparsers = next(action for action in parser._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    return {flag[2:]: action
+            for subparser in subparsers.choices.values()
+            for action in subparser._actions
+            for flag in action.option_strings
+            if flag.startswith("--") and action.dest not in ("help", "config")}
+
+
+def _apply_config(args: argparse.Namespace, path: str, actions: dict):
+    """Fill unset args from a flat key=value file; flags win.  A key of
+    another subcommand is ignored; a key of none is an error."""
     with open(path, encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, 1):
             line = raw.split("#", 1)[0].strip()
@@ -132,19 +136,17 @@ def _apply_config(args: argparse.Namespace, path: str):
                     f"{path}:{lineno}: expected key = value, got {raw!r}")
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
-            if key not in _KEY_TO_DEST:
+            if key not in actions:
                 raise PureBirthError(f"{path}:{lineno}: unknown key {key!r}")
-            dest = _KEY_TO_DEST[key]
-            if getattr(args, dest, None) is None and hasattr(args, dest):
-                setattr(args, dest, _coerce(dest, value))
-
-
-def _coerce(dest, value):
-    if dest in ("N", "cap", "start", "seed", "replicates", "jobs"):
-        return int(value)
-    if dest in ("lam", "mu", "p", "c", "exponent", "t", "abs_tol"):
-        return float(value)
-    return value
+            action = actions[key]
+            if getattr(args, action.dest, False) is None:
+                if action.type is not None:
+                    value = action.type(value)
+                if action.choices is not None and value not in action.choices:
+                    raise PureBirthError(
+                        f"{path}:{lineno}: {key} must be one of "
+                        f"{', '.join(action.choices)}, got {value!r}")
+                setattr(args, action.dest, value)
 
 
 def _model_spec(args) -> dict:
@@ -327,7 +329,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         if getattr(args, "config", None):
-            _apply_config(args, args.config)
+            _apply_config(args, args.config, _config_actions(parser))
         _COMMANDS[args.command](args)
     except (PureBirthError, OSError, ValueError, ArithmeticError) as exc:
         print(f"purebirth: error: {exc}", file=sys.stderr)

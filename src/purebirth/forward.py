@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import OutOfRange, StateOutOfRange, ToleranceNotMet
-from .rates import RateModel, rate_at
+from .rates import RateModel, rate_vector
 
 MASS_DEFECT_TOL = 1e-8
 FORWARD_SCHEME = "uniformization-v1"
@@ -103,7 +103,7 @@ def forward_grid(model: RateModel, start_state: int, times: Sequence[float],
         raise OutOfRange("times must be nonnegative")
 
     states = np.arange(start_state, absorbing + 1)
-    lam = np.array([rate_at(model, int(k)) for k in states])
+    lam = np.append(rate_vector(model, start_state), 0.0)
     big = float(lam.max())
     with np.errstate(over="ignore"):
         counts = big * times  # mean number of uniformized steps by each time

@@ -22,8 +22,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import OutOfRange, StateOutOfRange, WrongFamily
-from .rates import POWERLAW, RateModel, power_law, rate_at
+from .errors import OutOfRange, WrongFamily
+from .rates import POWERLAW, RateModel, power_law, rate_vector
 
 QUANTILE_LEVELS = (0.05, 0.25, 0.50, 0.75, 0.95)
 BLOCK = 1024                  # replicates per seeded stream
@@ -77,15 +77,6 @@ class ExplosionReport:
     limit_bound: float
 
 
-def _transient_rates(model: RateModel, start_state: int) -> np.ndarray:
-    """Rates of the transient states start_state, ..., absorbing - 1."""
-    absorbing = model.absorbing_state
-    if not 1 <= start_state <= absorbing:
-        raise StateOutOfRange(
-            f"start_state {start_state} outside [1, {absorbing}]")
-    return np.array([rate_at(model, k) for k in range(start_state, absorbing)])
-
-
 def _strips(stream: np.random.Generator, lam: np.ndarray):
     """The sampling kernel for one block: strips of up to STRIP rows, where
     row j of strip k holds, for each of the BLOCK replicates, the time it
@@ -106,7 +97,7 @@ def event_time_blocks(model: RateModel, start_state: int, replicates: int,
     """Yield (first replicate, times) block by block; row r of ``times``
     holds the times at which replicate first + r enters each state from
     start_state (0) on.  A block takes 8 KB per transient state."""
-    lam = _transient_rates(model, start_state)
+    lam = rate_vector(model, start_state)
     for first in range(0, replicates, BLOCK):
         stream = replicate_stream(master_seed, first // BLOCK)
         times = np.vstack([np.zeros((1, BLOCK)), *_strips(stream, lam)])
@@ -118,7 +109,7 @@ def simulate_path(model: RateModel, start_state: int,
     """One exact sample path from start_state to the absorbing/cap state,
     the first of the block ``stream`` draws: with replicate_stream(seed, b)
     it is replicate b * BLOCK of master seed ``seed``."""
-    lam = _transient_rates(model, start_state)
+    lam = rate_vector(model, start_state)
     times = [0.0] + [x for strip in _strips(stream, lam) for x in strip[:, 0]]
     events = [(float(t), k) for k, t in enumerate(times, start_state)]
     return Trajectory(events=events, absorbed=True,
@@ -149,7 +140,7 @@ def _simulate_ensemble(model, start_state, replicates, master_seed,
     take a run of whole blocks, so any n_jobs gives the same arrays."""
     if n_jobs < 1:
         raise OutOfRange(f"n_jobs must be >= 1, got {n_jobs}")
-    lam = _transient_rates(model, start_state)
+    lam = rate_vector(model, start_state)
     n_blocks = -(-replicates // BLOCK)
     workers = min(n_jobs, os.cpu_count() or 1, n_blocks)
     step = -(-n_blocks // max(workers, 1)) * BLOCK
@@ -226,6 +217,6 @@ def explosion_study(model: RateModel, start_state: int, replicates: int,
     summary = estimate_absorption_time(model, start_state, replicates,
                                        master_seed, n_jobs=n_jobs)
     c = model.coefficient
-    analytic = math.fsum(1.0 / k ** 2 for k in range(start_state, cap)) / c
+    analytic = float(np.sum(1.0 / rate_vector(model, start_state)))
     return ExplosionReport(summary=summary, cap=cap, analytic_mean=analytic,
                            limit_bound=math.pi ** 2 / (6.0 * c))

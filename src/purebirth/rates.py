@@ -13,7 +13,9 @@ Three families are supported:
   truncated at an explicit ``state_cap`` for computation.
 
 Models are immutable; every operation here is a pure function of
-(model, state) and safe to call concurrently.
+(model, state) and safe to call concurrently.  ``rate_vector`` gives the
+rates of a run of states as one numpy array, which is what the engines
+use; ``rate_at`` is the scalar view of one state.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Optional
+
+import numpy as np
 
 from .errors import CapRequired, MissingParameter, OutOfRange, StateOutOfRange
 
@@ -201,6 +205,26 @@ def rate_at(model: RateModel, k: int) -> float:
         return 0.0
     if model.family == POWERLAW:
         return model.coefficient * float(k) ** model.exponent
+    n = model.population
+    lam = model.effective_contact_rate
+    return 2.0 * k * (n - k) * lam * model.transmission_prob / (n * (n - 1.0))
+
+
+def rate_vector(model: RateModel, start: int = 1) -> np.ndarray:
+    """Rates lambda_k of the states start, ..., absorbing - 1, in numpy.
+
+    The operations are those of rate_at, in the same order, so each entry
+    equals rate_at(model, k) bitwise for the mixing families; for power
+    laws numpy's power may differ from Python's by 1 ulp.  Empty when
+    start is the absorbing/cap state.
+    """
+    absorbing = model.absorbing_state
+    if not 1 <= start <= absorbing:
+        raise StateOutOfRange(
+            f"start_state {start} outside [1, {absorbing}]")
+    k = np.arange(start, absorbing, dtype=float)
+    if model.family == POWERLAW:
+        return model.coefficient * k ** model.exponent
     n = model.population
     lam = model.effective_contact_rate
     return 2.0 * k * (n - k) * lam * model.transmission_prob / (n * (n - 1.0))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from purebirth import (OutOfRange, RepeatedRates, StateOutOfRange,
@@ -9,8 +11,8 @@ from purebirth import (OutOfRange, RepeatedRates, StateOutOfRange,
                        expected_absorption_time_approx, harmonic_number,
                        hitting_time_distribution, hypergeometric_mixing,
                        power_law, powerlaw_expected_time, rate_at,
-                       transient_states, yule_scaled)
-from purebirth.analytic import EULER_GAMMA
+                       rate_vector, transient_states, yule_scaled)
+from purebirth.analytic import DISTINCT_RTOL, EULER_GAMMA
 
 # frozen from the direct-summation oracle (1999/620) * H_1999
 EXACT_MEAN_FANS = 26.367029579220898
@@ -88,6 +90,57 @@ class TestExpectedAbsorptionTime:
             report = expected_absorption_time(yule_scaled(n, 1.0, 0.31))
             gap = abs(report.exact_mean - report.approx_mean)
             assert gap / report.exact_mean < 0.15
+
+
+def fsum_moments(model, start):
+    """(E(T), Var(T)) by exactly rounded sums over rate_at, one state at a
+    time: the reference the vector sums are held to."""
+    rates = [rate_at(model, k) for k in range(start, model.absorbing_state)]
+    return (math.fsum(1.0 / lam for lam in rates),
+            math.fsum(1.0 / lam ** 2 for lam in rates))
+
+
+class TestVectorSumOracles:
+    @pytest.mark.parametrize("model", [
+        yule_scaled(200_000, 1.0, 0.31),
+        hypergeometric_mixing(200_000, 1.0, 0.31),
+    ])
+    @pytest.mark.parametrize("start", [1, 100_000])
+    def test_moments_match_fsum(self, model, start):
+        report = expected_absorption_time(model, start)
+        mean, variance = fsum_moments(model, start)
+        assert report.exact_mean == pytest.approx(mean, rel=1e-12, abs=0)
+        assert report.variance == pytest.approx(variance, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("n, mu, p", [
+        (2, 1.0, 1.0), (3, 0.5, 0.2), (2000, 1.0, 0.31), (6700, 3.0, 0.31),
+        (200_000, 1.0, 0.31), (10 ** 6, 2.0, 0.9)])
+    def test_yule_matches_harmonic_closed_form(self, n, mu, p):
+        closed = (n - 1) / (p * mu * n) * harmonic_number(n - 1)
+        exact = expected_absorption_time(yule_scaled(n, mu, p)).exact_mean
+        assert exact == pytest.approx(closed, rel=1e-10, abs=0)
+
+    def test_underflowing_rate_is_an_error(self):
+        # 9^-400 underflows to 0, so E(T) would overflow a float
+        with pytest.raises(OutOfRange, match="overflows"):
+            expected_absorption_time(power_law(1.0, -400.0, 10))
+
+
+mixing_models = st.sampled_from([hypergeometric_mixing, yule_scaled])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(family=mixing_models, n=st.integers(2, 3000),
+       rate=st.floats(1e-3, 1e3), p=st.floats(1e-3, 1.0),
+       q=st.floats(1e-3, 1.0), data=st.data())
+def test_property_moments_scale_as_inverse_p(family, n, rate, p, q, data):
+    # every rate is proportional to p, so p E(T) and p^2 Var(T) do not
+    # depend on p
+    start = data.draw(st.integers(1, n - 1), label="start")
+    a = expected_absorption_time(family(n, rate, p), start)
+    b = expected_absorption_time(family(n, rate, q), start)
+    assert p * a.exact_mean == pytest.approx(q * b.exact_mean, rel=1e-12)
+    assert p * p * a.variance == pytest.approx(q * q * b.variance, rel=1e-12)
 
 
 class TestApproximation:
@@ -175,6 +228,61 @@ class TestHittingTimeDistribution:
         with pytest.raises(RepeatedRates):
             hitting_time_distribution(hypergeometric_mixing(4, 1.0, 1.0))
 
+    def test_repeated_rates_name_their_states(self):
+        # k (10 - k) from state 3: states 3 and 7 both have rate 21 lambda/90
+        with pytest.raises(RepeatedRates, match="states 3 and 7 coincide"):
+            hitting_time_distribution(hypergeometric_mixing(10, 1, 1), 3)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(n=st.integers(3, 400), data=st.data())
+    def test_mixing_rates_repeat_below_the_midpoint(self, n, data):
+        # k (N - k) = j (N - j) for k != j exactly when j = N - k, and the
+        # least repeated rate in states start..N-1 is that of start, N-start
+        start = data.draw(st.integers(1, n - 1), label="start")
+        model = hypergeometric_mixing(n, 1.0, 0.5)
+        if 2 * start < n:
+            with pytest.raises(RepeatedRates,
+                               match=f"states {start} and {n - start} "):
+                hitting_time_distribution(model, start)
+        else:
+            assert hitting_time_distribution(model, start).distinct
+
+    # distinct rates this close give partial fractions that overflow
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(exponent=st.floats(1e-9, 1e-6), cap=st.integers(2, 300))
+    def test_distinctness_matches_pairwise_oracle(self, exponent, cap):
+        # k^exponent for a tiny exponent puts neighbours within 1e-9 of
+        # each other past k of about exponent / 1e-9
+        rates = rate_vector(power_law(1.0, exponent, cap))
+        gaps = np.abs(rates[:, None] - rates[None, :])
+        scale = np.maximum(rates[:, None], rates[None, :])
+        close = gaps <= DISTINCT_RTOL * scale
+        np.fill_diagonal(close, False)
+        try:
+            hitting_time_distribution(power_law(1.0, exponent, cap))
+            repeated = False
+        except RepeatedRates:
+            repeated = True
+        assert repeated == close.any()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("model, start", [
+        (power_law(1.0, 1.0, 8), 1),
+        (power_law(2.0, -2.0, 7), 1),
+        (hypergeometric_mixing(9, 1.0, 0.5), 5),
+        (power_law(1.0, 2.0, 2000), 1),
+    ])
+    def test_coefficients_match_elementwise_oracle(self, model, start):
+        # 2000 states span several row blocks of the product
+        dist = hitting_time_distribution(model, start)
+        rates = rate_vector(model, start)
+        oracle = np.empty(rates.size)
+        for k in range(rates.size):
+            others = np.delete(rates, k)
+            oracle[k] = np.prod(others / (others - rates[k]))
+        np.testing.assert_array_equal(dist.coefficients, oracle)
+
     def test_mixing_model_distinct_past_midpoint(self):
         # k(N-k) is strictly decreasing above N/2, so these rates are distinct
         model = hypergeometric_mixing(9, 1.0, 0.5)
@@ -253,6 +361,17 @@ class TestPowerLawExpectedTime:
             powerlaw_expected_time(-1.0, 2, 5)
         with pytest.raises(OutOfRange):
             powerlaw_expected_time(1.0, 2, 0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 1000, 10 ** 5])
+    @pytest.mark.parametrize("c", [1.0, 0.3])
+    def test_square_sum_identity(self, n, c):
+        direct = sum(k * k for k in range(1, n + 1))
+        assert powerlaw_expected_time(c, -2, n).value == direct / c
+
+    def test_quadratic_rates_match_fsum(self):
+        oracle = math.fsum(1.0 / k ** 2 for k in range(1, 10 ** 5 + 1)) / 1.5
+        assert powerlaw_expected_time(1.5, 2, 10 ** 5).value == \
+            pytest.approx(oracle, rel=1e-12, abs=0)
 
     def test_matches_model_rate_sum(self):
         # the standalone report agrees with summing 1/rate over the model

@@ -6,7 +6,7 @@ import math
 import pytest
 
 from purebirth import absorption_probability, hypergeometric_mixing, power_law
-from purebirth.cli import fmt, main
+from purebirth.cli import _config_actions, build_parser, fmt, main
 from purebirth.forward import FORWARD_SCHEME, forward_grid
 from purebirth.montecarlo import (RNG_SCHEME, _simulate_ensemble,
                                   event_time_blocks)
@@ -314,6 +314,93 @@ class TestConfigFile:
         assert main(["forward", "--family", "yule", "--N", "5", "--mu", "1",
                      "--p", "1", "--t", "1", "--config", str(cfg)]) == 1
         assert f"unknown key {key!r}" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("key", ["help", "config", "version", "lam"])
+    def test_non_flag_keys_rejected(self, tmp_path, capsys, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = 1\n")
+        assert main(["expect-time", "--config", str(cfg)]) == 1
+        assert f"unknown key {key!r}" in capsys.readouterr().err
+
+    def test_key_of_another_subcommand_ignored(self, tmp_path, capsys):
+        argv = ["expect-time", "--family", "yule", "--N", "50", "--mu", "1",
+                "--p", "0.5"]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("t = 5\nreplicates = 10\nparam = p\n")
+        assert run_csv(capsys, argv + ["--config", str(cfg)]) == \
+            run_csv(capsys, argv)
+
+    @pytest.mark.parametrize("command, line", [
+        ("expect-time", "format = xml"), ("sweep", "param = q")])
+    def test_choices_apply_to_config_values(self, tmp_path, capsys, command,
+                                            line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"family = yule\nN = 50\nmu = 1\np = 0.5\n"
+                       f"values = 0.5\n{line}\n")
+        assert main([command, "--config", str(cfg)]) == 1
+        assert "must be one of" in capsys.readouterr().err
+
+    def test_value_types_come_from_the_flags(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("family = yule\nN = 2000.5\nmu = 1\np = 0.31\n")
+        assert main(["expect-time", "--config", str(cfg)]) == 1
+        assert "2000.5" in capsys.readouterr().err
+
+
+CONFIG_KEYS = {
+    "family", "N", "lambda", "mu", "p", "c", "exponent", "cap", "unit",
+    "start", "seed", "replicates", "t", "t-grid", "out", "format", "param",
+    "values", "jobs", "trajectories", "abs-tol"}
+
+# one run per subcommand (two for expect-time and forward) whose flags
+# together cover every config key; "out" and "trajectories" are added per
+# run, as they name files
+EQUIVALENT_RUNS = [
+    ("expect-time", [("family", "yule"), ("N", "2000"), ("mu", "1"),
+                     ("p", "0.31"), ("unit", "hours"), ("start", "3"),
+                     ("format", "json")], ()),
+    ("expect-time", [("family", "powerlaw"), ("c", "0.5"),
+                     ("exponent", "1.5"), ("cap", "40")], ()),
+    ("forward", [("family", "hypergeometric"), ("N", "30"),
+                 ("lambda", "2"), ("p", "0.31"), ("t-grid", "0.5,2,8"),
+                 ("abs-tol", "1e-6")], ()),
+    ("forward", [("family", "yule"), ("N", "20"), ("mu", "1"), ("p", "1"),
+                 ("t", "1.5"), ("start", "2"), ("format", "json")], ()),
+    ("simulate", [("family", "yule"), ("N", "12"), ("mu", "1"),
+                  ("p", "0.5"), ("replicates", "300"), ("seed", "7"),
+                  ("jobs", "1")], ("trajectories",)),
+    ("sweep", [("family", "hypergeometric"), ("N", "40"), ("lambda", "1"),
+               ("p", "0.5"), ("param", "N"), ("values", "10,20,40")], ()),
+    ("explosion", [("c", "2"), ("cap", "60"), ("replicates", "200"),
+                   ("seed", "5"), ("jobs", "1")], ()),
+]
+
+
+def test_config_keys_are_the_long_flags_of_every_subcommand():
+    assert set(_config_actions(build_parser())) == CONFIG_KEYS
+    covered = {key for _, pairs, _ in EQUIVALENT_RUNS for key, _ in pairs}
+    assert covered | {"out", "trajectories"} == CONFIG_KEYS
+
+
+@pytest.mark.parametrize("command, pairs, files", EQUIVALENT_RUNS,
+                         ids=[run[0] for run in EQUIVALENT_RUNS])
+def test_config_file_is_equivalent_to_flags(tmp_path, command, pairs, files):
+    outputs = []
+    for mode in ("flags", "config"):
+        paths = {key: tmp_path / f"{mode}-{key}" for key in ("out",) + files}
+        items = pairs + [(key, str(path)) for key, path in paths.items()]
+        if mode == "flags":
+            argv = [command] + [arg for key, value in items
+                                for arg in (f"--{key}", value)]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("".join(f"{key} = {value}\n"
+                                   for key, value in items))
+            argv = [command, "--config", str(cfg)]
+        assert main(argv) == 0
+        outputs.append([path.read_text() for path in paths.values()])
+    assert outputs[0] == outputs[1]
 
 
 def test_csv_has_no_trailing_whitespace(capsys):

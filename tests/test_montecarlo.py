@@ -10,8 +10,8 @@ from purebirth import (OutOfRange, StateOutOfRange, WrongFamily,
                        forward_probabilities, hypergeometric_mixing,
                        power_law, powerlaw_expected_time, replicate_stream,
                        simulate_path, yule_scaled)
-from purebirth.montecarlo import (_simulate_ensemble, _transient_rates,
-                                  event_time_blocks)
+from purebirth.montecarlo import _simulate_ensemble, event_time_blocks
+from purebirth.rates import rate_vector
 
 SEED = 123
 
@@ -242,8 +242,7 @@ class TestBlockStreams:
     def test_doubling_every_rate_halves_every_time(self):
         # cap 200 spans several strips of the kernel
         slow, fast = power_law(2.0, 2.0, 200), power_law(4.0, 2.0, 200)
-        assert (_transient_rates(fast, 1)
-                == 2.0 * _transient_rates(slow, 1)).all()
+        assert (rate_vector(fast, 1) == 2.0 * rate_vector(slow, 1)).all()
         for (_, a), (_, b) in zip(event_time_blocks(slow, 1, 1500, SEED),
                                   event_time_blocks(fast, 1, 1500, SEED)):
             assert (b == a / 2.0).all()

@@ -1,11 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 
 from purebirth import (CapRequired, MissingParameter, OutOfRange,
                        StateOutOfRange, build_rate_model,
                        hypergeometric_mixing, power_law, rate_at,
-                       transient_states, yule_scaled)
+                       rate_vector, transient_states, yule_scaled)
 
 
 class TestBuildRateModel:
@@ -182,3 +183,44 @@ def test_rates_match_pair_sampling_probability():
         mixed = sum(1 for i, j in pairs if (i in infected) != (j in infected))
         expected = lam * p * mixed / len(pairs)
         assert rate_at(model, k) == pytest.approx(expected, rel=1e-14)
+
+
+def rate_at_oracle(model, start=1):
+    return np.array([rate_at(model, k)
+                     for k in range(start, model.absorbing_state)])
+
+
+class TestRateVector:
+    @pytest.mark.parametrize("model", [
+        hypergeometric_mixing(200_000, 1.37, 0.31),
+        yule_scaled(200_000, 0.73, 0.29),
+        hypergeometric_mixing(2, 2.0, 0.5),
+        yule_scaled(6700, 3.0, 0.31),
+        power_law(1.3, 1.0, 5000),
+        power_law(0.7, 2.0, 5000),
+    ])
+    @pytest.mark.parametrize("start", [1, 2])
+    def test_bitwise_equal_to_rate_at(self, model, start):
+        start = min(start, model.absorbing_state - 1)
+        assert (rate_vector(model, start)
+                == rate_at_oracle(model, start)).all()
+
+    @pytest.mark.parametrize("exponent", [1.7, -1.7, 2.5, -1.0, -2.0, 3.0])
+    def test_power_laws_within_one_ulp(self, exponent):
+        # numpy's power may round differently from C's pow
+        unit = rate_vector(power_law(1.0, exponent, 200_000))
+        oracle = rate_at_oracle(power_law(1.0, exponent, 200_000))
+        assert (np.abs(unit - oracle) <= np.spacing(oracle)).all()
+        scaled = rate_vector(power_law(0.7, exponent, 200_000))
+        assert (scaled == 0.7 * unit).all()
+
+    def test_later_start_is_a_suffix(self):
+        model = hypergeometric_mixing(10, 1.0, 0.5)
+        assert (rate_vector(model, 4) == rate_vector(model)[3:]).all()
+        assert rate_vector(model, 10).size == 0
+        assert rate_vector(model).size == len(transient_states(model))
+
+    @pytest.mark.parametrize("start", [0, 11])
+    def test_start_outside_state_space(self, start):
+        with pytest.raises(StateOutOfRange, match=f"start_state {start} "):
+            rate_vector(hypergeometric_mixing(10, 1.0, 0.5), start)
