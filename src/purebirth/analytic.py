@@ -195,8 +195,8 @@ class PowerLawTimeReport:
 
 def powerlaw_expected_time(c: float, exponent: int, n: int) -> PowerLawTimeReport:
     """Expected time to pass through states 1..n under c * k**exponent rates."""
-    if c <= 0:
-        raise OutOfRange(f"c must be positive, got {c}")
+    if not (math.isfinite(c) and c > 0):
+        raise OutOfRange(f"c must be finite and positive, got {c}")
     if n < 1:
         raise OutOfRange(f"n must be >= 1, got {n}")
     if exponent == 2:

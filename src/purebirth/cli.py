@@ -265,11 +265,15 @@ def _cmd_simulate(args):
         with open(args.trajectories, "w", encoding="utf-8",
                   newline="") as handle:
             handle.write("replicate,time,state\n")
+            # one %-template per replicate; "%.17g" % t == f"{t:.17g}"
+            parts = [f"%.17g,{k}\n"
+                     for k in range(start, model.absorbing_state + 1)]
             for first, times in event_time_blocks(model, start, replicates,
                                                   seed):
-                for i, row in enumerate(times.tolist(), first):
-                    handle.writelines(f"{i},{t:.17g},{k}\n"
-                                      for k, t in enumerate(row, start))
+                for i, row in enumerate(times, first):
+                    pre = f"{i},"
+                    handle.write((pre + pre.join(parts))
+                                 % tuple(row.tolist()))
     header, row = _summary_row(summary)
     _write_rows(args, header, [row],
                 _metadata(args, "simulate", seed=seed, replicates=replicates,

@@ -7,6 +7,9 @@ BLOCK numbers per transient state, in strips of STRIP states.  So replicate
 i's holding time in its j-th transient state depends only on
 (master_seed, i, j): not on the replicate count, the strip size, the worker
 count or the cap.  A partial last block still draws BLOCK replicates.
+Event times are a running sum accumulated row by row down each strip: the
+additions of cumsum(axis=0), in its order, so the draws, the scheme and
+every output are those of the cumsum kernel, bit for bit.
 Holding times are -ln(U)/lambda_k with U = 1 - V in (0, 1] for numpy's
 double V, so terminal times scale exactly when every rate is scaled under a
 common seed.  RNG_SCHEME names this scheme in the CLI's JSON metadata.
@@ -80,7 +83,9 @@ class ExplosionReport:
 def _strips(stream: np.random.Generator, lam: np.ndarray):
     """The sampling kernel for one block: strips of up to STRIP rows, where
     row j of strip k holds, for each of the BLOCK replicates, the time it
-    leaves its (k * STRIP + j)-th transient state."""
+    leaves its (k * STRIP + j)-th transient state.  The next strip starts
+    from the last row of this one, so callers must not write into a
+    yielded strip."""
     total = np.zeros(BLOCK)
     for k in range(0, lam.size, STRIP):
         times = stream.random((min(STRIP, lam.size - k), BLOCK))
@@ -88,8 +93,24 @@ def _strips(stream: np.random.Generator, lam: np.ndarray):
         np.log(times, out=times)
         np.divide(times, -lam[k:k + len(times), None], out=times)
         times[0] += total
-        total = np.cumsum(times, axis=0, out=times)[-1]
+        # the running sum row by row: the additions of cumsum(axis=0), in
+        # its order, without walking the strided axis
+        for j in range(1, len(times)):
+            np.add(times[j - 1], times[j], out=times[j])
+        total = times[-1]
         yield times
+
+
+def _sampling_rates(model: RateModel, start_state: int) -> np.ndarray:
+    """rate_vector(model, start_state), rejecting a rate of 0 or one whose
+    reciprocal overflows: no holding time drawn for it would be finite."""
+    lam = rate_vector(model, start_state)
+    if lam.size:
+        smallest = float(lam.min())
+        if not (smallest > 0 and math.isfinite(1.0 / smallest)):
+            raise OutOfRange("holding times overflow a float: the smallest "
+                             f"rate is {smallest!r}")
+    return lam
 
 
 def event_time_blocks(model: RateModel, start_state: int, replicates: int,
@@ -97,7 +118,7 @@ def event_time_blocks(model: RateModel, start_state: int, replicates: int,
     """Yield (first replicate, times) block by block; row r of ``times``
     holds the times at which replicate first + r enters each state from
     start_state (0) on.  A block takes 8 KB per transient state."""
-    lam = rate_vector(model, start_state)
+    lam = _sampling_rates(model, start_state)
     for first in range(0, replicates, BLOCK):
         stream = replicate_stream(master_seed, first // BLOCK)
         times = np.vstack([np.zeros((1, BLOCK)), *_strips(stream, lam)])
@@ -109,7 +130,7 @@ def simulate_path(model: RateModel, start_state: int,
     """One exact sample path from start_state to the absorbing/cap state,
     the first of the block ``stream`` draws: with replicate_stream(seed, b)
     it is replicate b * BLOCK of master seed ``seed``."""
-    lam = rate_vector(model, start_state)
+    lam = _sampling_rates(model, start_state)
     times = [0.0] + [x for strip in _strips(stream, lam) for x in strip[:, 0]]
     events = [(float(t), k) for k, t in enumerate(times, start_state)]
     return Trajectory(events=events, absorbed=True,
@@ -140,7 +161,7 @@ def _simulate_ensemble(model, start_state, replicates, master_seed,
     take a run of whole blocks, so any n_jobs gives the same arrays."""
     if n_jobs < 1:
         raise OutOfRange(f"n_jobs must be >= 1, got {n_jobs}")
-    lam = rate_vector(model, start_state)
+    lam = _sampling_rates(model, start_state)
     n_blocks = -(-replicates // BLOCK)
     workers = min(n_jobs, os.cpu_count() or 1, n_blocks)
     step = -(-n_blocks // max(workers, 1)) * BLOCK

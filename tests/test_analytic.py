@@ -362,6 +362,13 @@ class TestPowerLawExpectedTime:
         with pytest.raises(OutOfRange):
             powerlaw_expected_time(1.0, 2, 0)
 
+    @pytest.mark.parametrize("exponent", [2, -2])
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_coefficient(self, c, exponent):
+        # nan used to give a nan value, and inf with exponent -2 gave 0.0
+        with pytest.raises(OutOfRange, match="finite"):
+            powerlaw_expected_time(c, exponent, 10)
+
     @pytest.mark.parametrize("n", [1, 2, 3, 10, 1000, 10 ** 5])
     @pytest.mark.parametrize("c", [1.0, 0.3])
     def test_square_sum_identity(self, n, c):

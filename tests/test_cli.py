@@ -215,6 +215,41 @@ class TestSimulate:
                     writer.writerow([i, fmt(t), state])
         assert dump.read_text() == expected.getvalue()
 
+    def test_trajectory_dump_later_start_partial_block(self, tmp_path):
+        # 127 transient states span two strips of the kernel, and the
+        # second block of 1100 replicates is partial
+        dump = tmp_path / "paths.csv"
+        assert main(["simulate", "--family", "hypergeometric", "--N", "130",
+                     "--lambda", "1", "--p", "0.5", "--start", "3",
+                     "--replicates", "1100", "--seed", "9",
+                     "--trajectories", str(dump),
+                     "--out", str(tmp_path / "s.csv")]) == 0
+        model = hypergeometric_mixing(130, 1.0, 0.5)
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(["replicate", "time", "state"])
+        for first, times in event_time_blocks(model, 3, 1100, 9):
+            for i, row in enumerate(times.tolist(), first):
+                for state, t in enumerate(row, 3):
+                    writer.writerow([i, fmt(t), state])
+        # line by line: a mismatch shows one row, not a diff of 4 MB
+        got = dump.read_text().splitlines(keepends=True)
+        want = expected.getvalue().splitlines(keepends=True)
+        assert len(got) == len(want) == 1 + 1100 * 128
+        for line, wanted in zip(got, want):
+            assert line == wanted
+
+    def test_rates_that_underflow_are_an_error(self, capsys, tmp_path):
+        # 9 ** -400 underflows to 0: the mean used to come out inf
+        assert main(["simulate", "--family", "powerlaw", "--c", "1",
+                     "--exponent", "-400", "--cap", "10",
+                     "--replicates", "100", "--seed", "1",
+                     "--out", str(tmp_path / "s.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("purebirth: error: ")
+        assert "smallest rate is 0.0" in err
+        assert not (tmp_path / "s.csv").exists()
+
     @pytest.mark.parametrize("command", ["simulate", "explosion"])
     def test_jobs_below_one_rejected(self, capsys, command):
         assert main([command, "--family", "powerlaw", "--c", "1",

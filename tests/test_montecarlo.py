@@ -291,3 +291,67 @@ class TestBlockStreams:
                                              n_jobs=n_jobs)
             assert seen == want
             assert (terminal == serial[:replicates]).all()
+
+
+def reference_block(lam, master_seed, block):
+    """Times of entering each state (row 0: the start state) for the BLOCK
+    replicates of one block, by the formulation of scheme
+    pcg64-block1024-v2 as first written: random -> 1 - V -> log ->
+    divide by -lambda -> cumsum(axis=0).  Drawn in one piece, since strips
+    change neither the draws nor the order of the additions."""
+    draws = replicate_stream(master_seed, block).random(
+        (lam.size, montecarlo.BLOCK))
+    times = np.cumsum(np.log(1.0 - draws) / -lam[:, None], axis=0)
+    return np.vstack([np.zeros((1, montecarlo.BLOCK)), times])
+
+
+def reference_ensemble(lam, master_seed, replicates):
+    blocks = [reference_block(lam, master_seed, b)
+              for b in range(-(-replicates // montecarlo.BLOCK))]
+    return np.hstack(blocks)[:, :replicates]
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and \
+        a.tobytes() == b.tobytes()
+
+
+class TestKernelMatchesReference:
+    """The strips' running sums are bitwise those of cumsum(axis=0)."""
+
+    # transient-state counts around STRIP (64), start states 1 and 3
+    @pytest.mark.parametrize("transient", [1, 63, 64, 65, 129])
+    @pytest.mark.parametrize("start", [1, 3])
+    @pytest.mark.parametrize("replicates", [1, 1023, 1025])
+    def test_bitwise_equal(self, transient, start, replicates):
+        model = power_law(0.7, 1.5, start + transient)
+        lam = rate_vector(model, start)
+        ref = reference_ensemble(lam, SEED, replicates)
+        t = float(np.sum(1.0 / lam)) / 2.0
+        terminal, states = _simulate_ensemble(model, start, replicates,
+                                              SEED, t=t)
+        assert same_bits(terminal, ref[-1])
+        assert same_bits(states,
+                         start + np.count_nonzero(ref[1:] <= t, axis=0))
+        blocks = np.vstack([times for _, times in
+                            event_time_blocks(model, start, replicates,
+                                              SEED)])
+        assert same_bits(blocks, ref.T)
+        path = simulate_path(model, start, replicate_stream(SEED, 0))
+        assert [time for time, _ in path.events] == ref[:, 0].tolist()
+
+
+class TestRatesThatUnderflow:
+    # 9 ** -400 underflows to 0; 2 ** -1073 is subnormal, its reciprocal inf
+    @pytest.mark.parametrize("model", [power_law(1.0, -400.0, 10),
+                                       power_law(2.0 ** -1073, 1.0, 5)])
+    def test_rejected_by_every_sampler(self, model):
+        # used to give mean inf and std_error nan from 1/0 in the kernel
+        with pytest.raises(OutOfRange, match="smallest rate"):
+            estimate_absorption_time(model, 1, 100, 1)
+        with pytest.raises(OutOfRange, match="smallest rate"):
+            empirical_distribution_at(model, 1, 1.0, 100, 1)
+        with pytest.raises(OutOfRange, match="smallest rate"):
+            next(event_time_blocks(model, 1, 100, 1))
+        with pytest.raises(OutOfRange, match="smallest rate"):
+            simulate_path(model, 1, replicate_stream(1, 0))
