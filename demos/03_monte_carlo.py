@@ -6,7 +6,7 @@ the absorption time with the analytic sum of reciprocal rates.  Replicates
 are drawn in blocks of 1024, one seeded stream per block, so replicate i
 depends only on the master seed and i: the same master seed reproduces the
 same summary bit for bit, for any replicate count and even when whole
-blocks run on a process pool.
+blocks run on several threads.
 """
 
 from purebirth import (empirical_distribution_at, estimate_absorption_time,

@@ -9,8 +9,8 @@ __version__ = "0.1.0"
 
 from .analytic import (AbsorptionTimeReport, HittingTimeDistribution,
                        PowerLawTimeReport, expected_absorption_time,
-                       expected_absorption_time_approx, harmonic_number,
-                       hitting_time_distribution, powerlaw_expected_time)
+                       harmonic_number, hitting_time_distribution,
+                       powerlaw_expected_time)
 from .errors import (CapRequired, MissingParameter, OutOfRange,
                      PureBirthError, RepeatedRates, StateOutOfRange,
                      ToleranceNotMet, WrongFamily)
@@ -22,8 +22,7 @@ from .montecarlo import (ExplosionReport, MonteCarloSummary, StateHistogram,
                          estimate_absorption_time, explosion_study,
                          replicate_stream, simulate_path)
 from .rates import (RateModel, build_rate_model, hypergeometric_mixing,
-                    power_law, rate_at, rate_vector, transient_states,
-                    yule_scaled)
+                    power_law, rate_at, rate_vector, yule_scaled)
 
 __all__ = [
     "AbsorptionTimeReport", "CapRequired", "DistributionSnapshot",
@@ -33,10 +32,9 @@ __all__ = [
     "StateHistogram", "StateOutOfRange", "ToleranceNotMet", "Trajectory",
     "WrongFamily", "absorption_probability", "build_rate_model",
     "empirical_distribution_at", "estimate_absorption_time",
-    "expected_absorption_time", "expected_absorption_time_approx",
-    "explosion_study", "forward_grid", "forward_probabilities",
-    "harmonic_number", "hitting_time_distribution", "hypergeometric_mixing",
-    "mean_state", "power_law", "powerlaw_expected_time", "rate_at",
-    "rate_vector", "replicate_stream", "simulate_path", "transient_states",
-    "yule_scaled",
+    "expected_absorption_time", "explosion_study", "forward_grid",
+    "forward_probabilities", "harmonic_number", "hitting_time_distribution",
+    "hypergeometric_mixing", "mean_state", "power_law",
+    "powerlaw_expected_time", "rate_at", "rate_vector", "replicate_stream",
+    "simulate_path", "yule_scaled",
 ]

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import OutOfRange, RepeatedRates, StateOutOfRange, WrongFamily
+from .errors import OutOfRange, RepeatedRates, StateOutOfRange
 from .rates import YULE, RateModel, power_law, rate_vector
 
 # Euler-Mascheroni constant, for the refined ln(N) + gamma diagnostic.
@@ -91,15 +91,6 @@ def _transient_rates(model, start_state):
     return rate_vector(model, start_state)
 
 
-def expected_absorption_time_approx(model: RateModel) -> float:
-    """Large-population approximation ln(N) / (p mu), yule family only."""
-    if model.family != YULE:
-        raise WrongFamily(
-            "the ln(N)/(p mu) approximation applies to the yule family only")
-    return math.log(model.population) / (
-        model.transmission_prob * model.per_capita_rate)
-
-
 @dataclass(frozen=True)
 class HittingTimeDistribution:
     """Hypoexponential law of T when all transient rates are distinct.
@@ -110,7 +101,6 @@ class HittingTimeDistribution:
 
     rates: np.ndarray
     coefficients: np.ndarray
-    distinct: bool = True
 
     def pdf(self, t):
         t = np.asarray(t, dtype=float)

@@ -5,8 +5,9 @@ its own stream, replicate_stream(master_seed, b) (numpy SeedSequence spawn
 key (b,)).  The stream yields the block's holding times state by state,
 BLOCK numbers per transient state, in strips of STRIP states.  So replicate
 i's holding time in its j-th transient state depends only on
-(master_seed, i, j): not on the replicate count, the strip size, the worker
-count or the cap.  A partial last block still draws BLOCK replicates.
+(master_seed, i, j): not on the replicate count, the strip size, the
+number of threads that --jobs runs the blocks on, or the cap.  A partial
+last block still draws BLOCK replicates.
 Event times are a running sum accumulated row by row down each strip: the
 additions of cumsum(axis=0), in its order, so the draws, the scheme and
 every output are those of the cumsum kernel, bit for bit.
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -46,7 +47,6 @@ class Trajectory:
     """One sample path: (event time, state) pairs up to absorption."""
 
     events: list[tuple[float, int]]
-    absorbed: bool
     terminal_time: float
 
 
@@ -133,47 +133,42 @@ def simulate_path(model: RateModel, start_state: int,
     lam = _sampling_rates(model, start_state)
     times = [0.0] + [x for strip in _strips(stream, lam) for x in strip[:, 0]]
     events = [(float(t), k) for k, t in enumerate(times, start_state)]
-    return Trajectory(events=events, absorbed=True,
-                      terminal_time=events[-1][0])
+    return Trajectory(events=events, terminal_time=events[-1][0])
 
 
-def _simulate_chunk(lam, start_state, master_seed, lo, hi, t):
-    """Terminal times (and states at t) of replicates lo..hi-1, lo a
-    multiple of BLOCK, holding at most two strips at a time."""
-    terminal = np.empty(hi - lo)
-    states = None if t is None else np.full(hi - lo, start_state, np.int64)
-    for first in range(lo, hi, BLOCK):
-        n = min(BLOCK, hi - first)
-        rows = slice(first - lo, first - lo + n)
+def _simulate_ensemble(model, start_state, replicates, master_seed,
+                       t=None, n_jobs=1):
+    """Terminal times (and states at time t) for every replicate, in
+    replicate order.  Each block is a pure function of (master_seed, block)
+    written into its own rows, so up to min(n_jobs, cpu count, blocks)
+    threads give the same arrays as one; numpy releases the GIL in the
+    draws, logs and sums."""
+    if n_jobs < 1:
+        raise OutOfRange(f"n_jobs must be >= 1, got {n_jobs}")
+    lam = _sampling_rates(model, start_state)
+    terminal = np.empty(replicates)
+    states = None if t is None else np.full(replicates, start_state, np.int64)
+
+    def run_block(first):
+        # holds at most two strips at a time
+        n = min(BLOCK, replicates - first)
+        rows = slice(first, first + n)
         times = np.zeros((1, BLOCK))  # no transient state: absorbed at 0
         for times in _strips(replicate_stream(master_seed, first // BLOCK),
                              lam):
             if states is not None:
                 states[rows] += np.count_nonzero(times[:, :n] <= t, axis=0)
         terminal[rows] = times[-1, :n]
-    return terminal, states
 
-
-def _simulate_ensemble(model, start_state, replicates, master_seed,
-                       t=None, n_jobs=1):
-    """Terminal times (and states at time t) for every replicate, in
-    replicate order.  Up to min(n_jobs, cpu count, blocks) workers each
-    take a run of whole blocks, so any n_jobs gives the same arrays."""
-    if n_jobs < 1:
-        raise OutOfRange(f"n_jobs must be >= 1, got {n_jobs}")
-    lam = _sampling_rates(model, start_state)
-    n_blocks = -(-replicates // BLOCK)
-    workers = min(n_jobs, os.cpu_count() or 1, n_blocks)
-    step = -(-n_blocks // max(workers, 1)) * BLOCK
-    chunks = [(lam, start_state, master_seed, lo, min(lo + step, replicates),
-               t) for lo in range(0, replicates, step)]
-    if len(chunks) > 1:
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            parts = list(pool.map(_simulate_chunk, *zip(*chunks)))
+    firsts = range(0, replicates, BLOCK)
+    workers = min(n_jobs, os.cpu_count() or 1, len(firsts))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            # reading every result re-raises a worker's exception here
+            list(pool.map(run_block, firsts))
     else:
-        parts = [_simulate_chunk(*chunk) for chunk in chunks]
-    terminal = np.concatenate([term for term, _ in parts])
-    states = None if t is None else np.concatenate([st for _, st in parts])
+        for first in firsts:
+            run_block(first)
     return terminal, states
 
 
@@ -191,8 +186,14 @@ def estimate_absorption_time(model: RateModel, start_state: int,
 def summarize_terminal_times(terminal: np.ndarray, master_seed: int,
                              time_unit: str) -> MonteCarloSummary:
     replicates = len(terminal)
-    mean = float(np.mean(terminal))
-    std_error = float(np.std(terminal, ddof=1) / math.sqrt(replicates))
+    # times past 2**500 are scaled by a power of two, exactly, so that the
+    # mean's sum and the std's squares cannot overflow; others by 1
+    top = float(np.max(terminal))
+    shift = math.frexp(top)[1] if top > 2.0 ** 500 else 0
+    scaled = np.ldexp(terminal, -shift)
+    mean = math.ldexp(float(np.mean(scaled)), shift)
+    std_error = math.ldexp(
+        float(np.std(scaled, ddof=1) / math.sqrt(replicates)), shift)
     qs = np.quantile(terminal, QUANTILE_LEVELS)
     return MonteCarloSummary(replicates=replicates, master_seed=master_seed,
                              mean=mean, std_error=std_error,

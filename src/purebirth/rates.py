@@ -230,11 +230,6 @@ def rate_vector(model: RateModel, start: int = 1) -> np.ndarray:
     return 2.0 * k * (n - k) * lam * model.transmission_prob / (n * (n - 1.0))
 
 
-def transient_states(model: RateModel) -> list[int]:
-    """Ascending list of states with a positive outgoing rate."""
-    return list(range(1, model.absorbing_state))
-
-
 def _require(spec, key, family):
     value = spec.get(key)
     if value is None:

@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from purebirth import (OutOfRange, RepeatedRates, StateOutOfRange,
-                       WrongFamily, expected_absorption_time,
-                       expected_absorption_time_approx, harmonic_number,
+                       expected_absorption_time, harmonic_number,
                        hitting_time_distribution, hypergeometric_mixing,
                        power_law, powerlaw_expected_time, rate_at,
-                       rate_vector, transient_states, yule_scaled)
+                       rate_vector, yule_scaled)
 from purebirth.analytic import DISTINCT_RTOL, EULER_GAMMA
 
 # frozen from the direct-summation oracle (1999/620) * H_1999
@@ -146,22 +145,18 @@ def test_property_moments_scale_as_inverse_p(family, n, rate, p, q, data):
 class TestApproximation:
     def test_fans_recipe(self):
         model = yule_scaled(2000, 1.0, 0.31, "hours")
-        assert expected_absorption_time_approx(model) == \
+        assert expected_absorption_time(model).approx_mean == \
             pytest.approx(24.52, abs=0.01)
 
     def test_cruise_recipe(self):
         model = yule_scaled(6700, 3.0, 0.31, "days")
-        assert expected_absorption_time_approx(model) == \
+        assert expected_absorption_time(model).approx_mean == \
             pytest.approx(9.47, abs=0.01)
 
     def test_two_individuals(self):
         model = yule_scaled(2, 1.0, 1.0)
-        assert expected_absorption_time_approx(model) == \
+        assert expected_absorption_time(model).approx_mean == \
             pytest.approx(math.log(2.0), rel=1e-15)
-
-    def test_wrong_family(self):
-        with pytest.raises(WrongFamily):
-            expected_absorption_time_approx(hypergeometric_mixing(10, 1, 0.5))
 
     def test_convergence_with_population(self):
         errors = []
@@ -245,7 +240,8 @@ class TestHittingTimeDistribution:
                                match=f"states {start} and {n - start} "):
                 hitting_time_distribution(model, start)
         else:
-            assert hitting_time_distribution(model, start).distinct
+            assert hitting_time_distribution(model, start).rates.size == \
+                n - start
 
     # distinct rates this close give partial fractions that overflow
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -297,7 +293,6 @@ class TestHittingTimeDistribution:
     ])
     def test_partial_fraction_invariants(self, model):
         dist = hitting_time_distribution(model)
-        assert dist.distinct
         assert math.fsum(dist.coefficients) == pytest.approx(1.0, abs=1e-8)
         t = np.linspace(0.0, 50.0, 2001)
         assert (dist.pdf(t) >= -1e-12).all()

@@ -1,7 +1,11 @@
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from purebirth import montecarlo
 from purebirth import (OutOfRange, StateOutOfRange, WrongFamily,
@@ -22,7 +26,6 @@ def check_trajectory(path, model, start):
     assert path.events[0] == (0.0, start)
     assert all(b > a for a, b in zip(times, times[1:]))
     assert all(b == a + 1 for a, b in zip(states, states[1:]))
-    assert path.absorbed
     assert states[-1] == model.absorbing_state
     assert path.terminal_time == times[-1]
 
@@ -40,7 +43,6 @@ class TestSimulatePath:
         model = hypergeometric_mixing(5, 1.0, 1.0)
         path = simulate_path(model, 5, replicate_stream(SEED, 0))
         assert path.events == [(0.0, 5)]
-        assert path.absorbed
         assert path.terminal_time == 0.0
 
     @pytest.mark.parametrize("model", [
@@ -165,6 +167,37 @@ class TestEmpiricalDistribution:
         assert (a.counts == b.counts).all()
 
 
+def tv_limit(probabilities, replicates):
+    """Total-variation distance between an empirical histogram of
+    ``replicates`` draws and its true law that a correct sampler exceeds
+    with probability at most 1e-9: E|p_hat - p| <= sqrt(p (1-p) / n) bounds
+    the mean, and McDiarmid's inequality adds sqrt(ln(10**9) / (2 n)),
+    since one replicate moves TV by at most 1/n."""
+    p = np.clip(probabilities, 0.0, 1.0)
+    return (0.5 * float(np.sqrt(p * (1.0 - p) / replicates).sum())
+            + math.sqrt(math.log(1e9) / (2.0 * replicates)))
+
+
+small_models = st.one_of(
+    st.builds(hypergeometric_mixing, st.integers(2, 12),
+              st.floats(0.1, 5.0), st.floats(0.05, 1.0)),
+    st.builds(power_law, st.floats(0.1, 3.0), st.floats(-2.0, 2.0),
+              st.integers(2, 12)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(model=small_models, fraction=st.floats(0.0, 2.0),
+       seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_property_histogram_agrees_with_forward(model, fraction, seed, data):
+    start = data.draw(st.integers(1, model.absorbing_state), label="start")
+    t = fraction * float(np.sum(1.0 / rate_vector(model, start)))
+    reps = 2000
+    hist = empirical_distribution_at(model, start, t, reps, seed)
+    snap = forward_probabilities(model, start, t)
+    tv = 0.5 * np.abs(hist.counts / reps - snap.probabilities).sum()
+    assert tv <= tv_limit(snap.probabilities, reps)
+
+
 class TestExplosionStudy:
     def test_mean_matches_partial_sum(self):
         model = power_law(1.0, 2.0, 1000)
@@ -276,7 +309,7 @@ class TestBlockStreams:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", InlinePool)
         model = hypergeometric_mixing(4, 1.0, 1.0)
         serial, _ = _simulate_ensemble(model, 1, 3000, SEED)
         for cpus, n_jobs, replicates, want in ((64, 10 ** 6, 3000, [3]),
@@ -291,6 +324,36 @@ class TestBlockStreams:
                                              n_jobs=n_jobs)
             assert seen == want
             assert (terminal == serial[:replicates]).all()
+
+    def test_jobs_draw_each_block_once_in_this_process(self, monkeypatch):
+        seen = []
+        stream = montecarlo.replicate_stream
+
+        def recording(master_seed, block):
+            seen.append((block, os.getpid()))
+            return stream(master_seed, block)
+
+        monkeypatch.setattr(montecarlo, "replicate_stream", recording)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        _simulate_ensemble(hypergeometric_mixing(4, 1.0, 1.0), 1, 2500,
+                           SEED, n_jobs=2)
+        assert sorted(seen) == [(b, os.getpid()) for b in (0, 1, 2)]
+
+    def test_more_threads_than_cores_lose_no_rows(self, monkeypatch):
+        # threads switch as often as the interpreter allows: a lost or
+        # misplaced write into the shared arrays would change them
+        model = hypergeometric_mixing(6, 1.0, 0.5)
+        replicates = 16 * montecarlo.BLOCK + 5
+        serial = _simulate_ensemble(model, 1, replicates, SEED, t=1.0)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 16)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = _simulate_ensemble(model, 1, replicates, SEED, t=1.0,
+                                          n_jobs=16)
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(same_bits(a, b) for a, b in zip(threaded, serial))
 
 
 def reference_block(lam, master_seed, block):
@@ -339,6 +402,30 @@ class TestKernelMatchesReference:
         assert same_bits(blocks, ref.T)
         path = simulate_path(model, start, replicate_stream(SEED, 0))
         assert [time for time, _ in path.events] == ref[:, 0].tolist()
+
+
+class TestSummaryOfHugeTimes:
+    def test_scales_by_a_power_of_two_exactly(self):
+        # every time at c = 2**-1015 is 2**1015 times that at c = 1, and
+        # the larger ones overflow a sum of squares
+        unit = estimate_absorption_time(power_law(1.0, 1.0, 4), 1, 1000, 1)
+        tiny = estimate_absorption_time(power_law(2.0 ** -1015, 1.0, 4), 1,
+                                        1000, 1)
+        assert tiny.mean == math.ldexp(unit.mean, 1015)
+        assert tiny.std_error == math.ldexp(unit.std_error, 1015)
+        assert tiny.quantiles == {q: math.ldexp(x, 1015)
+                                  for q, x in unit.quantiles.items()}
+
+    @pytest.mark.parametrize("c", [1e-306, 1e-300])
+    def test_tiny_valid_rates_give_finite_summaries(self, c):
+        # these gave mean inf (1e-306) and std_error inf (1e-300)
+        model = power_law(c, 1.0, 4)
+        summary = estimate_absorption_time(model, 1, 1000, 1)
+        assert math.isfinite(summary.std_error)
+        # E(T) is finite although Var(T), which the analytic engine
+        # reports, is not
+        exact = float(np.sum(1.0 / rate_vector(model)))
+        assert abs(summary.mean - exact) < 6.0 * summary.std_error
 
 
 class TestRatesThatUnderflow:

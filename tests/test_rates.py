@@ -3,16 +3,17 @@ import math
 import numpy as np
 import pytest
 
+import purebirth
 from purebirth import (CapRequired, MissingParameter, OutOfRange,
                        StateOutOfRange, build_rate_model,
                        hypergeometric_mixing, power_law, rate_at,
-                       rate_vector, transient_states, yule_scaled)
+                       rate_vector, yule_scaled)
 
 
 class TestBuildRateModel:
     def test_minimal_hypergeometric(self):
         model = hypergeometric_mixing(4, 1.0, 1.0)
-        assert transient_states(model) == [1, 2, 3]
+        assert rate_vector(model).size == 3
         assert model.absorbing_state == 4
 
     def test_population_of_one_rejected(self):
@@ -123,7 +124,8 @@ class TestRateAt:
     @pytest.mark.parametrize("n", [3, 10, 11, 40])
     def test_maximum_at_half_population(self, n):
         model = hypergeometric_mixing(n, 2.0, 0.7)
-        rates = {k: rate_at(model, k) for k in transient_states(model)}
+        rates = {k: rate_at(model, k)
+                 for k in range(1, model.absorbing_state)}
         best = max(rates.values())
         assert rates[n // 2] == best
         assert rates[-(-n // 2)] == best
@@ -134,7 +136,7 @@ class TestRateAt:
         scaled = hypergeometric_mixing(20, lam, p)
         by_p = hypergeometric_mixing(20, lam, 1.0)
         by_lam = hypergeometric_mixing(20, 1.0, p)
-        for k in transient_states(base):
+        for k in range(1, base.absorbing_state):
             assert rate_at(scaled, k) == pytest.approx(
                 lam * p * rate_at(base, k), rel=1e-15)
             assert rate_at(scaled, k) == pytest.approx(
@@ -154,17 +156,23 @@ class TestRateAt:
         for model in (hypergeometric_mixing(12, 0.5, 0.31),
                       power_law(2.0, 2.0, 9),
                       power_law(2.0, -2.0, 9)):
-            for k in transient_states(model):
+            for k in range(1, model.absorbing_state):
                 assert rate_at(model, k) > 0.0
 
 
 class TestTransientStates:
+    """States 1 .. absorbing_state - 1, one rate each."""
+
     def test_small_populations(self):
-        assert transient_states(hypergeometric_mixing(3, 1, 1)) == [1, 2]
-        assert transient_states(hypergeometric_mixing(2, 1, 1)) == [1]
+        for n in (2, 3):
+            model = hypergeometric_mixing(n, 1, 1)
+            assert model.absorbing_state == n
+            assert rate_vector(model).size == n - 1
 
     def test_powerlaw_cap(self):
-        assert transient_states(power_law(1.0, 2.0, 5)) == [1, 2, 3, 4]
+        model = power_law(1.0, 2.0, 5)
+        assert model.absorbing_state == 5
+        assert rate_vector(model).tolist() == [1.0, 4.0, 9.0, 16.0]
 
 
 def test_effective_contact_rate():
@@ -178,7 +186,7 @@ def test_rates_match_pair_sampling_probability():
     n, lam, p = 7, 1.7, 0.31
     model = hypergeometric_mixing(n, lam, p)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    for k in transient_states(model):
+    for k in range(1, model.absorbing_state):
         infected = set(range(k))
         mixed = sum(1 for i, j in pairs if (i in infected) != (j in infected))
         expected = lam * p * mixed / len(pairs)
@@ -218,9 +226,28 @@ class TestRateVector:
         model = hypergeometric_mixing(10, 1.0, 0.5)
         assert (rate_vector(model, 4) == rate_vector(model)[3:]).all()
         assert rate_vector(model, 10).size == 0
-        assert rate_vector(model).size == len(transient_states(model))
+        assert rate_vector(model).size == model.absorbing_state - 1
 
     @pytest.mark.parametrize("start", [0, 11])
     def test_start_outside_state_space(self, start):
         with pytest.raises(StateOutOfRange, match=f"start_state {start} "):
             rate_vector(hypergeometric_mixing(10, 1.0, 0.5), start)
+
+
+def test_public_names():
+    assert sorted(purebirth.__all__) == [
+        "AbsorptionTimeReport", "CapRequired", "DistributionSnapshot",
+        "ExplosionReport", "HittingTimeDistribution", "MissingParameter",
+        "MonteCarloSummary", "OutOfRange", "PowerLawTimeReport",
+        "PureBirthError", "RateModel", "RepeatedRates", "SolverConfig",
+        "StateHistogram", "StateOutOfRange", "ToleranceNotMet",
+        "Trajectory", "WrongFamily", "absorption_probability",
+        "build_rate_model", "empirical_distribution_at",
+        "estimate_absorption_time", "expected_absorption_time",
+        "explosion_study", "forward_grid", "forward_probabilities",
+        "harmonic_number", "hitting_time_distribution",
+        "hypergeometric_mixing", "mean_state", "power_law",
+        "powerlaw_expected_time", "rate_at", "rate_vector",
+        "replicate_stream", "simulate_path", "yule_scaled",
+    ]
+    assert all(hasattr(purebirth, name) for name in purebirth.__all__)
