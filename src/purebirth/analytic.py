@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import OutOfRange, RepeatedRates, StateOutOfRange
+from .errors import OutOfRange, RepeatedRates, StateOutOfRange, ToleranceNotMet
 from .rates import YULE, RateModel, power_law, rate_vector
 
 # Euler-Mascheroni constant, for the refined ln(N) + gamma diagnostic.
@@ -27,6 +27,9 @@ EULER_GAMMA = 0.5772156649015329
 
 # rates closer than this (relative) are treated as repeated
 DISTINCT_RTOL = 1e-9
+# largest roundoff kappa * 2^-52 allowed in the partial-fraction law, with
+# kappa = sum |C_k|: the forward solver's own mass-defect limit
+LAW_ROUNDOFF_TOL = 1e-8
 # entries of one block of the partial-fraction product
 _BLOCK_ENTRIES = 1 << 18
 
@@ -131,7 +134,10 @@ def hitting_time_distribution(model: RateModel,
 
     Raises RepeatedRates when two transient rates coincide within relative
     tolerance 1e-9 (the mixing families always do from start_state 1 by the
-    k(N-k) symmetry); callers should fall back to the forward solver.
+    k(N-k) symmetry), and ToleranceNotMet when the alternating sum over the
+    coefficients could lose more than LAW_ROUNDOFF_TOL to roundoff (about
+    kappa = sum |C_k| ulps of 1) or a coefficient overflows; callers should
+    then use the forward solver, e.g. absorption_probability for the cdf.
     """
     rates = _transient_rates(model, start_state)
     # for positive rates a <= b <= c, c - a <= tol c implies c - b <= tol c,
@@ -144,8 +150,15 @@ def hitting_time_distribution(model: RateModel,
         raise RepeatedRates(
             f"rates for states {i} and {j} coincide; "
             "use the forward solver for the hitting-time law")
-    return HittingTimeDistribution(rates=rates,
-                                   coefficients=_partial_fractions(rates))
+    # distinct but close rates give huge coefficients of both signs
+    with np.errstate(over="ignore", invalid="ignore"):
+        coefficients = _partial_fractions(rates)
+        kappa = float(np.sum(np.abs(coefficients)))
+    if not kappa * 2.0 ** -52 <= LAW_ROUNDOFF_TOL:
+        raise ToleranceNotMet(
+            f"the partial-fraction law is ill-conditioned (sum |C_k| = "
+            f"{kappa:.3e}); use absorption_probability for P(T <= t)")
+    return HittingTimeDistribution(rates=rates, coefficients=coefficients)
 
 
 def _partial_fractions(rates):

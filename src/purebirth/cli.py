@@ -21,7 +21,7 @@ from typing import Optional
 from . import __version__
 from .analytic import expected_absorption_time
 from .errors import PureBirthError
-from .forward import FORWARD_SCHEME, SolverConfig, forward_grid
+from .forward import SolverConfig, forward_grid
 from .montecarlo import (QUANTILE_LEVELS, RNG_SCHEME,
                          estimate_absorption_time, event_time_blocks,
                          explosion_study)
@@ -78,8 +78,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(p)
     _add_common_flags(p)
     p.add_argument("--abs-tol", dest="abs_tol", type=float,
-                   help="Poisson weight the forward sum may leave out per "
-                        "time (default 1e-10)")
+                   help="error allowed per time (default 1e-10): the "
+                        "Poisson weight uniformization leaves out, or "
+                        "inversion's bound plus its estimate")
     p.add_argument("--t", type=float, help="single evaluation time")
     p.add_argument("--t-grid", dest="t_grid",
                    help="comma-separated strictly increasing times")
@@ -163,15 +164,60 @@ def _model_spec(args) -> dict:
     }
 
 
+class _SnapshotRows:
+    """Rows (time, state, probability) held per snapshot as (time, states,
+    probabilities) with int states and finite float probabilities, so
+    that each snapshot is written by one %-template; len() counts rows.
+    Every snapshot has a row, since its mass is 1 within MASS_DEFECT_TOL."""
+
+    def __init__(self, blocks):
+        self.blocks = blocks
+        self.size = sum(len(states) for _, states, _ in blocks)
+
+    def __len__(self):
+        return self.size
+
+    def csv_lines(self):
+        # "%d" % k == str(k) and "%.17g" % x == fmt(x); no cell needs quoting
+        for t, states, probs in self.blocks:
+            yield _fill(f"{fmt(t)},%d,%.17g\n", "", states, probs)
+
+    def json_rows(self):
+        # the row objects json.dumps(..., indent=2, sort_keys=True) writes;
+        # "%r" % x == json.dumps(x) for a finite float
+        for t, states, probs in self.blocks:
+            row = ('    {\n      "probability": %r,\n      "state": %d,\n'
+                   f'      "time": {json.dumps(t)}\n    }}')
+            yield _fill(row, ",\n", probs, states)
+
+
+def _fill(row, sep, first, second):
+    """len(first) copies of a two-placeholder row template, joined by sep
+    and filled from first[i], second[i] in turn."""
+    cells = [None] * (2 * len(first))
+    cells[0::2] = first
+    cells[1::2] = second
+    return sep.join([row] * len(first)) % tuple(cells)
+
+
 def _write_rows(args, header, rows, metadata):
     fmt_name = args.format or "csv"
     if fmt_name == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([fmt(cell) for cell in row])
+        if isinstance(rows, _SnapshotRows):
+            buf.writelines(rows.csv_lines())
+        else:
+            for row in rows:
+                writer.writerow([fmt(cell) for cell in row])
         text = buf.getvalue()
+    elif isinstance(rows, _SnapshotRows):
+        # the rows go into the empty list that ends the document
+        text = json.dumps({"metadata": metadata, "rows": []}, indent=2,
+                          sort_keys=True)
+        text = (text[:-len("[]\n}")] + "[\n" + ",\n".join(rows.json_rows())
+                + "\n  ]\n}\n")
     else:
         payload = {
             "metadata": metadata,
@@ -222,14 +268,14 @@ def _cmd_forward(args):
     config = (SolverConfig() if args.abs_tol is None
               else SolverConfig(abs_tol=args.abs_tol))
     snapshots = forward_grid(model, args.start or 1, grid, config)
-    rows = []
+    blocks = []
     for snap in snapshots:
-        for state, prob in zip(snap.states, snap.probabilities):
-            if prob > PROB_FLOOR:
-                rows.append([snap.time, int(state), float(prob)])
-    _write_rows(args, ["time", "state", "probability"], rows,
+        keep = snap.probabilities > PROB_FLOOR
+        blocks.append((snap.time, snap.states[keep].tolist(),
+                       snap.probabilities[keep].tolist()))
+    _write_rows(args, ["time", "state", "probability"], _SnapshotRows(blocks),
                 _metadata(args, "forward", times=grid,
-                          forward_scheme=FORWARD_SCHEME,
+                          forward_scheme=snapshots[0].scheme,
                           max_mass_defect=max(s.mass_defect
                                               for s in snapshots)))
 

@@ -31,6 +31,7 @@ class RepeatedRates(PureBirthError):
 
 
 class ToleranceNotMet(PureBirthError):
-    """A forward solution failed its own checks: its probability mass is
-    off by more than the mass-defect limit, or a probability is negative
-    beyond roundoff."""
+    """A numerical result failed its own checks: a forward solution's
+    probability mass is off by more than the mass-defect limit or a
+    probability is negative beyond roundoff, or the partial-fraction law
+    of the absorption time is too ill-conditioned to evaluate."""

@@ -10,6 +10,8 @@ from purebirth.cli import _config_actions, build_parser, fmt, main
 from purebirth.forward import FORWARD_SCHEME, forward_grid
 from purebirth.montecarlo import (RNG_SCHEME, _simulate_ensemble,
                                   event_time_blocks)
+from purebirth import yule_scaled
+from purebirth.forward import INVERSION_SCHEME
 
 
 def run_csv(capsys, argv):
@@ -445,3 +447,75 @@ def test_csv_has_no_trailing_whitespace(capsys):
     assert "\r" not in out
     for line in out.splitlines():
         assert line == line.strip()
+
+
+# forward output against renderings by csv.writer + fmt and json.dumps
+# (the writer the template path replaced); each case has rows below
+# PROB_FLOOR that must be left out.  The first case is solved by
+# uniformization, the second by inversion.
+WRITER_CASES = [
+    (["--family", "hypergeometric", "--N", "50", "--lambda", "1",
+      "--p", "0.31", "--t-grid", "0,10,50,100"],
+     hypergeometric_mixing(50, 1.0, 0.31), 1, [0.0, 10.0, 50.0, 100.0]),
+    (["--family", "yule", "--N", "2000", "--mu", "1", "--p", "0.31",
+      "--start", "3", "--t-grid", "0.5,7,20", "--unit", "days"],
+     yule_scaled(2000, 1.0, 0.31, "days"), 3, [0.5, 7.0, 20.0]),
+]
+
+
+def _reference_forward(argv, model, start, times, fmt_name):
+    from purebirth import __version__
+    from purebirth.cli import PROB_FLOOR, _model_spec
+
+    header = ["time", "state", "probability"]
+    snaps = forward_grid(model, start, times)
+    rows = [[snap.time, int(state), float(prob)] for snap in snaps
+            for state, prob in zip(snap.states, snap.probabilities)
+            if prob > PROB_FLOOR]
+    assert len(rows) < sum(len(snap.states) for snap in snaps)
+    if fmt_name == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([fmt(cell) for cell in row])
+        return buf.getvalue()
+    args = build_parser().parse_args(["forward"] + argv)
+    metadata = {"command": "forward", "version": __version__,
+                "model": {k: v for k, v in _model_spec(args).items()
+                          if v is not None},
+                "times": times, "forward_scheme": snaps[0].scheme,
+                "max_mass_defect": max(s.mass_defect for s in snaps)}
+    payload = {"metadata": metadata,
+               "rows": [dict(zip(header, row)) for row in rows]}
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("case", range(len(WRITER_CASES)))
+@pytest.mark.parametrize("fmt_name", ["csv", "json"])
+@pytest.mark.parametrize("to_file", [False, True])
+def test_forward_output_bytes_match_reference_writer(tmp_path, capsys, case,
+                                                     fmt_name, to_file):
+    argv, model, start, times = WRITER_CASES[case]
+    argv = argv + ["--format", fmt_name]
+    out = tmp_path / f"forward.{fmt_name}"
+    assert main(["forward"] + argv
+                + (["--out", str(out)] if to_file else [])) == 0
+    got = out.read_text() if to_file else capsys.readouterr().out
+    want = _reference_forward(argv, model, start, times, fmt_name)
+    # line by line: a mismatch shows one row
+    got_lines = got.splitlines(keepends=True)
+    want_lines = want.splitlines(keepends=True)
+    for line, wanted in zip(got_lines, want_lines):
+        assert line == wanted
+    assert len(got_lines) == len(want_lines)
+
+
+def test_json_metadata_names_inversion_scheme(capsys):
+    assert main(["forward", "--family", "yule", "--N", "2000", "--mu", "1",
+                 "--p", "0.31", "--t-grid", "10,20", "--format", "json"]) == 0
+    meta = json.loads(capsys.readouterr().out)["metadata"]
+    assert meta["forward_scheme"] == INVERSION_SCHEME == "euler-inversion-v1"
+    snaps = forward_grid(yule_scaled(2000, 1.0, 0.31), 1, [10.0, 20.0])
+    assert meta["max_mass_defect"] == max(s.mass_defect for s in snaps)
+    assert 0.0 < meta["max_mass_defect"] <= 1e-10
