@@ -12,8 +12,8 @@ from .analytic import (AbsorptionTimeReport, HittingTimeDistribution,
                        harmonic_number, hitting_time_distribution,
                        powerlaw_expected_time)
 from .errors import (CapRequired, MissingParameter, OutOfRange,
-                     PureBirthError, RepeatedRates, StateOutOfRange,
-                     ToleranceNotMet, WrongFamily)
+                     PureBirthError, StateOutOfRange, ToleranceNotMet,
+                     WrongFamily)
 from .forward import (DistributionSnapshot, SolverConfig,
                       absorption_probability, forward_grid,
                       forward_probabilities, mean_state)
@@ -28,9 +28,9 @@ __all__ = [
     "AbsorptionTimeReport", "CapRequired", "DistributionSnapshot",
     "ExplosionReport", "HittingTimeDistribution", "MissingParameter",
     "MonteCarloSummary", "OutOfRange", "PowerLawTimeReport",
-    "PureBirthError", "RateModel", "RepeatedRates", "SolverConfig",
-    "StateHistogram", "StateOutOfRange", "ToleranceNotMet", "Trajectory",
-    "WrongFamily", "absorption_probability", "build_rate_model",
+    "PureBirthError", "RateModel", "SolverConfig", "StateHistogram",
+    "StateOutOfRange", "ToleranceNotMet", "Trajectory", "WrongFamily",
+    "absorption_probability", "build_rate_model",
     "empirical_distribution_at", "estimate_absorption_time",
     "expected_absorption_time", "explosion_study", "forward_grid",
     "forward_probabilities", "harmonic_number", "hitting_time_distribution",

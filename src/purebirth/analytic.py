@@ -7,8 +7,8 @@ the model's rate vector by numpy's pairwise summation, whose relative error
 for these positive terms is at most about log2(N) ulps.  For the yule family
 the mean has the closed form ((N-1)/(p mu N)) * H_{N-1} and the
 large-population approximation ln(N) / (p mu); the tests hold the sum to
-the closed form.  When the rates are pairwise distinct, T is
-hypoexponential with an explicit partial-fraction density.
+the closed form.  T is hypoexponential, with an explicit partial-fraction
+density wherever that form is well conditioned.
 """
 
 from __future__ import annotations
@@ -19,14 +19,12 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import OutOfRange, RepeatedRates, StateOutOfRange, ToleranceNotMet
+from .errors import OutOfRange, StateOutOfRange, ToleranceNotMet
 from .rates import YULE, RateModel, power_law, rate_vector
 
 # Euler-Mascheroni constant, for the refined ln(N) + gamma diagnostic.
 EULER_GAMMA = 0.5772156649015329
 
-# rates closer than this (relative) are treated as repeated
-DISTINCT_RTOL = 1e-9
 # largest roundoff kappa * 2^-52 allowed in the partial-fraction law, with
 # kappa = sum |C_k|: the forward solver's own mass-defect limit
 LAW_ROUNDOFF_TOL = 1e-8
@@ -64,13 +62,14 @@ def expected_absorption_time(model: RateModel,
     refinement are reported alongside.
     """
     rates = _transient_rates(model, start_state)
-    # a rate that underflows to 0 makes a sum inf, reported below
+    exact = float(np.sum(1.0 / rates))
+    # the square of a tiny rate can underflow to 0, or its reciprocal
+    # overflow: Var(T) is then inf, reported below
     with np.errstate(divide="ignore", over="ignore"):
-        exact = float(np.sum(1.0 / rates))
         variance = float(np.sum(1.0 / rates ** 2))
     if not math.isfinite(variance):
         raise OutOfRange("Var(T) overflows a float: the smallest rate is "
-                         f"{rates.min()!r}")
+                         f"{float(rates.min())!r}")
 
     approx = refined = None
     if model.family == YULE:
@@ -96,7 +95,7 @@ def _transient_rates(model, start_state):
 
 @dataclass(frozen=True)
 class HittingTimeDistribution:
-    """Hypoexponential law of T when all transient rates are distinct.
+    """Hypoexponential law of T in partial-fraction form.
 
     density(t) = sum_k C_k lambda_k exp(-lambda_k t) with the
     partial-fraction weights C_k = prod_{j != k} lambda_j / (lambda_j - lambda_k).
@@ -132,49 +131,45 @@ def hitting_time_distribution(model: RateModel,
                               start_state: int = 1) -> HittingTimeDistribution:
     """Closed-form law of the absorption time from start_state.
 
-    Raises RepeatedRates when two transient rates coincide within relative
-    tolerance 1e-9 (the mixing families always do from start_state 1 by the
-    k(N-k) symmetry), and ToleranceNotMet when the alternating sum over the
-    coefficients could lose more than LAW_ROUNDOFF_TOL to roundoff (about
-    kappa = sum |C_k| ulps of 1) or a coefficient overflows; callers should
-    then use the forward solver, e.g. absorption_probability for the cdf.
+    The one refusal is by conditioning: ToleranceNotMet when the
+    alternating sum over the coefficients could lose more than
+    LAW_ROUNDOFF_TOL to roundoff (about kappa = sum |C_k| ulps of 1).
+    Repeated rates (the mixing families always repeat from start_state 1,
+    by the k(N-k) symmetry) make a coefficient infinite and close ones make
+    them huge, so both are refused, after one block of the O(m^2) product.
+    Callers should then use the forward solver, e.g. absorption_probability
+    for the cdf.
     """
     rates = _transient_rates(model, start_state)
-    # for positive rates a <= b <= c, c - a <= tol c implies c - b <= tol c,
-    # so some pair is within tolerance exactly when a sorted neighbour pair is
-    order = np.argsort(rates, kind="stable")
-    ordered = rates[order]
-    close = np.flatnonzero(np.diff(ordered) <= DISTINCT_RTOL * ordered[1:])
-    if close.size:
-        i, j = sorted(order[close[0]:close[0] + 2] + start_state)
-        raise RepeatedRates(
-            f"rates for states {i} and {j} coincide; "
-            "use the forward solver for the hitting-time law")
-    # distinct but close rates give huge coefficients of both signs
-    with np.errstate(over="ignore", invalid="ignore"):
-        coefficients = _partial_fractions(rates)
-        kappa = float(np.sum(np.abs(coefficients)))
-    if not kappa * 2.0 ** -52 <= LAW_ROUNDOFF_TOL:
-        raise ToleranceNotMet(
-            f"the partial-fraction law is ill-conditioned (sum |C_k| = "
-            f"{kappa:.3e}); use absorption_probability for P(T <= t)")
-    return HittingTimeDistribution(rates=rates, coefficients=coefficients)
+    return HittingTimeDistribution(rates=rates,
+                                   coefficients=_partial_fractions(rates))
 
 
 def _partial_fractions(rates):
     """C_k = prod_{j != k} lambda_j / (lambda_j - lambda_k), a block of rows
-    at a time, with a factor 1 in place of j = k."""
+    at a time, with a factor 1 in place of j = k; kappa = sum |C_k| is
+    summed as the blocks come, and checked after each."""
     m = rates.size
     rows = max(1, _BLOCK_ENTRIES // m)
     coeffs = np.empty(m)
-    for lo in range(0, m, rows):
-        hi = min(lo + rows, m)
-        gaps = rates[None, :] - rates[lo:hi, None]
-        diagonal = (np.arange(hi - lo), np.arange(lo, hi))
-        gaps[diagonal] = 1.0
-        ratios = rates / gaps
-        ratios[diagonal] = 1.0
-        coeffs[lo:hi] = np.prod(ratios, axis=1)
+    kappa = 0.0
+    # a repeated rate divides by 0, close ones overflow the product, and
+    # inf times an underflowed 0 is nan: each fails the check below
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for lo in range(0, m, rows):
+            hi = min(lo + rows, m)
+            gaps = rates[None, :] - rates[lo:hi, None]
+            diagonal = (np.arange(hi - lo), np.arange(lo, hi))
+            gaps[diagonal] = 1.0
+            ratios = rates / gaps
+            ratios[diagonal] = 1.0
+            coeffs[lo:hi] = np.prod(ratios, axis=1)
+            kappa += float(np.sum(np.abs(coeffs[lo:hi])))
+            if not kappa * 2.0 ** -52 <= LAW_ROUNDOFF_TOL:
+                raise ToleranceNotMet(
+                    "the partial-fraction law is ill-conditioned (sum "
+                    f"|C_k| >= {kappa:.3e}); use absorption_probability "
+                    "for P(T <= t)")
     return coeffs
 
 

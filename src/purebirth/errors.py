@@ -25,13 +25,9 @@ class WrongFamily(PureBirthError):
     """The operation is defined only for a different rate family."""
 
 
-class RepeatedRates(PureBirthError):
-    """Transient rates are not pairwise distinct; the hypoexponential
-    closed form does not apply. Use the forward solver instead."""
-
-
 class ToleranceNotMet(PureBirthError):
     """A numerical result failed its own checks: a forward solution's
     probability mass is off by more than the mass-defect limit or a
     probability is negative beyond roundoff, or the partial-fraction law
-    of the absorption time is too ill-conditioned to evaluate."""
+    of the absorption time is too ill-conditioned to evaluate (its rates
+    repeat, or lie so close that its coefficients cancel)."""

@@ -101,24 +101,12 @@ def _strips(stream: np.random.Generator, lam: np.ndarray):
         yield times
 
 
-def _sampling_rates(model: RateModel, start_state: int) -> np.ndarray:
-    """rate_vector(model, start_state), rejecting a rate of 0 or one whose
-    reciprocal overflows: no holding time drawn for it would be finite."""
-    lam = rate_vector(model, start_state)
-    if lam.size:
-        smallest = float(lam.min())
-        if not (smallest > 0 and math.isfinite(1.0 / smallest)):
-            raise OutOfRange("holding times overflow a float: the smallest "
-                             f"rate is {smallest!r}")
-    return lam
-
-
 def event_time_blocks(model: RateModel, start_state: int, replicates: int,
                       master_seed: int):
     """Yield (first replicate, times) block by block; row r of ``times``
     holds the times at which replicate first + r enters each state from
     start_state (0) on.  A block takes 8 KB per transient state."""
-    lam = _sampling_rates(model, start_state)
+    lam = rate_vector(model, start_state)
     for first in range(0, replicates, BLOCK):
         stream = replicate_stream(master_seed, first // BLOCK)
         times = np.vstack([np.zeros((1, BLOCK)), *_strips(stream, lam)])
@@ -130,7 +118,7 @@ def simulate_path(model: RateModel, start_state: int,
     """One exact sample path from start_state to the absorbing/cap state,
     the first of the block ``stream`` draws: with replicate_stream(seed, b)
     it is replicate b * BLOCK of master seed ``seed``."""
-    lam = _sampling_rates(model, start_state)
+    lam = rate_vector(model, start_state)
     times = [0.0] + [x for strip in _strips(stream, lam) for x in strip[:, 0]]
     events = [(float(t), k) for k, t in enumerate(times, start_state)]
     return Trajectory(events=events, terminal_time=events[-1][0])
@@ -145,7 +133,7 @@ def _simulate_ensemble(model, start_state, replicates, master_seed,
     draws, logs and sums."""
     if n_jobs < 1:
         raise OutOfRange(f"n_jobs must be >= 1, got {n_jobs}")
-    lam = _sampling_rates(model, start_state)
+    lam = rate_vector(model, start_state)
     terminal = np.empty(replicates)
     states = None if t is None else np.full(replicates, start_state, np.int64)
 

@@ -12,6 +12,13 @@ Three families are supported:
 * ``powerlaw``: rates ``c * k**exponent`` on an unbounded state space,
   truncated at an explicit ``state_cap`` for computation.
 
+One rule, checked when a model is built, decides which rates every engine
+accepts: the largest rate is finite, and so is 37 m / lambda_min, with m
+the number of transient states and lambda_min the smallest rate.  37
+(53 ln 2 = 36.74, rounded up) bounds the -ln U that the Monte Carlo sampler
+draws, so no sampled absorption time overflows; and every rate is a normal
+float, which the engines may divide by.
+
 Models are immutable; every operation here is a pure function of
 (model, state) and safe to call concurrently.  ``rate_vector`` gives the
 rates of a run of states as one numpy array, which is what the engines
@@ -130,7 +137,9 @@ def build_rate_model(spec: dict) -> RateModel:
     Raises:
         MissingParameter: a key required by the family is absent.
         OutOfRange: a non-finite input, N < 2, p outside (0, 1], a
-            nonpositive rate, or a largest rate that overflows a float.
+            nonpositive parameter, a largest rate that overflows a float,
+            or a smallest rate for which a holding time could (the rate
+            rule in the module docstring).
         CapRequired: powerlaw family without a state cap.
     """
     if "family" not in spec or spec["family"] is None:
@@ -179,19 +188,21 @@ def build_rate_model(spec: dict) -> RateModel:
 
 
 def _checked(model):
-    """The model, once its largest rate is known to be a finite float."""
-    if model.family == POWERLAW:
-        # c k^exponent is monotone in k
-        candidates = (1, model.state_cap - 1)
-    else:
-        # k (N - k) peaks at N // 2
-        candidates = (model.population // 2,)
+    """The model, once its rates pass the rule of the module docstring."""
+    last = model.absorbing_state - 1
+    # c k^exponent is monotone in k; k (N - k) peaks at N // 2, and both
+    # are least at an end state
+    peak = (1, last) if model.family == POWERLAW else (model.population // 2,)
     try:
-        largest = max(rate_at(model, k) for k in candidates)
+        largest = max(rate_at(model, k) for k in peak)
     except OverflowError:
         largest = math.inf
     if not math.isfinite(largest):
         raise OutOfRange(f"the largest rate overflows a float ({largest})")
+    smallest = min(rate_at(model, k) for k in (1, last))
+    if not (smallest > 0 and math.isfinite(37.0 * last / smallest)):
+        raise OutOfRange("a holding time overflows a float: the smallest "
+                         f"rate is {smallest!r}")
     return model
 
 

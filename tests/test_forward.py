@@ -98,6 +98,11 @@ class TestForwardProbabilities:
             with pytest.raises(ValueError):
                 SolverConfig(abs_tol=tol)
 
+    @pytest.mark.parametrize("start", [0, 11])
+    def test_bad_start_raises_without_times(self, start):
+        with pytest.raises(StateOutOfRange, match=f"start_state {start} "):
+            forward_grid(linear_model(10), start, [])
+
     def test_conservation_across_models(self):
         models = [hypergeometric_mixing(40, 1.0, 0.31),
                   power_law(1.0, 2.0, 30),

@@ -78,9 +78,29 @@ class TestBuildRateModel:
         with pytest.raises(OutOfRange):
             build()
 
+    @pytest.mark.parametrize("build, smallest", [
+        (lambda: power_law(1.0, -400.0, 10), 0.0),   # 9 ** -400 underflows
+        (lambda: power_law(2.0 ** -1073, 1.0, 5), 2.0 ** -1073),  # subnormal
+        (lambda: power_law(6e-309, 1.0, 3), 6e-309),
+        (lambda: power_law(1e-306, 0.0, 2000), 1e-306),
+        # m / lambda_min = 2e307 is finite, but a draw of -ln U = 18 is not
+        (lambda: power_law(1e-307, 1.0, 3), 1e-307),
+        (lambda: hypergeometric_mixing(10 ** 6, 1e-300, 1.0), 2e-306 / 1e6),
+    ], ids=["zero", "subnormal", "two-states", "many-states", "largest-draw",
+            "mixing"])
+    def test_overflowing_holding_time_rejected(self, build, smallest):
+        # 37 m / lambda_min overflows: a sampled absorption time could
+        with pytest.raises(OutOfRange) as error:
+            build()
+        message = str(error.value)
+        assert message.startswith("a holding time overflows a float: the "
+                                  "smallest rate is ")
+        assert float(message.rsplit(" ", 1)[1]) == pytest.approx(
+            smallest, rel=1e-12)
+
     def test_decreasing_rates_peak_at_state_one(self):
         # c k^exponent with a large negative exponent is largest at k = 1
-        assert rate_at(power_law(1.0, -400.0, 10), 1) == 1.0
+        assert rate_at(power_law(1.0, -300.0, 10), 1) == 1.0
 
     def test_unknown_family(self):
         with pytest.raises(OutOfRange):
@@ -239,7 +259,7 @@ def test_public_names():
         "AbsorptionTimeReport", "CapRequired", "DistributionSnapshot",
         "ExplosionReport", "HittingTimeDistribution", "MissingParameter",
         "MonteCarloSummary", "OutOfRange", "PowerLawTimeReport",
-        "PureBirthError", "RateModel", "RepeatedRates", "SolverConfig",
+        "PureBirthError", "RateModel", "SolverConfig",
         "StateHistogram", "StateOutOfRange", "ToleranceNotMet",
         "Trajectory", "WrongFamily", "absorption_probability",
         "build_rate_model", "empirical_distribution_at",
