@@ -2,23 +2,22 @@
 
 Draws sample paths by sampling each exponential holding time directly (no
 time discretization), then compares the Monte Carlo mean and quantiles of
-the absorption time with the analytic sum of reciprocal rates.  Replicates
-are drawn in blocks of 1024, one seeded stream per block, so replicate i
-depends only on the master seed and i: the same master seed reproduces the
-same summary bit for bit, for any replicate count and even when whole
-blocks run on several threads.
+the absorption time with the analytic sum of reciprocal rates.  A path is
+named by its master seed and replicate index: simulate_path(model, start,
+seed, i) is the path that every ensemble of more than i replicates of that
+seed draws at index i.  So the same master seed reproduces the same summary
+bit for bit, for any replicate count and any number of threads.
 """
 
 from purebirth import (empirical_distribution_at, estimate_absorption_time,
                        expected_absorption_time, forward_probabilities,
-                       hypergeometric_mixing, replicate_stream, simulate_path)
+                       hypergeometric_mixing, simulate_path)
 
 model = hypergeometric_mixing(20, 1.0, 0.31)
 report = expected_absorption_time(model)
 
-print("replicate 0 of master seed 2024, the first path of block 0 "
-      "(time, infected):")
-path = simulate_path(model, 1, replicate_stream(2024, 0))
+print("replicate 0 of master seed 2024 (time, infected):")
+path = simulate_path(model, 1, master_seed=2024, replicate=0)
 print("  " + "  ".join(f"({t:.2f}, {k})" for t, k in path.events[:8]) + " ...")
 print(f"  absorbed at t = {path.terminal_time:.2f}\n")
 

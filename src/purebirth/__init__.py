@@ -20,7 +20,7 @@ from .forward import (DistributionSnapshot, SolverConfig,
 from .montecarlo import (ExplosionReport, MonteCarloSummary, StateHistogram,
                          Trajectory, empirical_distribution_at,
                          estimate_absorption_time, explosion_study,
-                         replicate_stream, simulate_path)
+                         simulate_path)
 from .rates import (RateModel, build_rate_model, hypergeometric_mixing,
                     power_law, rate_at, rate_vector, yule_scaled)
 
@@ -35,6 +35,6 @@ __all__ = [
     "expected_absorption_time", "explosion_study", "forward_grid",
     "forward_probabilities", "harmonic_number", "hitting_time_distribution",
     "hypergeometric_mixing", "mean_state", "power_law",
-    "powerlaw_expected_time", "rate_at", "rate_vector", "replicate_stream",
-    "simulate_path", "yule_scaled",
+    "powerlaw_expected_time", "rate_at", "rate_vector", "simulate_path",
+    "yule_scaled",
 ]

@@ -14,6 +14,7 @@ density wherever that form is well conditioned.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -86,11 +87,11 @@ def expected_absorption_time(model: RateModel,
 
 
 def _transient_rates(model, start_state):
-    absorbing = model.absorbing_state
-    if not 1 <= start_state < absorbing:
+    rates = rate_vector(model, start_state)
+    if rates.size == 0:
         raise StateOutOfRange(
             f"start_state {start_state} is not transient for this model")
-    return rate_vector(model, start_state)
+    return rates
 
 
 @dataclass(frozen=True)
@@ -105,13 +106,13 @@ class HittingTimeDistribution:
     coefficients: np.ndarray
 
     def pdf(self, t):
-        t = np.asarray(t, dtype=float)
+        t = _times(t)
         terms = (self.coefficients * self.rates
                  * np.exp(-np.multiply.outer(t, self.rates)))
         return terms.sum(axis=-1)
 
     def cdf(self, t):
-        t = np.asarray(t, dtype=float)
+        t = _times(t)
         terms = self.coefficients * np.exp(-np.multiply.outer(t, self.rates))
         return 1.0 - terms.sum(axis=-1)
 
@@ -125,6 +126,15 @@ class HittingTimeDistribution:
         exactly rather than pairwise.
         """
         return math.fsum((self.coefficients / self.rates).tolist())
+
+
+def _times(t):
+    """t as a float array, once every time is finite and >= 0."""
+    t = np.asarray(t, dtype=float)
+    ok = np.isfinite(t) & (t >= 0)
+    if not ok.all():
+        raise OutOfRange(f"t must be finite and >= 0, got {t[~ok].flat[0]}")
+    return t
 
 
 def hitting_time_distribution(model: RateModel,
@@ -195,8 +205,8 @@ def powerlaw_expected_time(c: float, exponent: int, n: int) -> PowerLawTimeRepor
     """Expected time to pass through states 1..n under c * k**exponent rates."""
     if not (math.isfinite(c) and c > 0):
         raise OutOfRange(f"c must be finite and positive, got {c}")
-    if n < 1:
-        raise OutOfRange(f"n must be >= 1, got {n}")
+    if not (isinstance(n, numbers.Integral) and n >= 1):
+        raise OutOfRange(f"n must be an integer >= 1, got {n}")
     if exponent == 2:
         value = float(np.sum(1.0 / rate_vector(power_law(1.0, 2, n + 1)))) / c
         return PowerLawTimeReport(value=value, coefficient=c, exponent=2, n=n,

@@ -241,7 +241,7 @@ def _metadata(args, command, **extra):
 
 def _cmd_expect_time(args):
     model = build_rate_model(_model_spec(args))
-    report = expected_absorption_time(model, args.start or 1)
+    report = expected_absorption_time(model, _start(args))
     header = ["exact_mean", "approx_mean", "approx_mean_refined", "variance",
               "start_state", "time_unit"]
     row = [report.exact_mean, report.approx_mean, report.approx_mean_refined,
@@ -267,7 +267,7 @@ def _cmd_forward(args):
     grid = _parse_grid(args)
     config = (SolverConfig() if args.abs_tol is None
               else SolverConfig(abs_tol=args.abs_tol))
-    snapshots = forward_grid(model, args.start or 1, grid, config)
+    snapshots = forward_grid(model, _start(args), grid, config)
     blocks = []
     for snap in snapshots:
         keep = snap.probabilities > PROB_FLOOR
@@ -291,6 +291,10 @@ def _jobs(args):
     return 1 if args.jobs is None else args.jobs
 
 
+def _start(args):
+    return 1 if args.start is None else args.start
+
+
 def _summary_row(summary):
     header = ["replicates", "master_seed", "mean", "std_error"] + [
         f"q{round(100 * q):02d}" for q in QUANTILE_LEVELS] + ["time_unit"]
@@ -302,7 +306,7 @@ def _summary_row(summary):
 
 def _cmd_simulate(args):
     model = build_rate_model(_model_spec(args))
-    start = args.start or 1
+    start = _start(args)
     replicates = _require_arg(args, "replicates")
     seed = _require_arg(args, "seed")
     summary = estimate_absorption_time(model, start, replicates, seed,
@@ -341,7 +345,7 @@ def _cmd_sweep(args):
         spec[param] = value
         try:
             model = build_rate_model(spec)
-            report = expected_absorption_time(model, args.start or 1)
+            report = expected_absorption_time(model, _start(args))
         except PureBirthError as exc:
             raise PureBirthError(f"sweep point {param}={value}: {exc}") from exc
         rows.append([value, report.exact_mean, report.approx_mean])
@@ -354,7 +358,7 @@ def _cmd_explosion(args):
     spec["family"] = spec["family"] or "powerlaw"
     spec["exponent"] = spec["exponent"] if spec["exponent"] is not None else 2.0
     model = build_rate_model(spec)
-    report = explosion_study(model, args.start or 1,
+    report = explosion_study(model, _start(args),
                              _require_arg(args, "replicates"),
                              _require_arg(args, "seed"),
                              n_jobs=_jobs(args))

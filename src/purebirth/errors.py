@@ -18,7 +18,7 @@ class CapRequired(PureBirthError):
 
 
 class StateOutOfRange(PureBirthError):
-    """A state index is outside [start, absorbing/cap]."""
+    """A state is not an integer in [start, absorbing/cap]."""
 
 
 class WrongFamily(PureBirthError):

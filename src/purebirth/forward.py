@@ -47,6 +47,7 @@ the schemes; each snapshot carries the one that produced it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -120,8 +121,9 @@ class DistributionSnapshot:
 
     def probability_of(self, state: int) -> float:
         lo, hi = self.states[0], self.states[-1]
-        if not lo <= state <= hi:
-            raise StateOutOfRange(f"state {state} outside [{lo}, {hi}]")
+        if not (isinstance(state, numbers.Integral) and lo <= state <= hi):
+            raise StateOutOfRange(
+                f"state {state} is not an integer in [{lo}, {hi}]")
         return float(self.probabilities[state - lo])
 
 

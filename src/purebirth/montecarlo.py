@@ -1,13 +1,18 @@
 """Exact-event Monte Carlo simulation of the pure-birth chain.
 
+A path is named by (master seed, replicate index): replicate i of master
+seed s is one path, whether simulate_path(model, start, s, i) draws it
+alone or an ensemble of more than i replicates (estimate_absorption_time,
+empirical_distribution_at, explosion_study, the CLI's trajectory dump)
+draws it at index i.
 Replicates come in blocks of BLOCK, and block b of a master seed draws from
 its own stream, replicate_stream(master_seed, b) (numpy SeedSequence spawn
-key (b,)).  The stream yields the block's holding times state by state,
-BLOCK numbers per transient state, in strips of STRIP states.  So replicate
-i's holding time in its j-th transient state depends only on
-(master_seed, i, j): not on the replicate count, the strip size, the
-number of threads that --jobs runs the blocks on, or the cap.  A partial
-last block still draws BLOCK replicates.
+key (b,)), the one place that checks the seed.  The stream yields the
+block's holding times state by state, BLOCK numbers per transient state,
+in strips of STRIP states.  So replicate i's holding time in its j-th
+transient state depends only on (master_seed, i, j): not on the replicate
+count, the strip size, the number of threads that --jobs runs the blocks
+on, or the cap.  A partial last block still draws BLOCK replicates.
 Event times are a running sum accumulated row by row down each strip: the
 additions of cumsum(axis=0), in its order, so the draws, the scheme and
 every output are those of the cumsum kernel, bit for bit.
@@ -19,15 +24,15 @@ common seed.  RNG_SCHEME names this scheme in the CLI's JSON metadata.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .errors import OutOfRange, WrongFamily
-from .rates import POWERLAW, RateModel, power_law, rate_vector
+from .rates import POWERLAW, RateModel, rate_vector
 
 QUANTILE_LEVELS = (0.05, 0.25, 0.50, 0.75, 0.95)
 BLOCK = 1024                  # replicates per seeded stream
@@ -37,7 +42,10 @@ RNG_SCHEME = "pcg64-block1024-v2"
 
 def replicate_stream(master_seed: int, block: int) -> np.random.Generator:
     """The stream of replicates block * BLOCK .. (block + 1) * BLOCK - 1,
-    a pure function of its inputs."""
+    a pure function of its inputs, which must be integers >= 0."""
+    for name, value in (("master_seed", master_seed), ("block", block)):
+        if not (isinstance(value, numbers.Integral) and value >= 0):
+            raise OutOfRange(f"{name} must be an integer >= 0, got {value!r}")
     return np.random.default_rng(
         np.random.SeedSequence(master_seed, spawn_key=(block,)))
 
@@ -113,13 +121,18 @@ def event_time_blocks(model: RateModel, start_state: int, replicates: int,
         yield first, times[:, :replicates - first].T
 
 
-def simulate_path(model: RateModel, start_state: int,
-                  stream: np.random.Generator) -> Trajectory:
-    """One exact sample path from start_state to the absorbing/cap state,
-    the first of the block ``stream`` draws: with replicate_stream(seed, b)
-    it is replicate b * BLOCK of master seed ``seed``."""
+def simulate_path(model: RateModel, start_state: int, master_seed: int,
+                  replicate: int = 0) -> Trajectory:
+    """Replicate ``replicate`` of ``master_seed``: one exact sample path
+    from start_state to the absorbing/cap state, the one whose terminal
+    time every ensemble of more than ``replicate`` replicates puts at that
+    index.  Both numbers are integers >= 0; it draws the replicate's
+    whole block."""
     lam = rate_vector(model, start_state)
-    times = [0.0] + [x for strip in _strips(stream, lam) for x in strip[:, 0]]
+    block, column = divmod(replicate, BLOCK)
+    stream = replicate_stream(master_seed, block)
+    times = [0.0] + [x for strip in _strips(stream, lam)
+                     for x in strip[:, column]]
     events = [(float(t), k) for k, t in enumerate(times, start_state)]
     return Trajectory(events=events, terminal_time=events[-1][0])
 
@@ -208,9 +221,9 @@ def empirical_distribution_at(model: RateModel, start_state: int, t: float,
 
 
 def explosion_study(model: RateModel, start_state: int, replicates: int,
-                    master_seed: int, cap: Optional[int] = None,
-                    n_jobs: int = 1) -> ExplosionReport:
-    """Distribution of the time to hit the cap under lambda_k = c k^2.
+                    master_seed: int, n_jobs: int = 1) -> ExplosionReport:
+    """Distribution of the time to hit the model's state_cap under
+    lambda_k = c k^2.
 
     The mean is reported against the analytic partial sum
     (1/c) sum_{k=start}^{cap-1} 1/k^2 and the limiting bound pi^2/(6c).
@@ -218,9 +231,6 @@ def explosion_study(model: RateModel, start_state: int, replicates: int,
     if model.family != POWERLAW or model.exponent != 2:
         raise WrongFamily("explosion_study requires a powerlaw model "
                           "with exponent +2")
-    if cap is not None and cap != model.state_cap:
-        model = power_law(model.coefficient, model.exponent, cap,
-                          model.time_unit)
     cap = model.state_cap
     if cap < start_state + 1:
         raise OutOfRange(f"cap {cap} must exceed start_state {start_state}")

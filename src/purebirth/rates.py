@@ -22,12 +22,15 @@ float, which the engines may divide by.
 Models are immutable; every operation here is a pure function of
 (model, state) and safe to call concurrently.  ``rate_vector`` gives the
 rates of a run of states as one numpy array, which is what the engines
-use; ``rate_at`` is the scalar view of one state.
+use; ``rate_at`` is the scalar view of one state.  Both take only integer
+states in [1, absorbing] and raise StateOutOfRange otherwise; every engine
+takes its states through them.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -38,8 +41,6 @@ from .errors import CapRequired, MissingParameter, OutOfRange, StateOutOfRange
 HYPERGEOMETRIC = "hypergeometric"
 YULE = "yule"
 POWERLAW = "powerlaw"
-
-_FAMILIES = (HYPERGEOMETRIC, YULE, POWERLAW)
 
 _FAMILY_ALIASES = {
     "hypergeometric": HYPERGEOMETRIC,
@@ -206,13 +207,18 @@ def _checked(model):
     return model
 
 
+def _check_state(model, k, name):
+    """Raise StateOutOfRange unless k is an integer in [1, absorbing]."""
+    absorbing = model.absorbing_state
+    if not (isinstance(k, numbers.Integral) and 1 <= k <= absorbing):
+        raise StateOutOfRange(
+            f"{name} {k} is not an integer in [1, {absorbing}]")
+
+
 def rate_at(model: RateModel, k: int) -> float:
     """Birth rate lambda_k in state k; zero at the absorbing/cap state."""
-    absorbing = model.absorbing_state
-    if not 1 <= k <= absorbing:
-        raise StateOutOfRange(
-            f"state {k} outside [1, {absorbing}] for this model")
-    if k == absorbing:
+    _check_state(model, k, "state")
+    if k == model.absorbing_state:
         return 0.0
     if model.family == POWERLAW:
         return model.coefficient * float(k) ** model.exponent
@@ -229,11 +235,8 @@ def rate_vector(model: RateModel, start: int = 1) -> np.ndarray:
     laws numpy's power may differ from Python's by 1 ulp.  Empty when
     start is the absorbing/cap state.
     """
-    absorbing = model.absorbing_state
-    if not 1 <= start <= absorbing:
-        raise StateOutOfRange(
-            f"start_state {start} outside [1, {absorbing}]")
-    k = np.arange(start, absorbing, dtype=float)
+    _check_state(model, start, "start_state")
+    k = np.arange(start, model.absorbing_state, dtype=float)
     if model.family == POWERLAW:
         return model.coefficient * k ** model.exponent
     n = model.population

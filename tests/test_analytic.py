@@ -430,3 +430,13 @@ class TestPowerLawExpectedTime:
         exact = expected_absorption_time(model).exact_mean
         assert powerlaw_expected_time(1.0, -2, 20).value == \
             pytest.approx(exact, rel=1e-12)
+
+
+@pytest.mark.parametrize("t", [-1.0, math.nan, math.inf, [0.0, -1e-300],
+                               [1.0, math.nan]])
+@pytest.mark.parametrize("method", ["cdf", "pdf"])
+def test_law_takes_only_finite_nonnegative_times(method, t):
+    # cdf(-1.0) was -3.4e146 and pdf(-1.0) 1.2e149 here
+    law = hitting_time_distribution(power_law(1.0, 2.0, 20))
+    with pytest.raises(OutOfRange, match="t must be finite and >= 0"):
+        getattr(law, method)(t)

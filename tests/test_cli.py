@@ -519,3 +519,36 @@ def test_json_metadata_names_inversion_scheme(capsys):
     snaps = forward_grid(yule_scaled(2000, 1.0, 0.31), 1, [10.0, 20.0])
     assert meta["max_mass_defect"] == max(s.mass_defect for s in snaps)
     assert 0.0 < meta["max_mass_defect"] <= 1e-10
+
+
+START_ZERO = {
+    "expect-time": ["--family", "yule", "--N", "10", "--mu", "1",
+                    "--p", "0.31"],
+    "forward": ["--family", "yule", "--N", "10", "--mu", "1", "--p", "0.31",
+                "--t", "1"],
+    "simulate": ["--family", "yule", "--N", "10", "--mu", "1", "--p", "0.31",
+                 "--replicates", "10", "--seed", "1"],
+    "sweep": ["--family", "yule", "--N", "10", "--mu", "1", "--p", "0.31",
+              "--param", "p", "--values", "0.3,0.5"],
+    "explosion": ["--c", "1", "--cap", "20", "--replicates", "10",
+                  "--seed", "1"],
+}
+
+
+@pytest.mark.parametrize("command", START_ZERO)
+def test_start_zero_is_an_error(capsys, command):
+    # --start 0 used to run from state 1
+    assert main([command, "--start", "0"] + START_ZERO[command]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("purebirth: error: ")
+    assert "start_state 0 is not an integer" in captured.err
+
+
+@pytest.mark.parametrize("command", ["simulate", "explosion"])
+def test_negative_seed_is_an_error(capsys, command):
+    assert main([command, "--seed", "-1"]
+                + START_ZERO[command][:-2]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("purebirth: error: master_seed must be")

@@ -4,7 +4,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from purebirth import montecarlo
@@ -12,9 +12,10 @@ from purebirth import (OutOfRange, StateOutOfRange, WrongFamily,
                        empirical_distribution_at, estimate_absorption_time,
                        expected_absorption_time, explosion_study,
                        forward_probabilities, hypergeometric_mixing,
-                       power_law, powerlaw_expected_time, replicate_stream,
-                       simulate_path, yule_scaled)
-from purebirth.montecarlo import _simulate_ensemble, event_time_blocks
+                       power_law, powerlaw_expected_time, simulate_path,
+                       yule_scaled)
+from purebirth.montecarlo import (BLOCK, _simulate_ensemble,
+                                  event_time_blocks, replicate_stream)
 from purebirth.rates import rate_vector
 
 SEED = 123
@@ -33,7 +34,7 @@ def check_trajectory(path, model, start):
 class TestSimulatePath:
     def test_two_individuals_single_jump(self):
         model = hypergeometric_mixing(2, 1.0, 1.0)
-        path = simulate_path(model, 1, replicate_stream(SEED, 0))
+        path = simulate_path(model, 1, SEED)
         assert len(path.events) == 2
         assert path.events[0] == (0.0, 1)
         assert path.events[1][1] == 2
@@ -41,7 +42,7 @@ class TestSimulatePath:
 
     def test_degenerate_start_at_absorbing_state(self):
         model = hypergeometric_mixing(5, 1.0, 1.0)
-        path = simulate_path(model, 5, replicate_stream(SEED, 0))
+        path = simulate_path(model, 5, SEED)
         assert path.events == [(0.0, 5)]
         assert path.terminal_time == 0.0
 
@@ -52,7 +53,7 @@ class TestSimulatePath:
     ])
     def test_path_invariants(self, model):
         for i in range(200):
-            path = simulate_path(model, 1, replicate_stream(SEED, i))
+            path = simulate_path(model, 1, SEED, i * BLOCK)
             check_trajectory(path, model, 1)
 
     def test_mean_terminal_time(self):
@@ -62,8 +63,7 @@ class TestSimulatePath:
 
     def test_start_state_validated(self):
         with pytest.raises(StateOutOfRange):
-            simulate_path(hypergeometric_mixing(4, 1, 1), 5,
-                          replicate_stream(SEED, 0))
+            simulate_path(hypergeometric_mixing(4, 1, 1), 5, SEED)
 
 
 class TestEstimateAbsorptionTime:
@@ -198,6 +198,64 @@ def test_property_histogram_agrees_with_forward(model, fraction, seed, data):
     assert tv <= tv_limit(snap.probabilities, reps)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(model=small_models, start=st.integers(1, 12),
+       replicate=st.one_of(st.integers(0, BLOCK - 1),
+                           st.integers(BLOCK, 3 * BLOCK - 1)),
+       extra=st.integers(1, BLOCK + 1), seed=st.integers(0, 2 ** 32 - 1))
+@example(model=power_law(0.7, 1.5, 200), start=1, replicate=BLOCK - 1,
+         extra=1, seed=SEED)
+@example(model=power_law(0.7, 1.5, 200), start=3, replicate=BLOCK,
+         extra=1, seed=SEED)
+def test_property_path_is_its_index_in_every_ensemble(model, start, replicate,
+                                                      extra, seed):
+    # replicate r of a seed is one path: simulate_path's, row r of the
+    # trajectory blocks, and terminal[r] of any ensemble of more than r
+    start = min(start, model.absorbing_state)
+    path = simulate_path(model, start, seed, replicate)
+    check_trajectory(path, model, start)
+    replicates = replicate + extra
+    terminal, _ = _simulate_ensemble(model, start, replicates, seed)
+    assert same_bits(np.array([path.terminal_time]),
+                     terminal[replicate:replicate + 1])
+    first = replicate - replicate % BLOCK
+    rows = dict(event_time_blocks(model, start, replicates, seed))[first]
+    assert same_bits(np.array([t for t, _ in path.events]),
+                     rows[replicate - first])
+
+
+class TestMasterSeed:
+    SAMPLERS = {
+        "estimate": lambda m, s: estimate_absorption_time(m, 1, 10, s),
+        "estimate_jobs2": lambda m, s: estimate_absorption_time(
+            m, 1, 3 * BLOCK, s, n_jobs=2),
+        "histogram": lambda m, s: empirical_distribution_at(m, 1, 1.0, 10, s),
+        "explosion": lambda m, s: explosion_study(m, 1, 10, s),
+        "path": lambda m, s: simulate_path(m, 1, s),
+    }
+
+    # -1 and 1.5 raised numpy's ValueError and TypeError; None drew OS
+    # entropy and echoed master_seed=None
+    @pytest.mark.parametrize("seed", [-1, 1.5, None, "7"])
+    @pytest.mark.parametrize("sampler", SAMPLERS)
+    def test_rejected_by_every_sampler(self, sampler, seed):
+        with pytest.raises(OutOfRange, match="master_seed must be an integer"):
+            self.SAMPLERS[sampler](power_law(1.0, 2.0, 20), seed)
+
+    @pytest.mark.parametrize("replicate", [-1, -BLOCK, 1.5, float(BLOCK)])
+    def test_replicate_must_be_an_index(self, replicate):
+        with pytest.raises(OutOfRange):
+            simulate_path(power_law(1.0, 2.0, 20), 1, SEED, replicate)
+
+    def test_numpy_and_large_integers_accepted(self):
+        model = power_law(1.0, 2.0, 20)
+        assert simulate_path(model, 1, np.uint64(SEED), np.int64(5)) == \
+            simulate_path(model, 1, SEED, 5)
+        terminal, _ = _simulate_ensemble(model, 1, 2, 2 ** 100)
+        assert simulate_path(model, 1, 2 ** 100, 1).terminal_time == \
+            terminal[1]
+
+
 class TestExplosionStudy:
     def test_mean_matches_partial_sum(self):
         model = power_law(1.0, 2.0, 1000)
@@ -210,17 +268,14 @@ class TestExplosionStudy:
 
     def test_cap_doubling_barely_moves_the_mean(self):
         small = explosion_study(power_law(1.0, 2.0, 1000), 1, 10 ** 4, SEED)
-        large = explosion_study(power_law(1.0, 2.0, 1000), 1, 10 ** 4, SEED,
-                                cap=2000)
+        large = explosion_study(power_law(1.0, 2.0, 2000), 1, 10 ** 4, SEED)
         shift = large.summary.mean - small.summary.mean
         assert 0.0 < shift < 1e-3 + 3.0 * large.summary.std_error
 
     def test_coupled_seed_rate_scaling(self):
         # doubling c halves every holding time drawn from the same uniforms
-        slow = simulate_path(power_law(2.0, 2.0, 50), 1,
-                             replicate_stream(SEED, 7))
-        fast = simulate_path(power_law(4.0, 2.0, 50), 1,
-                             replicate_stream(SEED, 7))
+        slow = simulate_path(power_law(2.0, 2.0, 50), 1, SEED, 7 * BLOCK)
+        fast = simulate_path(power_law(4.0, 2.0, 50), 1, SEED, 7 * BLOCK)
         assert fast.terminal_time == slow.terminal_time / 2.0
         for (_, s1), (_, s2) in zip(slow.events, fast.events):
             assert s1 == s2
@@ -246,11 +301,11 @@ def test_mean_agreement_small_grid(n, p, lam):
 def test_replicate_streams_are_independent_of_count():
     # replicate i's draws depend only on (master_seed, i)
     model = hypergeometric_mixing(6, 1.0, 0.5)
-    t_first = simulate_path(model, 1, replicate_stream(SEED, 3)).terminal_time
+    t_first = simulate_path(model, 1, SEED, 3 * BLOCK).terminal_time
     summary_small = estimate_absorption_time(model, 1, 4, SEED)
     summary_large = estimate_absorption_time(model, 1, 64, SEED)
     assert summary_small.mean != summary_large.mean
-    path_again = simulate_path(model, 1, replicate_stream(SEED, 3))
+    path_again = simulate_path(model, 1, SEED, 3 * BLOCK)
     assert path_again.terminal_time == t_first
 
 
@@ -289,8 +344,7 @@ class TestBlockStreams:
         model = hypergeometric_mixing(9, 1.0, 0.31)
         terminal, _ = _simulate_ensemble(model, 1, 2049, SEED)
         for block in (0, 1, 2):
-            path = simulate_path(model, 1,
-                                 montecarlo.replicate_stream(SEED, block))
+            path = simulate_path(model, 1, SEED, block * BLOCK)
             assert path.terminal_time == terminal[block * montecarlo.BLOCK]
 
     def test_workers_clamped_to_jobs_cpus_and_blocks(self, monkeypatch):
@@ -400,7 +454,7 @@ class TestKernelMatchesReference:
                             event_time_blocks(model, start, replicates,
                                               SEED)])
         assert same_bits(blocks, ref.T)
-        path = simulate_path(model, start, replicate_stream(SEED, 0))
+        path = simulate_path(model, start, SEED)
         assert [time for time, _ in path.events] == ref[:, 0].tolist()
 
 

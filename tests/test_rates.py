@@ -6,8 +6,12 @@ import pytest
 import purebirth
 from purebirth import (CapRequired, MissingParameter, OutOfRange,
                        StateOutOfRange, build_rate_model,
-                       hypergeometric_mixing, power_law, rate_at,
-                       rate_vector, yule_scaled)
+                       empirical_distribution_at, estimate_absorption_time,
+                       expected_absorption_time, explosion_study,
+                       forward_grid, forward_probabilities,
+                       hitting_time_distribution, hypergeometric_mixing,
+                       power_law, powerlaw_expected_time, rate_at,
+                       rate_vector, simulate_path, yule_scaled)
 
 
 class TestBuildRateModel:
@@ -268,6 +272,41 @@ def test_public_names():
         "harmonic_number", "hitting_time_distribution",
         "hypergeometric_mixing", "mean_state", "power_law",
         "powerlaw_expected_time", "rate_at", "rate_vector",
-        "replicate_stream", "simulate_path", "yule_scaled",
+        "simulate_path", "yule_scaled",
     ]
     assert all(hasattr(purebirth, name) for name in purebirth.__all__)
+
+
+# every engine gets its states through rate_at or rate_vector; a fractional
+# state used to give states 1.5, 2.5, ... or a mean from start_state=1.5
+STATE_TAKERS = {
+    "rate_at": lambda m, k: rate_at(m, k),
+    "rate_vector": lambda m, k: rate_vector(m, k),
+    "expected_absorption_time": lambda m, k: expected_absorption_time(m, k),
+    "hitting_time_distribution":
+        lambda m, k: hitting_time_distribution(m, k),
+    "forward_probabilities": lambda m, k: forward_probabilities(m, k, 1.0),
+    "forward_grid_no_times": lambda m, k: forward_grid(m, k, []),
+    "probability_of":
+        lambda m, k: forward_probabilities(m, 1, 1.0).probability_of(k),
+    "estimate_absorption_time":
+        lambda m, k: estimate_absorption_time(m, k, 10, 1),
+    "empirical_distribution_at":
+        lambda m, k: empirical_distribution_at(m, k, 1.0, 10, 1),
+    "explosion_study": lambda m, k: explosion_study(m, k, 10, 1),
+    "simulate_path": lambda m, k: simulate_path(m, k, 1),
+}
+
+
+@pytest.mark.parametrize("state", [1.5, 2.0, np.float64(3.0)])
+@pytest.mark.parametrize("engine", STATE_TAKERS)
+def test_every_engine_takes_only_integer_states(engine, state):
+    with pytest.raises(StateOutOfRange, match="not an integer"):
+        STATE_TAKERS[engine](power_law(1.0, 2.0, 50), state)
+
+
+@pytest.mark.parametrize("n", [2.5, 3.0])
+def test_powerlaw_expected_time_takes_only_integer_n(n):
+    # n = 2.5 with exponent -2 used to give 8.0
+    with pytest.raises(OutOfRange, match="n must be an integer"):
+        powerlaw_expected_time(1.0, -2, n)
