@@ -14,13 +14,13 @@ density wherever that form is well conditioned.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import OutOfRange, StateOutOfRange, ToleranceNotMet
+from .errors import (OutOfRange, StateOutOfRange, ToleranceNotMet,
+                     require_integer)
 from .rates import YULE, RateModel, power_law, rate_vector
 
 # Euler-Mascheroni constant, for the refined ln(N) + gamma diagnostic.
@@ -35,8 +35,7 @@ _BLOCK_ENTRIES = 1 << 18
 
 def harmonic_number(n: int) -> float:
     """H_n = sum of 1/k for k = 1..n, by compensated direct summation."""
-    if n < 1:
-        raise OutOfRange(f"n must be >= 1, got {n}")
+    require_integer("n", n, 1)
     return math.fsum(1.0 / k for k in range(1, n + 1))
 
 
@@ -205,8 +204,7 @@ def powerlaw_expected_time(c: float, exponent: int, n: int) -> PowerLawTimeRepor
     """Expected time to pass through states 1..n under c * k**exponent rates."""
     if not (math.isfinite(c) and c > 0):
         raise OutOfRange(f"c must be finite and positive, got {c}")
-    if not (isinstance(n, numbers.Integral) and n >= 1):
-        raise OutOfRange(f"n must be an integer >= 1, got {n}")
+    require_integer("n", n, 1)
     if exponent == 2:
         value = float(np.sum(1.0 / rate_vector(power_law(1.0, 2, n + 1)))) / c
         return PowerLawTimeReport(value=value, coefficient=c, exponent=2, n=n,

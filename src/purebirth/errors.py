@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check that a
+count, index or seed is an integer in range."""
+
+import numbers
 
 
 class PureBirthError(Exception):
@@ -31,3 +34,9 @@ class ToleranceNotMet(PureBirthError):
     probability is negative beyond roundoff, or the partial-fraction law
     of the absorption time is too ill-conditioned to evaluate (its rates
     repeat, or lie so close that its coefficients cancel)."""
+
+
+def require_integer(name, value, lo):
+    """Raise OutOfRange unless value is a numbers.Integral >= lo."""
+    if not (isinstance(value, numbers.Integral) and value >= lo):
+        raise OutOfRange(f"{name} must be an integer >= {lo}, got {value!r}")

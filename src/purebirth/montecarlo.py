@@ -13,9 +13,12 @@ in strips of STRIP states.  So replicate i's holding time in its j-th
 transient state depends only on (master_seed, i, j): not on the replicate
 count, the strip size, the number of threads that --jobs runs the blocks
 on, or the cap.  A partial last block still draws BLOCK replicates.
-Event times are a running sum accumulated row by row down each strip: the
-additions of cumsum(axis=0), in its order, so the draws, the scheme and
-every output are those of the cumsum kernel, bit for bit.
+Summaries and histograms take each strip's exit times, the times its
+replicates leave its last state, by one ordered reduction down the strip;
+only the trajectory dump, simulate_path and a histogram's strips that
+straddle its time t add the strip up row by row into event times.  Both
+make the additions of cumsum(axis=0), in its order, so the draws, the
+scheme and every output are those of the cumsum kernel, bit for bit.
 Holding times are -ln(U)/lambda_k with U = 1 - V in (0, 1] for numpy's
 double V, so terminal times scale exactly when every rate is scaled under a
 common seed.  RNG_SCHEME names this scheme in the CLI's JSON metadata.
@@ -24,14 +27,13 @@ common seed.  RNG_SCHEME names this scheme in the CLI's JSON metadata.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutOfRange, WrongFamily
+from .errors import OutOfRange, WrongFamily, require_integer
 from .rates import POWERLAW, RateModel, rate_vector
 
 QUANTILE_LEVELS = (0.05, 0.25, 0.50, 0.75, 0.95)
@@ -43,9 +45,8 @@ RNG_SCHEME = "pcg64-block1024-v2"
 def replicate_stream(master_seed: int, block: int) -> np.random.Generator:
     """The stream of replicates block * BLOCK .. (block + 1) * BLOCK - 1,
     a pure function of its inputs, which must be integers >= 0."""
-    for name, value in (("master_seed", master_seed), ("block", block)):
-        if not (isinstance(value, numbers.Integral) and value >= 0):
-            raise OutOfRange(f"{name} must be an integer >= 0, got {value!r}")
+    require_integer("master_seed", master_seed, 0)
+    require_integer("block", block, 0)
     return np.random.default_rng(
         np.random.SeedSequence(master_seed, spawn_key=(block,)))
 
@@ -89,24 +90,33 @@ class ExplosionReport:
 
 
 def _strips(stream: np.random.Generator, lam: np.ndarray):
-    """The sampling kernel for one block: strips of up to STRIP rows, where
-    row j of strip k holds, for each of the BLOCK replicates, the time it
-    leaves its (k * STRIP + j)-th transient state.  The next strip starts
-    from the last row of this one, so callers must not write into a
-    yielded strip."""
-    total = np.zeros(BLOCK)
+    """The sampling kernel for one block: (strip, exit) for strips of up to
+    STRIP rows.  Row j of strip k holds, for each of the BLOCK replicates,
+    its holding time in its (k * STRIP + j)-th transient state, row 0
+    shifted by the time it entered the strip; exit holds the times at which
+    the replicates leave the strip's last state, where the next strip
+    starts.  A caller may write into a strip (_running_sum does), but not
+    into exit."""
+    exit = np.zeros(BLOCK)
     for k in range(0, lam.size, STRIP):
-        times = stream.random((min(STRIP, lam.size - k), BLOCK))
-        np.subtract(1.0, times, out=times)
-        np.log(times, out=times)
-        np.divide(times, -lam[k:k + len(times), None], out=times)
-        times[0] += total
-        # the running sum row by row: the additions of cumsum(axis=0), in
-        # its order, without walking the strided axis
-        for j in range(1, len(times)):
-            np.add(times[j - 1], times[j], out=times[j])
-        total = times[-1]
-        yield times
+        strip = stream.random((min(STRIP, lam.size - k), BLOCK))
+        np.subtract(1.0, strip, out=strip)
+        np.log(strip, out=strip)
+        np.divide(strip, -lam[k:k + len(strip), None], out=strip)
+        strip[0] += exit
+        # on a C-contiguous strip this adds the rows in order, so exit is
+        # bitwise the last row of _running_sum(strip)
+        exit = np.add.reduce(strip, axis=0)
+        yield strip, exit
+
+
+def _running_sum(strip: np.ndarray) -> np.ndarray:
+    """Turn a strip into event times in place and return it: the additions
+    of cumsum(axis=0), in its order, row by row, without walking the
+    strided axis."""
+    for j in range(1, len(strip)):
+        np.add(strip[j - 1], strip[j], out=strip[j])
+    return strip
 
 
 def event_time_blocks(model: RateModel, start_state: int, replicates: int,
@@ -117,7 +127,9 @@ def event_time_blocks(model: RateModel, start_state: int, replicates: int,
     lam = rate_vector(model, start_state)
     for first in range(0, replicates, BLOCK):
         stream = replicate_stream(master_seed, first // BLOCK)
-        times = np.vstack([np.zeros((1, BLOCK)), *_strips(stream, lam)])
+        times = np.vstack([np.zeros((1, BLOCK)),
+                           *(_running_sum(strip)
+                             for strip, _ in _strips(stream, lam))])
         yield first, times[:, :replicates - first].T
 
 
@@ -131,8 +143,8 @@ def simulate_path(model: RateModel, start_state: int, master_seed: int,
     lam = rate_vector(model, start_state)
     block, column = divmod(replicate, BLOCK)
     stream = replicate_stream(master_seed, block)
-    times = [0.0] + [x for strip in _strips(stream, lam)
-                     for x in strip[:, column]]
+    times = [0.0] + [x for strip, _ in _strips(stream, lam)
+                     for x in _running_sum(strip)[:, column]]
     events = [(float(t), k) for k, t in enumerate(times, start_state)]
     return Trajectory(events=events, terminal_time=events[-1][0])
 
@@ -143,9 +155,11 @@ def _simulate_ensemble(model, start_state, replicates, master_seed,
     replicate order.  Each block is a pure function of (master_seed, block)
     written into its own rows, so up to min(n_jobs, cpu count, blocks)
     threads give the same arrays as one; numpy releases the GIL in the
-    draws, logs and sums."""
-    if n_jobs < 1:
-        raise OutOfRange(f"n_jobs must be >= 1, got {n_jobs}")
+    draws, logs and sums.  A replicate is in all of a strip's states by t
+    if it exits the strip by t, and in none if it leaves the strip's first
+    state after t; only a strip that some replicate straddles is summed up
+    row by row."""
+    require_integer("n_jobs", n_jobs, 1)
     lam = rate_vector(model, start_state)
     terminal = np.empty(replicates)
     states = None if t is None else np.full(replicates, start_state, np.int64)
@@ -154,12 +168,17 @@ def _simulate_ensemble(model, start_state, replicates, master_seed,
         # holds at most two strips at a time
         n = min(BLOCK, replicates - first)
         rows = slice(first, first + n)
-        times = np.zeros((1, BLOCK))  # no transient state: absorbed at 0
-        for times in _strips(replicate_stream(master_seed, first // BLOCK),
-                             lam):
-            if states is not None:
-                states[rows] += np.count_nonzero(times[:, :n] <= t, axis=0)
-        terminal[rows] = times[-1, :n]
+        exit = np.zeros(BLOCK)  # no transient state: absorbed at 0
+        for strip, exit in _strips(
+                replicate_stream(master_seed, first // BLOCK), lam):
+            if states is None:
+                continue
+            if np.any((strip[0, :n] <= t) & (t < exit[:n])):
+                states[rows] += np.count_nonzero(
+                    _running_sum(strip)[:, :n] <= t, axis=0)
+            else:
+                states[rows] += len(strip) * (exit[:n] <= t)
+        terminal[rows] = exit[:n]
 
     firsts = range(0, replicates, BLOCK)
     workers = min(n_jobs, os.cpu_count() or 1, len(firsts))
@@ -177,8 +196,7 @@ def estimate_absorption_time(model: RateModel, start_state: int,
                              replicates: int, master_seed: int,
                              n_jobs: int = 1) -> MonteCarloSummary:
     """Monte Carlo estimate of E(T) over independent replicates."""
-    if replicates < 2:
-        raise OutOfRange(f"replicates must be >= 2, got {replicates}")
+    require_integer("replicates", replicates, 2)
     terminal, _ = _simulate_ensemble(model, start_state, replicates,
                                      master_seed, n_jobs=n_jobs)
     return summarize_terminal_times(terminal, master_seed, model.time_unit)
@@ -208,8 +226,7 @@ def empirical_distribution_at(model: RateModel, start_state: int, t: float,
     """Replicate counts per state at time t (empirical forward solution)."""
     if not (math.isfinite(t) and t >= 0):
         raise OutOfRange(f"t must be finite and >= 0, got {t}")
-    if replicates < 1:
-        raise OutOfRange(f"replicates must be >= 1, got {replicates}")
+    require_integer("replicates", replicates, 1)
     _, states_at_t = _simulate_ensemble(model, start_state, replicates,
                                         master_seed, t=t, n_jobs=n_jobs)
     absorbing = model.absorbing_state

@@ -257,7 +257,7 @@ class TestSimulate:
         assert main([command, "--family", "powerlaw", "--c", "1",
                      "--exponent", "2", "--cap", "20", "--replicates", "10",
                      "--seed", "1", "--jobs", "0"]) == 1
-        assert "n_jobs must be >= 1" in capsys.readouterr().err
+        assert "n_jobs must be an integer >= 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["simulate", "explosion"])
     def test_json_metadata_names_rng_scheme(self, capsys, command):

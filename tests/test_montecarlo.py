@@ -256,6 +256,44 @@ class TestMasterSeed:
             terminal[1]
 
 
+class TestCounts:
+    """Replicate counts and n_jobs are integers in range at every Monte
+    Carlo entry point (simulate_path's index: TestMasterSeed)."""
+
+    SAMPLERS = {
+        "estimate": lambda m, r, j: estimate_absorption_time(
+            m, 1, r, SEED, n_jobs=j),
+        "histogram": lambda m, r, j: empirical_distribution_at(
+            m, 1, 1.0, r, SEED, n_jobs=j),
+        "explosion": lambda m, r, j: explosion_study(
+            m, 1, r, SEED, n_jobs=j),
+    }
+
+    # 2.5 and 10.5 raised numpy's TypeError
+    @pytest.mark.parametrize("replicates", [2.5, 10.5, 10.0, np.float64(10),
+                                            "10", None, -1])
+    @pytest.mark.parametrize("sampler", SAMPLERS)
+    def test_replicates_must_be_integers(self, sampler, replicates):
+        with pytest.raises(OutOfRange,
+                           match="replicates must be an integer >= "):
+            self.SAMPLERS[sampler](power_law(1.0, 2.0, 20), replicates, 1)
+
+    # 1.5 used to run on one thread
+    @pytest.mark.parametrize("n_jobs", [1.5, 2.0, np.float64(1), "2", None,
+                                        0])
+    @pytest.mark.parametrize("sampler", SAMPLERS)
+    def test_n_jobs_must_be_an_integer(self, sampler, n_jobs):
+        with pytest.raises(OutOfRange, match="n_jobs must be an integer >= 1"):
+            self.SAMPLERS[sampler](power_law(1.0, 2.0, 20), 10, n_jobs)
+
+    @pytest.mark.parametrize("sampler", SAMPLERS)
+    def test_numpy_integers_accepted(self, sampler):
+        model = power_law(1.0, 2.0, 20)
+        np.testing.assert_equal(
+            vars(self.SAMPLERS[sampler](model, np.int64(10), np.int32(2))),
+            vars(self.SAMPLERS[sampler](model, 10, 1)))
+
+
 class TestExplosionStudy:
     def test_mean_matches_partial_sum(self):
         model = power_law(1.0, 2.0, 1000)
@@ -456,6 +494,40 @@ class TestKernelMatchesReference:
         assert same_bits(blocks, ref.T)
         path = simulate_path(model, start, SEED)
         assert [time for time, _ in path.events] == ref[:, 0].tolist()
+
+
+class TestHistogramSkipsWholeStrips:
+    """A strip that no replicate straddles at t adds its length or nothing
+    per replicate; the states must still be those of the cumsum oracle,
+    ties at a strip's exit counting under <=."""
+
+    REPLICATES = BLOCK + 476  # a full and a partial block
+
+    @staticmethod
+    def times(ref, transient):
+        exits = sorted({*range(montecarlo.STRIP, transient + 1,
+                               montecarlo.STRIP), transient})
+        return {
+            "zero": [0.0],
+            "before_first_event": [float(ref[1].min()) / 2.0],
+            "past_terminal": [float(np.nextafter(ref[-1].max(), np.inf))],
+            # the latest exit of a strip, so that no replicate straddles it
+            "tie_at_strip_exit": [float(ref[row].max()) for row in exits],
+        }
+
+    @pytest.mark.parametrize("transient", [63, 64, 65, 129])
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    @pytest.mark.parametrize("when", ["zero", "before_first_event",
+                                      "past_terminal", "tie_at_strip_exit"])
+    def test_bitwise_equal(self, transient, n_jobs, when):
+        model = power_law(0.7, 1.5, 1 + transient)
+        ref = reference_ensemble(rate_vector(model), SEED, self.REPLICATES)
+        for t in self.times(ref, transient)[when]:
+            terminal, states = _simulate_ensemble(
+                model, 1, self.REPLICATES, SEED, t=t, n_jobs=n_jobs)
+            assert same_bits(terminal, ref[-1])
+            assert same_bits(states,
+                             1 + np.count_nonzero(ref[1:] <= t, axis=0))
 
 
 class TestSummaryOfHugeTimes:
