@@ -37,6 +37,8 @@ class ToleranceNotMet(PureBirthError):
 
 
 def require_integer(name, value, lo):
-    """Raise OutOfRange unless value is a numbers.Integral >= lo."""
-    if not (isinstance(value, numbers.Integral) and value >= lo):
+    """Raise OutOfRange unless value is a numbers.Integral >= lo; a bool
+    is a flag passed by mistake, not a count."""
+    if not (isinstance(value, numbers.Integral)
+            and not isinstance(value, bool) and value >= lo):
         raise OutOfRange(f"{name} must be an integer >= {lo}, got {value!r}")

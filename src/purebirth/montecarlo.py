@@ -13,12 +13,12 @@ in strips of STRIP states.  So replicate i's holding time in its j-th
 transient state depends only on (master_seed, i, j): not on the replicate
 count, the strip size, the number of threads that --jobs runs the blocks
 on, or the cap.  A partial last block still draws BLOCK replicates.
-Summaries and histograms take each strip's exit times, the times its
-replicates leave its last state, by one ordered reduction down the strip;
-only the trajectory dump, simulate_path and a histogram's strips that
-straddle its time t add the strip up row by row into event times.  Both
-make the additions of cumsum(axis=0), in its order, so the draws, the
-scheme and every output are those of the cumsum kernel, bit for bit.
+Summaries take each strip's exit times, the times its replicates leave
+its last state, by one ordered reduction down the strip; only the
+trajectory dump, simulate_path and histograms add the strip up row by row
+into event times.  Both make the additions of cumsum(axis=0), in its
+order, so the draws, the scheme and every output are those of the cumsum
+kernel, bit for bit.
 Holding times are -ln(U)/lambda_k with U = 1 - V in (0, 1] for numpy's
 double V, so terminal times scale exactly when every rate is scaled under a
 common seed.  RNG_SCHEME names this scheme in the CLI's JSON metadata.
@@ -155,10 +155,7 @@ def _simulate_ensemble(model, start_state, replicates, master_seed,
     replicate order.  Each block is a pure function of (master_seed, block)
     written into its own rows, so up to min(n_jobs, cpu count, blocks)
     threads give the same arrays as one; numpy releases the GIL in the
-    draws, logs and sums.  A replicate is in all of a strip's states by t
-    if it exits the strip by t, and in none if it leaves the strip's first
-    state after t; only a strip that some replicate straddles is summed up
-    row by row."""
+    draws, logs and sums."""
     require_integer("n_jobs", n_jobs, 1)
     lam = rate_vector(model, start_state)
     terminal = np.empty(replicates)
@@ -171,13 +168,9 @@ def _simulate_ensemble(model, start_state, replicates, master_seed,
         exit = np.zeros(BLOCK)  # no transient state: absorbed at 0
         for strip, exit in _strips(
                 replicate_stream(master_seed, first // BLOCK), lam):
-            if states is None:
-                continue
-            if np.any((strip[0, :n] <= t) & (t < exit[:n])):
+            if states is not None:
                 states[rows] += np.count_nonzero(
                     _running_sum(strip)[:, :n] <= t, axis=0)
-            else:
-                states[rows] += len(strip) * (exit[:n] <= t)
         terminal[rows] = exit[:n]
 
     firsts = range(0, replicates, BLOCK)

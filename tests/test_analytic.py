@@ -42,7 +42,8 @@ class TestHarmonicNumber:
             harmonic_number(0)
 
     # 2.5 raised a TypeError from range(); 2.0 summed to H_2
-    @pytest.mark.parametrize("n", [2.5, 2.0, np.float64(3.0), "3", None, -1])
+    @pytest.mark.parametrize("n", [2.5, 2.0, np.float64(3.0), "3", None,
+                                   True, -1])
     def test_takes_only_integer_n(self, n):
         with pytest.raises(OutOfRange, match="n must be an integer >= 1"):
             harmonic_number(n)

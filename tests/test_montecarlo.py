@@ -271,7 +271,7 @@ class TestCounts:
 
     # 2.5 and 10.5 raised numpy's TypeError
     @pytest.mark.parametrize("replicates", [2.5, 10.5, 10.0, np.float64(10),
-                                            "10", None, -1])
+                                            "10", None, True, -1])
     @pytest.mark.parametrize("sampler", SAMPLERS)
     def test_replicates_must_be_integers(self, sampler, replicates):
         with pytest.raises(OutOfRange,
@@ -280,7 +280,7 @@ class TestCounts:
 
     # 1.5 used to run on one thread
     @pytest.mark.parametrize("n_jobs", [1.5, 2.0, np.float64(1), "2", None,
-                                        0])
+                                        True, 0])
     @pytest.mark.parametrize("sampler", SAMPLERS)
     def test_n_jobs_must_be_an_integer(self, sampler, n_jobs):
         with pytest.raises(OutOfRange, match="n_jobs must be an integer >= 1"):
@@ -496,10 +496,10 @@ class TestKernelMatchesReference:
         assert [time for time, _ in path.events] == ref[:, 0].tolist()
 
 
-class TestHistogramSkipsWholeStrips:
-    """A strip that no replicate straddles at t adds its length or nothing
-    per replicate; the states must still be those of the cumsum oracle,
-    ties at a strip's exit counting under <=."""
+class TestHistogramAtStripBoundaries:
+    """Terminal times and states at t are those of the cumsum oracle, bit
+    for bit, at the edges of the time axis and of the strips, ties at a
+    strip's exit counting under <=."""
 
     REPLICATES = BLOCK + 476  # a full and a partial block
 
@@ -513,12 +513,15 @@ class TestHistogramSkipsWholeStrips:
             "past_terminal": [float(np.nextafter(ref[-1].max(), np.inf))],
             # the latest exit of a strip, so that no replicate straddles it
             "tie_at_strip_exit": [float(ref[row].max()) for row in exits],
+            # a time that half the replicates pass inside each strip
+            "mid_strip": [float(np.median(ref[row])) for row in exits],
         }
 
     @pytest.mark.parametrize("transient", [63, 64, 65, 129])
     @pytest.mark.parametrize("n_jobs", [1, 2])
     @pytest.mark.parametrize("when", ["zero", "before_first_event",
-                                      "past_terminal", "tie_at_strip_exit"])
+                                      "past_terminal", "tie_at_strip_exit",
+                                      "mid_strip"])
     def test_bitwise_equal(self, transient, n_jobs, when):
         model = power_law(0.7, 1.5, 1 + transient)
         ref = reference_ensemble(rate_vector(model), SEED, self.REPLICATES)
