@@ -44,7 +44,8 @@ class AbsorptionTimeReport:
     """Mean and variance of the time to reach the absorbing/cap state."""
 
     exact_mean: float
-    variance: float
+    # None when Var(T) overflows a float while E(T) does not
+    variance: Optional[float]
     start_state: int
     time_unit: str
     # ln(N)/(p mu), yule family only
@@ -59,17 +60,18 @@ def expected_absorption_time(model: RateModel,
     times of the states start_state, ..., absorbing - 1.
 
     For yule models the ln(N)/(p mu) approximation and its Euler-Mascheroni
-    refinement are reported alongside.
+    refinement are reported alongside.  The variance is None when it
+    overflows a float, as it can for a valid model whose smallest rate is
+    below about 1e-154: E(T) is still finite and reported.
     """
     rates = _transient_rates(model, start_state)
     exact = float(np.sum(1.0 / rates))
     # the square of a tiny rate can underflow to 0, or its reciprocal
-    # overflow: Var(T) is then inf, reported below
+    # overflow: Var(T) is then inf, reported as None
     with np.errstate(divide="ignore", over="ignore"):
         variance = float(np.sum(1.0 / rates ** 2))
     if not math.isfinite(variance):
-        raise OutOfRange("Var(T) overflows a float: the smallest rate is "
-                         f"{float(rates.min())!r}")
+        variance = None
 
     approx = refined = None
     if model.family == YULE:

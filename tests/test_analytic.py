@@ -134,10 +134,14 @@ class TestVectorSumOracles:
             expected_absorption_time(power_law(1.0, -400.0, 10))
 
     @pytest.mark.parametrize("c", [1e-160, 1e-200])
-    def test_overflowing_variance_is_an_error(self, c):
-        # a valid model whose squared rates are subnormal (1e-160) or 0
-        with pytest.raises(OutOfRange, match="Var.T. overflows a float"):
-            expected_absorption_time(power_law(c, 1.0, 4))
+    def test_overflowing_variance_is_none(self, c):
+        # a valid model whose squared rates are subnormal (1e-160) or 0:
+        # Var(T) overflows a float, E(T) does not
+        report = expected_absorption_time(power_law(c, 1.0, 4))
+        assert report.variance is None
+        mean = math.fsum(1.0 / (c * k) for k in (1, 2, 3))
+        assert math.isfinite(report.exact_mean)
+        assert report.exact_mean == pytest.approx(mean, rel=1e-15, abs=0)
 
 
 mixing_models = st.sampled_from([hypergeometric_mixing, yule_scaled])

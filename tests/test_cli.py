@@ -2,11 +2,16 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 
 from purebirth import absorption_probability, hypergeometric_mixing, power_law
-from purebirth.cli import _config_actions, build_parser, fmt, main
+from purebirth.cli import _config_actions, _parser, build_parser, fmt, main
 from purebirth.forward import FORWARD_SCHEME, forward_grid
 from purebirth.montecarlo import (RNG_SCHEME, _simulate_ensemble,
                                   event_time_blocks)
@@ -63,6 +68,20 @@ class TestExpectTime:
         exact = expected_absorption_time(
             hypergeometric_mixing(17, 1.3, 0.31)).exact_mean
         assert float(rows[0]["exact_mean"]) == exact
+
+    @pytest.mark.parametrize("fmt_name", ["csv", "json"])
+    def test_overflowing_variance_is_blank(self, capsys, fmt_name):
+        # Var(T) overflows a float, E(T) = 1.83e200 does not
+        assert main(["expect-time", "--family", "powerlaw", "--c", "1e-200",
+                     "--exponent", "1", "--cap", "4",
+                     "--format", fmt_name]) == 0
+        out = capsys.readouterr().out
+        if fmt_name == "csv":
+            row, = csv.DictReader(out.splitlines())
+        else:
+            row, = json.loads(out)["rows"]
+        assert float(row["exact_mean"]) == pytest.approx(1.8333e200, rel=1e-4)
+        assert row["variance"] == ("" if fmt_name == "csv" else None)
 
     def test_json_format(self, capsys):
         assert main(["expect-time", "--family", "yule", "--N", "100",
@@ -552,3 +571,132 @@ def test_negative_seed_is_an_error(capsys, command):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("purebirth: error: master_seed must be")
+
+
+# in-process calls share one parser; each must behave as a first call would
+EXPECT = ["expect-time", "--family", "yule", "--N", "200", "--mu", "1",
+          "--p", "0.31"]
+
+
+def _first_call_out(capsys, argv):
+    """stdout of main(argv) on a freshly built parser."""
+    _parser.cache_clear()
+    assert main(argv) == 0
+    return capsys.readouterr().out
+
+
+class TestInProcessCallsAreIndependent:
+    def test_build_parser_returns_a_new_parser(self):
+        assert build_parser() is not build_parser()
+
+    def test_config_keys_do_not_reach_the_next_call(self, tmp_path, capsys):
+        first = _first_call_out(capsys, EXPECT)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("unit = weeks\nformat = json\nstart = 5\n")
+        assert main(EXPECT + ["--config", str(cfg)]) == 0
+        configured = capsys.readouterr().out
+        assert '"time_unit": "weeks"' in configured
+        assert main(EXPECT) == 0
+        assert capsys.readouterr().out == first
+
+    @pytest.mark.parametrize("argv", [
+        ["expect-time", "--no-such-flag"],
+        ["expect-time", "--format", "xml"],
+        ["no-such-command"],
+        [],
+        ["--version"],
+        ["--help"],
+        ["forward", "--help"],
+    ], ids=["unknown-flag", "bad-choice", "unknown-command", "no-command",
+            "version", "help", "subcommand-help"])
+    def test_exit_leaves_the_next_call_unchanged(self, capsys, argv):
+        first = _first_call_out(capsys, EXPECT)
+        _parser.cache_clear()
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        fresh = capsys.readouterr()
+        with pytest.raises(SystemExit) as again_info:
+            main(argv)
+        # the same exit writes the same bytes on the parser it already used
+        assert again_info.value.code == exit_info.value.code
+        assert capsys.readouterr() == fresh
+        assert main(EXPECT) == 0
+        assert capsys.readouterr().out == first
+
+    def test_concurrent_calls_match_serial_calls(self, tmp_path):
+        cfg = tmp_path / "forward.cfg"
+        cfg.write_text("family = hypergeometric\nN = 60\nlambda = 1\n"
+                       "p = 0.31\nt-grid = 1,5,20\nformat = json\n")
+        calls = {
+            "forward": ["forward", "--config", str(cfg)],
+            "simulate": ["simulate", "--family", "yule", "--N", "50",
+                         "--mu", "1", "--p", "0.31", "--replicates", "3000",
+                         "--seed", "11"],
+            "expect-time": EXPECT + ["--format", "json", "--unit", "days"],
+            "sweep": ["sweep", "--family", "yule", "--N", "300", "--mu", "1",
+                      "--param", "p", "--values", "0.2,0.31,0.5"],
+        }
+
+        def run(name, tag, rounds):
+            for i in range(rounds):
+                path = tmp_path / f"{tag}-{name}-{i}"
+                assert main(calls[name] + ["--out", str(path)]) == 0
+
+        for name in calls:
+            run(name, "serial", 1)
+        barrier = threading.Barrier(len(calls))
+
+        def worker(name):
+            barrier.wait()
+            run(name, "thread", 20)
+
+        threads = [threading.Thread(target=worker, args=(name,))
+                   for name in calls]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for name in calls:
+            serial = (tmp_path / f"serial-{name}-0").read_bytes()
+            for i in range(20):
+                assert (tmp_path / f"thread-{name}-{i}").read_bytes() == serial
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _run_cli(argv):
+    """The CLI as a one-shot process: python -m purebirth.cli argv."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "purebirth.cli"] + argv,
+                          env=env, capture_output=True, timeout=120)
+
+
+class TestOneShotProcess:
+    def test_output_bytes_match_in_process_main(self, capsys):
+        argv = EXPECT + ["--unit", "hours"]
+        done = _run_cli(argv)
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == b""
+        assert main(argv) == 0
+        assert done.stdout == capsys.readouterr().out.encode()
+
+    def test_library_error_exits_one(self):
+        done = _run_cli(EXPECT + ["--start", "0"])
+        assert done.returncode == 1
+        assert done.stdout == b""
+        assert done.stderr.startswith(b"purebirth: error: ")
+
+    def test_unknown_flag_exits_two(self):
+        done = _run_cli(EXPECT + ["--no-such-flag"])
+        assert done.returncode == 2
+        assert done.stdout == b""
+        assert b"unrecognized arguments: --no-such-flag" in done.stderr
