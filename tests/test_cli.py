@@ -598,6 +598,11 @@ class TestInProcessCallsAreIndependent:
         assert '"time_unit": "weeks"' in configured
         assert main(EXPECT) == 0
         assert capsys.readouterr().out == first
+        # every subcommand still parses as on a freshly built parser
+        for command in ("expect-time", "forward", "simulate", "sweep",
+                        "explosion"):
+            assert (vars(_parser().parse_args([command]))
+                    == vars(build_parser().parse_args([command])))
 
     @pytest.mark.parametrize("argv", [
         ["expect-time", "--no-such-flag"],

@@ -14,7 +14,8 @@ record holds every run, and per end-to-end metric of BENCHMARK.json the
 medians and quartiles (``statistics.quantiles``, inclusive: numpy's linear
 25th/75th percentiles) of both sides, the pairs the change won (ties count
 for neither side), the relative change of the medians and whether it is
-within the metric's bound.  A claim holds when the change won at least 9
+within the metric's bound; per workload also the medians of perfbench's
+per-kind best job times (its ``detail``).  A claim holds when the change won at least 9
 pairs in 10 and its median beats the parent's by more than the parent's
 interquartile range.
 
@@ -45,14 +46,17 @@ from pathlib import Path
 WORKLOADS = ("analytic_large_n", "forward_large_n", "mc_many_replicates",
              "mc_long_paths")
 SIDES = ("parent", "change")
+# fresh processes per side that time main_call, the first side alternating
+MAIN_ROUNDS = 3
+MAIN_ARGV = ["simulate", "--family", "yule", "--N", "2", "--mu", "1",
+             "--p", "1", "--replicates", "1000", "--seed", "1"]
 
 MAIN_CALL = r"""
 import io, json, sys, time
 sys.path.insert(0, "src")
 from purebirth import cli
 
-ARGV = ["simulate", "--family", "yule", "--N", "2", "--mu", "1", "--p", "1",
-        "--replicates", "1000", "--seed", "1"]
+ARGV = sys.argv[1:]
 REPEATS, CALLS = 5, 200
 
 def best_per_call(fn):
@@ -146,9 +150,14 @@ def summarize(results, bounds):
                                "change_wins": wins,
                                "relative_change": relative, "bound": bound,
                                "within_bound": sign * relative <= bound}
+        # medians of perfbench's per-kind best job times and pass times
+        detail = {side: {key: statistics.median(pair[side]["detail"][key]
+                                                for pair in pairs)
+                         for key in pairs[0][side]["detail"]}
+                  for side in SIDES}
         out[workload] = {
             "seeds": [pair["seed"] for pair in pairs], "pairs": len(pairs),
-            "metrics": metrics,
+            "metrics": metrics, "detail": detail,
             "all_runs_correct": all(pair[side]["correct"]
                                     and pair[side]["failed"] == 0
                                     for pair in pairs for side in SIDES)}
@@ -182,7 +191,6 @@ def main(argv=None):
     parser.add_argument("--workload", action="append", choices=WORKLOADS,
                         help="repeatable; default every workload")
     parser.add_argument("--claim", help="WORKLOAD:METRIC the change claims")
-    parser.add_argument("--main-rounds", type=int, default=3)
     parser.add_argument("--workdir", help="where to export the revisions "
                                           "(default a new temporary "
                                           "directory)")
@@ -215,13 +223,12 @@ def main(argv=None):
 
     # one fresh process per side and round, the first side alternating
     rounds = {side: [] for side in SIDES}
-    for r in range(args.main_rounds):
+    for r in range(MAIN_ROUNDS):
         for side in (SIDES if r % 2 == 0 else SIDES[::-1]):
             rounds[side].append(python_json(checkouts[side],
-                                            ["-c", MAIN_CALL]))
+                                            ["-c", MAIN_CALL] + MAIN_ARGV))
     record["main_call"] = {
-        "argv": "simulate --family yule --N 2 --mu 1 --p 1 "
-                "--replicates 1000 --seed 1",
+        "argv": " ".join(MAIN_ARGV),
         "method": "best of 5 x 200 calls per fresh process, stdout to a "
                   "StringIO; one process per side and round",
         **{side: {"main_s": min(r["main_s"] for r in rounds[side]),
