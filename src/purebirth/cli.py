@@ -10,8 +10,8 @@ to stderr and any failure exits nonzero.
 
 main() builds its argument parser once per process and parses every call
 with it: parsing reads the parser without changing it and returns a fresh
-namespace, so in-process calls (a notebook, a sweep script, the tests)
-stay independent of each other and skip the parser build, about 2 ms.
+namespace, so repeated in-process calls stay independent of each other
+and skip the parser build, about 2 ms; a one-shot process builds it once.
 build_parser() still returns a new parser on every call.
 """
 

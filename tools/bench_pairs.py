@@ -3,21 +3,22 @@
 Usage, from the root of a git checkout:
 
     python3 tools/bench_pairs.py --parent REV --change REV --out BENCH_x.json \
-        [--pairs 10] [--first-seed 51001] [--seconds 20] \
-        [--workload NAME ...] [--claim WORKLOAD:METRIC]
+        [--first-seed 51001] [--claim WORKLOAD:METRIC]
 
 Each revision is exported with ``git archive`` into a fresh directory under
 ``--workdir``, so each side runs its committed files only.  For every seed
-and workload the unmodified ``perfbench/run.py --trace 0`` runs once on
-each side; the side that runs first alternates from seed to seed.  The
+and every workload the unmodified ``perfbench/run.py --trace 0`` runs
+once on each side, for the ``run_seconds`` of the change's
+BENCHMARK.json, over ten seeds; the side that runs first alternates from
+seed to seed.  The
 record holds every run, and per end-to-end metric of BENCHMARK.json the
 medians and quartiles (``statistics.quantiles``, inclusive: numpy's linear
 25th/75th percentiles) of both sides, the pairs the change won (ties count
 for neither side), the relative change of the medians and whether it is
 within the metric's bound; per workload also the medians of perfbench's
-per-kind best job times (its ``detail``).  A claim holds when the change won at least 9
-pairs in 10 and its median beats the parent's by more than the parent's
-interquartile range.
+per-kind best job times (its ``detail``).  A claim holds when at least
+ten pairs ran, the change won at least 9 in 10 of them and its median
+beats the parent's by more than the parent's interquartile range.
 
 Two more measurements run once per side, each in fresh processes:
 
@@ -46,6 +47,8 @@ from pathlib import Path
 WORKLOADS = ("analytic_large_n", "forward_large_n", "mc_many_replicates",
              "mc_long_paths")
 SIDES = ("parent", "change")
+# alternating pairs per workload: the fewest a claimed gain is judged on
+PAIRS = 10
 # fresh processes per side that time main_call, the first side alternating
 MAIN_ROUNDS = 3
 MAIN_ARGV = ["simulate", "--family", "yule", "--N", "2", "--mu", "1",
@@ -177,7 +180,8 @@ def claim(summary, spec):
             "wins": entry["change_wins"], "pairs": pairs,
             "median_drop": drop, "parent_iqr": iqr,
             "relative_change": entry["relative_change"],
-            "holds": entry["change_wins"] >= 0.9 * pairs and drop > iqr}
+            "holds": (pairs >= PAIRS and entry["change_wins"] >= 0.9 * pairs
+                      and drop > iqr)}
 
 
 def main(argv=None):
@@ -185,11 +189,7 @@ def main(argv=None):
     parser.add_argument("--parent", required=True, help="git revision")
     parser.add_argument("--change", default="HEAD", help="git revision")
     parser.add_argument("--out", required=True, help="BENCH_*.json to write")
-    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, default=51001)
-    parser.add_argument("--seconds", type=float, default=20.0)
-    parser.add_argument("--workload", action="append", choices=WORKLOADS,
-                        help="repeatable; default every workload")
     parser.add_argument("--claim", help="WORKLOAD:METRIC the change claims")
     parser.add_argument("--workdir", help="where to export the revisions "
                                           "(default a new temporary "
@@ -203,17 +203,17 @@ def main(argv=None):
         bench = json.load(handle)
     bounds = {m["name"]: (m["better"], m["bound"])
               for m in bench["end_to_end"]}
-    workloads = args.workload or list(WORKLOADS)
+    seconds = bench["run_seconds"]
     record = {
         "description": (
             "Alternating parent/change pairs of the unmodified "
-            f"perfbench/run.py (--seconds {args.seconds:g}, --trace 0), "
+            f"perfbench/run.py (--seconds {seconds:g}, --trace 0), "
             "written by tools/bench_pairs.py; the side that runs first "
             "alternates from seed to seed; quartiles are numpy's linear "
             "25th/75th percentiles; a win is a pair whose change value is "
             "better than its parent value, ties counting for neither."),
         "parent": revs["parent"], "change": revs["change"],
-        "run_seconds": args.seconds,
+        "run_seconds": seconds,
     }
 
     def write():
@@ -247,16 +247,16 @@ def main(argv=None):
         "change": hashes["change"]}
     write()
 
-    results = {workload: [] for workload in workloads}
-    for i in range(args.pairs):
+    results = {workload: [] for workload in WORKLOADS}
+    for i in range(PAIRS):
         seed = args.first_seed + i
         order = SIDES if i % 2 == 0 else SIDES[::-1]
-        for workload in workloads:
+        for workload in WORKLOADS:
             pair = {"seed": seed, "first": order[0]}
             for side in order:
                 pair[side] = python_json(checkouts[side], [
                     "perfbench/run.py", "--workload", workload,
-                    "--seed", str(seed), "--seconds", str(args.seconds),
+                    "--seed", str(seed), "--seconds", str(seconds),
                     "--trace", "0"])
                 # per-kind best job times, from the run's full record
                 with open(checkouts[side] / "perfbench" / "out"
@@ -267,7 +267,7 @@ def main(argv=None):
         if args.claim:
             record["claim"] = claim(record["workloads"], args.claim)
         write()
-        print(f"pair {i + 1}/{args.pairs} done (seed {seed})",
+        print(f"pair {i + 1}/{PAIRS} done (seed {seed})",
               file=sys.stderr, flush=True)
     return 0
 
