@@ -33,12 +33,6 @@ LAW_ROUNDOFF_TOL = 1e-8
 _BLOCK_ENTRIES = 1 << 18
 
 
-def harmonic_number(n: int) -> float:
-    """H_n = sum of 1/k for k = 1..n, by compensated direct summation."""
-    require_integer("n", n, 1)
-    return math.fsum(1.0 / k for k in range(1, n + 1))
-
-
 @dataclass(frozen=True)
 class AbsorptionTimeReport:
     """Mean and variance of the time to reach the absorbing/cap state."""

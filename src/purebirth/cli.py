@@ -155,12 +155,24 @@ def _apply_config(args: argparse.Namespace, path: str, actions: dict):
             action = actions[key]
             if getattr(args, action.dest, False) is None:
                 if action.type is not None:
-                    value = action.type(value)
+                    value = _convert(action.type, value,
+                                     f"{path}:{lineno}: {key}")
                 if action.choices is not None and value not in action.choices:
                     raise PureBirthError(
                         f"{path}:{lineno}: {key} must be one of "
                         f"{', '.join(action.choices)}, got {value!r}")
                 setattr(args, action.dest, value)
+
+
+def _convert(kind, value: str, where: str):
+    """int(value) or float(value); a value that is not one is an error
+    that names where it came from."""
+    try:
+        return kind(value)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise PureBirthError(
+            f"{where} must be {noun}, got {value!r}") from None
 
 
 def _model_spec(args) -> dict:
@@ -264,7 +276,8 @@ def _cmd_expect_time(args):
 
 def _parse_grid(args):
     if args.t_grid is not None:
-        grid = [float(v) for v in args.t_grid.split(",") if v.strip()]
+        grid = [_convert(float, v, "--t-grid") for v in args.t_grid.split(",")
+                if v.strip()]
         if not grid:
             raise PureBirthError("--t-grid is empty")
         if any(b <= a for a, b in zip(grid, grid[1:])):
@@ -349,7 +362,8 @@ def _cmd_sweep(args):
     values = [v.strip() for v in raw.split(",") if v.strip()]
     if not values:
         raise PureBirthError("--values is empty")
-    grid = [int(v) if param == "N" else float(v) for v in values]
+    kind = int if param == "N" else float
+    grid = [_convert(kind, v, f"--values: {param}") for v in values]
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise PureBirthError("--values must be strictly increasing")
     rows = []

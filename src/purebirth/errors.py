@@ -1,5 +1,10 @@
-"""Exception types shared across the package, and the one check that a
-count, index or seed is an integer in range."""
+"""Exception types shared across the package, and its one integer test.
+
+Every state, index, count and seed must pass is_integer: an integral
+number (a Python or numpy integer) that is not a bool, since a bool is a
+flag passed by mistake, not a number.  Counts and seeds are then checked
+against their lower bound by require_integer (OutOfRange), and states
+against the state space by their takers (StateOutOfRange)."""
 
 import numbers
 
@@ -36,9 +41,12 @@ class ToleranceNotMet(PureBirthError):
     repeat, or lie so close that its coefficients cancel)."""
 
 
+def is_integer(value) -> bool:
+    """The package's integer test (see the module docstring)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def require_integer(name, value, lo):
-    """Raise OutOfRange unless value is a numbers.Integral >= lo; a bool
-    is a flag passed by mistake, not a count."""
-    if not (isinstance(value, numbers.Integral)
-            and not isinstance(value, bool) and value >= lo):
+    """Raise OutOfRange unless value is an integer >= lo."""
+    if not (is_integer(value) and value >= lo):
         raise OutOfRange(f"{name} must be an integer >= {lo}, got {value!r}")

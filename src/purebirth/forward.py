@@ -47,13 +47,13 @@ the schemes; each snapshot carries the one that produced it.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import OutOfRange, StateOutOfRange, ToleranceNotMet
+from .errors import (OutOfRange, StateOutOfRange, ToleranceNotMet,
+                     is_integer)
 from .rates import RateModel, rate_vector
 
 MASS_DEFECT_TOL = 1e-8
@@ -121,7 +121,7 @@ class DistributionSnapshot:
 
     def probability_of(self, state: int) -> float:
         lo, hi = self.states[0], self.states[-1]
-        if not (isinstance(state, numbers.Integral) and lo <= state <= hi):
+        if not (is_integer(state) and lo <= state <= hi):
             raise StateOutOfRange(
                 f"state {state} is not an integer in [{lo}, {hi}]")
         return float(self.probabilities[state - lo])

@@ -140,6 +140,7 @@ def simulate_path(model: RateModel, start_state: int, master_seed: int,
     time every ensemble of more than ``replicate`` replicates puts at that
     index.  Both numbers are integers >= 0; it draws the replicate's
     whole block."""
+    require_integer("replicate", replicate, 0)
     lam = rate_vector(model, start_state)
     block, column = divmod(replicate, BLOCK)
     stream = replicate_stream(master_seed, block)

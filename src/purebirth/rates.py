@@ -21,22 +21,23 @@ float, which the engines may divide by.
 
 Models are immutable; every operation here is a pure function of
 (model, state) and safe to call concurrently.  ``rate_vector`` gives the
-rates of a run of states as one numpy array, which is what the engines
-use; ``rate_at`` is the scalar view of one state.  Both take only integer
-states in [1, absorbing] and raise StateOutOfRange otherwise; every engine
-takes its states through them.
+rates of the states from a start state on as one numpy array.  It takes
+only an integer start state in [1, absorbing] and raises StateOutOfRange
+otherwise; every engine takes its states through it.  The family formulas
+are evaluated in one place, by numpy, so the rule above checks the very
+numbers the engines divide by.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import CapRequired, MissingParameter, OutOfRange, StateOutOfRange
+from .errors import (CapRequired, MissingParameter, OutOfRange,
+                     StateOutOfRange, is_integer)
 
 HYPERGEOMETRIC = "hypergeometric"
 YULE = "yule"
@@ -191,57 +192,37 @@ def build_rate_model(spec: dict) -> RateModel:
 def _checked(model):
     """The model, once its rates pass the rule of the module docstring."""
     last = model.absorbing_state - 1
-    # c k^exponent is monotone in k; k (N - k) peaks at N // 2, and both
-    # are least at an end state
-    peak = (1, last) if model.family == POWERLAW else (model.population // 2,)
-    try:
-        largest = max(rate_at(model, k) for k in peak)
-    except OverflowError:
-        largest = math.inf
+    # c k^exponent is monotone in k and k (N - k) peaks at N // 2, so the
+    # extreme rates are among these states' rates
+    states = np.array([1.0, last, model.absorbing_state // 2])
+    with np.errstate(over="ignore"):
+        rates = _rates(model, states).tolist()
+    largest, smallest = max(rates), min(rates)
     if not math.isfinite(largest):
         raise OutOfRange(f"the largest rate overflows a float ({largest})")
-    smallest = min(rate_at(model, k) for k in (1, last))
     if not (smallest > 0 and math.isfinite(37.0 * last / smallest)):
         raise OutOfRange("a holding time overflows a float: the smallest "
                          f"rate is {smallest!r}")
     return model
 
 
-def _check_state(model, k, name):
-    """Raise StateOutOfRange unless k is an integer in [1, absorbing]."""
-    absorbing = model.absorbing_state
-    if not (isinstance(k, numbers.Integral) and 1 <= k <= absorbing):
-        raise StateOutOfRange(
-            f"{name} {k} is not an integer in [1, {absorbing}]")
-
-
-def rate_at(model: RateModel, k: int) -> float:
-    """Birth rate lambda_k in state k; zero at the absorbing/cap state."""
-    _check_state(model, k, "state")
-    if k == model.absorbing_state:
-        return 0.0
+def _rates(model, k):
+    """Birth rates lambda_k at the states of the float array k."""
     if model.family == POWERLAW:
-        return model.coefficient * float(k) ** model.exponent
+        return model.coefficient * k ** model.exponent
     n = model.population
     lam = model.effective_contact_rate
     return 2.0 * k * (n - k) * lam * model.transmission_prob / (n * (n - 1.0))
 
 
 def rate_vector(model: RateModel, start: int = 1) -> np.ndarray:
-    """Rates lambda_k of the states start, ..., absorbing - 1, in numpy.
-
-    The operations are those of rate_at, in the same order, so each entry
-    equals rate_at(model, k) bitwise for the mixing families; for power
-    laws numpy's power may differ from Python's by 1 ulp.  Empty when
-    start is the absorbing/cap state.
-    """
-    _check_state(model, start, "start_state")
-    k = np.arange(start, model.absorbing_state, dtype=float)
-    if model.family == POWERLAW:
-        return model.coefficient * k ** model.exponent
-    n = model.population
-    lam = model.effective_contact_rate
-    return 2.0 * k * (n - k) * lam * model.transmission_prob / (n * (n - 1.0))
+    """Rates lambda_k of the states start, ..., absorbing - 1, in numpy;
+    empty when start is the absorbing/cap state, whose rate is zero."""
+    absorbing = model.absorbing_state
+    if not (is_integer(start) and 1 <= start <= absorbing):
+        raise StateOutOfRange(
+            f"start_state {start} is not an integer in [1, {absorbing}]")
+    return _rates(model, np.arange(start, absorbing, dtype=float))
 
 
 def _require(spec, key, family):

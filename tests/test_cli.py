@@ -321,6 +321,12 @@ class TestSweep:
                      "--values", "0.5,2.0"]) != 0
         assert "p=2.0" in capsys.readouterr().err
 
+    def test_bad_value_names_the_flag_and_the_value(self, capsys):
+        assert main(["sweep", "--family", "yule", "--mu", "1", "--p", "0.5",
+                     "--param", "N", "--values", "10,2.5e1"]) == 1
+        assert capsys.readouterr().err == ("purebirth: error: --values: N "
+                                           "must be an integer, got '2.5e1'\n")
+
     def test_values_must_increase(self, capsys):
         assert main(["sweep", "--family", "yule", "--N", "10", "--mu", "1",
                      "--p", "0.5", "--param", "p", "--values", "0.5,0.2"]) != 0
@@ -402,6 +408,14 @@ class TestConfigFile:
         cfg.write_text("family = yule\nN = 2000.5\nmu = 1\np = 0.31\n")
         assert main(["expect-time", "--config", str(cfg)]) == 1
         assert "2000.5" in capsys.readouterr().err
+
+    def test_bad_number_names_file_line_and_key(self, tmp_path, capsys):
+        # int("2.5") used to escape as "invalid literal for int() ..."
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("family = yule\n# population\nN = 2.5\nmu = 1\n")
+        assert main(["expect-time", "--p", "0.3", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            f"purebirth: error: {cfg}:3: N must be an integer, got '2.5'\n")
 
 
 CONFIG_KEYS = {

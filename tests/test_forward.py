@@ -14,8 +14,9 @@ from purebirth import (OutOfRange, SolverConfig, StateOutOfRange,
                        absorption_probability, expected_absorption_time,
                        forward_grid, forward_probabilities,
                        hitting_time_distribution, hypergeometric_mixing,
-                       mean_state, power_law, rate_at, yule_scaled)
+                       mean_state, power_law, yule_scaled)
 from purebirth.forward import DistributionSnapshot
+from scalar_oracles import rate_at
 
 
 def linear_model(cap):

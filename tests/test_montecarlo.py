@@ -247,6 +247,14 @@ class TestMasterSeed:
         with pytest.raises(OutOfRange):
             simulate_path(power_law(1.0, 2.0, 20), 1, SEED, replicate)
 
+    # -1 was reported as "block ... got -1" and 2.0 as "got 0.0"; True
+    # returned replicate 1's path
+    @pytest.mark.parametrize("replicate", [-1, 2.0, True])
+    def test_replicate_is_checked_under_its_own_name(self, replicate):
+        with pytest.raises(OutOfRange, match=rf"^replicate must be an "
+                           rf"integer >= 0, got {replicate!r}$"):
+            simulate_path(power_law(1.0, 2.0, 20), 1, SEED, replicate)
+
     def test_numpy_and_large_integers_accepted(self):
         model = power_law(1.0, 2.0, 20)
         assert simulate_path(model, 1, np.uint64(SEED), np.int64(5)) == \

@@ -8,10 +8,12 @@ from purebirth import (CapRequired, MissingParameter, OutOfRange,
                        StateOutOfRange, build_rate_model,
                        empirical_distribution_at, estimate_absorption_time,
                        expected_absorption_time, explosion_study,
-                       forward_grid, forward_probabilities,
-                       hitting_time_distribution, hypergeometric_mixing,
-                       power_law, powerlaw_expected_time, rate_at,
-                       rate_vector, simulate_path, yule_scaled)
+                       absorption_probability, forward_grid,
+                       forward_probabilities, hitting_time_distribution,
+                       hypergeometric_mixing, power_law,
+                       powerlaw_expected_time, rate_vector, simulate_path,
+                       yule_scaled)
+from scalar_oracles import rate_list
 
 
 class TestBuildRateModel:
@@ -104,7 +106,7 @@ class TestBuildRateModel:
 
     def test_decreasing_rates_peak_at_state_one(self):
         # c k^exponent with a large negative exponent is largest at k = 1
-        assert rate_at(power_law(1.0, -300.0, 10), 1) == 1.0
+        assert rate_vector(power_law(1.0, -300.0, 10))[0] == 1.0
 
     def test_unknown_family(self):
         with pytest.raises(OutOfRange):
@@ -121,67 +123,64 @@ class TestBuildRateModel:
 
 
 class TestRateAt:
+    """The rate of each state, read from rate_vector: entry k - 1 of the
+    vector from state 1 is lambda_k."""
+
     def test_hand_evaluated_mixing_rate(self):
         model = hypergeometric_mixing(4, 1.0, 1.0)
-        assert rate_at(model, 2) == pytest.approx(2.0 / 3.0, rel=1e-15)
+        assert rate_vector(model)[1] == pytest.approx(2.0 / 3.0, rel=1e-15)
 
     def test_absorbing_state_rate_is_zero(self):
+        # the absorbing/cap state has no holding time, so no entry
         model = hypergeometric_mixing(4, 1.0, 1.0)
-        assert rate_at(model, 4) == 0.0
-        assert rate_at(power_law(1.0, 2.0, 5), 5) == 0.0
+        assert rate_vector(model, 4).size == 0
+        assert rate_vector(power_law(1.0, 2.0, 5), 5).size == 0
 
     def test_powerlaw_inverse_square(self):
         model = power_law(3.0, -2.0, 100)
-        assert rate_at(model, 2) == pytest.approx(0.75, rel=1e-15)
+        assert rate_vector(model)[1] == pytest.approx(0.75, rel=1e-15)
 
     @pytest.mark.parametrize("k", [0, 5, -1])
     def test_state_out_of_range(self, k):
         with pytest.raises(StateOutOfRange):
-            rate_at(hypergeometric_mixing(4, 1.0, 1.0), k)
+            rate_vector(hypergeometric_mixing(4, 1.0, 1.0), k)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 7, 50, 101])
     def test_symmetry(self, n):
-        model = hypergeometric_mixing(n, 1.3, 0.31)
-        for k in range(1, n):
-            assert rate_at(model, k) == rate_at(model, n - k)
+        rates = rate_vector(hypergeometric_mixing(n, 1.3, 0.31))
+        assert (rates == rates[::-1]).all()
 
     @pytest.mark.parametrize("n", [3, 10, 11, 40])
     def test_maximum_at_half_population(self, n):
-        model = hypergeometric_mixing(n, 2.0, 0.7)
-        rates = {k: rate_at(model, k)
-                 for k in range(1, model.absorbing_state)}
-        best = max(rates.values())
-        assert rates[n // 2] == best
-        assert rates[-(-n // 2)] == best
+        rates = rate_vector(hypergeometric_mixing(n, 2.0, 0.7))
+        best = rates.max()
+        assert rates[n // 2 - 1] == best
+        assert rates[-(-n // 2) - 1] == best
 
     def test_scaling_linearity(self):
         lam, p = 2.5, 0.31
-        base = hypergeometric_mixing(20, 1.0, 1.0)
-        scaled = hypergeometric_mixing(20, lam, p)
-        by_p = hypergeometric_mixing(20, lam, 1.0)
-        by_lam = hypergeometric_mixing(20, 1.0, p)
-        for k in range(1, base.absorbing_state):
-            assert rate_at(scaled, k) == pytest.approx(
-                lam * p * rate_at(base, k), rel=1e-15)
-            assert rate_at(scaled, k) == pytest.approx(
-                p * rate_at(by_p, k), rel=1e-15)
-            assert rate_at(scaled, k) == pytest.approx(
-                lam * rate_at(by_lam, k), rel=1e-15)
+        base = rate_vector(hypergeometric_mixing(20, 1.0, 1.0))
+        scaled = rate_vector(hypergeometric_mixing(20, lam, p))
+        by_p = rate_vector(hypergeometric_mixing(20, lam, 1.0))
+        by_lam = rate_vector(hypergeometric_mixing(20, 1.0, p))
+        np.testing.assert_allclose(scaled, lam * p * base, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(scaled, p * by_p, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(scaled, lam * by_lam, rtol=1e-15, atol=0)
 
     @pytest.mark.parametrize("n", [2, 5, 30])
     def test_yule_equivalence(self, n):
         mu, p = 0.7, 0.31
-        yule = yule_scaled(n, mu, p)
-        mixing = hypergeometric_mixing(n, n * mu, p)
-        for k in range(1, n + 1):
-            assert rate_at(yule, k) == rate_at(mixing, k)
+        yule = rate_vector(yule_scaled(n, mu, p))
+        mixing = rate_vector(hypergeometric_mixing(n, n * mu, p))
+        assert (yule == mixing).all()
 
     def test_positive_on_transient_states(self):
         for model in (hypergeometric_mixing(12, 0.5, 0.31),
                       power_law(2.0, 2.0, 9),
                       power_law(2.0, -2.0, 9)):
-            for k in range(1, model.absorbing_state):
-                assert rate_at(model, k) > 0.0
+            rates = rate_vector(model)
+            assert rates.size == model.absorbing_state - 1
+            assert (rates > 0.0).all()
 
 
 class TestTransientStates:
@@ -208,18 +207,13 @@ def test_rates_match_pair_sampling_probability():
     # rate = lambda * p * P(pair is one infected, one susceptible), with the
     # pair uniform over N choose 2 -- checked against direct enumeration
     n, lam, p = 7, 1.7, 0.31
-    model = hypergeometric_mixing(n, lam, p)
+    rates = rate_vector(hypergeometric_mixing(n, lam, p))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    for k in range(1, model.absorbing_state):
+    for k in range(1, n):
         infected = set(range(k))
         mixed = sum(1 for i, j in pairs if (i in infected) != (j in infected))
         expected = lam * p * mixed / len(pairs)
-        assert rate_at(model, k) == pytest.approx(expected, rel=1e-14)
-
-
-def rate_at_oracle(model, start=1):
-    return np.array([rate_at(model, k)
-                     for k in range(start, model.absorbing_state)])
+        assert rates[k - 1] == pytest.approx(expected, rel=1e-14)
 
 
 class TestRateVector:
@@ -235,13 +229,13 @@ class TestRateVector:
     def test_bitwise_equal_to_rate_at(self, model, start):
         start = min(start, model.absorbing_state - 1)
         assert (rate_vector(model, start)
-                == rate_at_oracle(model, start)).all()
+                == np.array(rate_list(model, start))).all()
 
     @pytest.mark.parametrize("exponent", [1.7, -1.7, 2.5, -1.0, -2.0, 3.0])
     def test_power_laws_within_one_ulp(self, exponent):
         # numpy's power may round differently from C's pow
         unit = rate_vector(power_law(1.0, exponent, 200_000))
-        oracle = rate_at_oracle(power_law(1.0, exponent, 200_000))
+        oracle = np.array(rate_list(power_law(1.0, exponent, 200_000)))
         assert (np.abs(unit - oracle) <= np.spacing(oracle)).all()
         scaled = rate_vector(power_law(0.7, exponent, 200_000))
         assert (scaled == 0.7 * unit).all()
@@ -269,23 +263,25 @@ def test_public_names():
         "build_rate_model", "empirical_distribution_at",
         "estimate_absorption_time", "expected_absorption_time",
         "explosion_study", "forward_grid", "forward_probabilities",
-        "harmonic_number", "hitting_time_distribution",
-        "hypergeometric_mixing", "mean_state", "power_law",
-        "powerlaw_expected_time", "rate_at", "rate_vector",
+        "hitting_time_distribution", "hypergeometric_mixing",
+        "mean_state", "power_law", "powerlaw_expected_time", "rate_vector",
         "simulate_path", "yule_scaled",
     ]
     assert all(hasattr(purebirth, name) for name in purebirth.__all__)
 
 
-# every engine gets its states through rate_at or rate_vector; a fractional
-# state used to give states 1.5, 2.5, ... or a mean from start_state=1.5
+# every engine gets its states through rate_vector; a fractional state
+# used to give states 1.5, 2.5, ... or a mean from start_state=1.5, and
+# True ran as state 1.  "rate_at" is one state's rate, as the removed
+# scalar rate_at gave it.
 STATE_TAKERS = {
-    "rate_at": lambda m, k: rate_at(m, k),
+    "rate_at": lambda m, k: rate_vector(m, k)[0],
     "rate_vector": lambda m, k: rate_vector(m, k),
     "expected_absorption_time": lambda m, k: expected_absorption_time(m, k),
     "hitting_time_distribution":
         lambda m, k: hitting_time_distribution(m, k),
     "forward_probabilities": lambda m, k: forward_probabilities(m, k, 1.0),
+    "absorption_probability": lambda m, k: absorption_probability(m, k, 1.0),
     "forward_grid_no_times": lambda m, k: forward_grid(m, k, []),
     "probability_of":
         lambda m, k: forward_probabilities(m, 1, 1.0).probability_of(k),
@@ -298,7 +294,7 @@ STATE_TAKERS = {
 }
 
 
-@pytest.mark.parametrize("state", [1.5, 2.0, np.float64(3.0)])
+@pytest.mark.parametrize("state", [1.5, 2.0, np.float64(3.0), True])
 @pytest.mark.parametrize("engine", STATE_TAKERS)
 def test_every_engine_takes_only_integer_states(engine, state):
     with pytest.raises(StateOutOfRange, match="not an integer"):
