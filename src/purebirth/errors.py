@@ -1,10 +1,6 @@
-"""Exception types shared across the package, and its one integer test.
-
-Every state, index, count and seed must pass is_integer: an integral
-number (a Python or numpy integer) that is not a bool, since a bool is a
-flag passed by mistake, not a number.  Counts and seeds are then checked
-against their lower bound by require_integer (OutOfRange), and states
-against the state space by their takers (StateOutOfRange)."""
+"""Exception types shared across the package, and its one integer test,
+is_integer, that every state, index, count and seed must pass: a Python or
+numpy integer, not a bool, which is a flag passed by mistake."""
 
 import numbers
 

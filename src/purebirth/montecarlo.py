@@ -243,11 +243,12 @@ def explosion_study(model: RateModel, start_state: int, replicates: int,
         raise WrongFamily("explosion_study requires a powerlaw model "
                           "with exponent +2")
     cap = model.state_cap
-    if cap < start_state + 1:
+    lam = rate_vector(model, start_state)
+    if lam.size == 0:
         raise OutOfRange(f"cap {cap} must exceed start_state {start_state}")
     summary = estimate_absorption_time(model, start_state, replicates,
                                        master_seed, n_jobs=n_jobs)
     c = model.coefficient
-    analytic = float(np.sum(1.0 / rate_vector(model, start_state)))
+    analytic = float(np.sum(1.0 / lam))
     return ExplosionReport(summary=summary, cap=cap, analytic_mean=analytic,
                            limit_bound=math.pi ** 2 / (6.0 * c))

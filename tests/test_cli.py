@@ -139,6 +139,12 @@ class TestForward:
         assert capsys.readouterr().err == \
             "purebirth: error: times must be finite\n"
 
+    def test_bad_time_names_the_flag_and_the_value(self, capsys):
+        assert main(["forward", "--family", "hypergeometric", "--N", "5",
+                     "--lambda", "1", "--p", "1", "--t-grid", "1,x"]) == 1
+        assert capsys.readouterr().err == \
+            "purebirth: error: --t-grid must be a number, got 'x'\n"
+
     @pytest.mark.parametrize("flag", [["--method", "rk4"],
                                       ["--rel-tol", "1e-6"],
                                       ["--max-step", "0.1"]])

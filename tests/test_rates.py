@@ -271,9 +271,9 @@ def test_public_names():
 
 
 # every engine gets its states through rate_vector; a fractional state
-# used to give states 1.5, 2.5, ... or a mean from start_state=1.5, and
-# True ran as state 1.  "rate_at" is one state's rate, as the removed
-# scalar rate_at gave it.
+# used to give states 1.5, 2.5, ... or a mean from start_state=1.5, True
+# ran as state 1 and None raised a TypeError in explosion_study.
+# "rate_at" is one state's rate, as the removed scalar rate_at gave it.
 STATE_TAKERS = {
     "rate_at": lambda m, k: rate_vector(m, k)[0],
     "rate_vector": lambda m, k: rate_vector(m, k),
@@ -294,7 +294,7 @@ STATE_TAKERS = {
 }
 
 
-@pytest.mark.parametrize("state", [1.5, 2.0, np.float64(3.0), True])
+@pytest.mark.parametrize("state", [1.5, 2.0, np.float64(3.0), True, None])
 @pytest.mark.parametrize("engine", STATE_TAKERS)
 def test_every_engine_takes_only_integer_states(engine, state):
     with pytest.raises(StateOutOfRange, match="not an integer"):
