@@ -9,6 +9,13 @@ the mean has the closed form ((N-1)/(p mu N)) * H_{N-1} and the
 large-population approximation ln(N) / (p mu); the tests hold the sum to
 the closed form.  T is hypoexponential, with an explicit partial-fraction
 density wherever that form is well conditioned.
+
+The partial-fraction coefficients are the one O(m^2) kernel here, for m
+transient states.  They are built a block of columns at a time in one
+buffer of at most 2^18 floats (2 MB), reduced down the columns in
+ascending row order, and the law's cdf and pdf each fill one times x
+states array in place: at m = 2000 the build peaks at about 2.3 MB and
+one call on 200 times at about 3.4 MB.
 """
 
 from __future__ import annotations
@@ -94,22 +101,30 @@ class HittingTimeDistribution:
     """Hypoexponential law of T in partial-fraction form.
 
     density(t) = sum_k C_k lambda_k exp(-lambda_k t) with the
-    partial-fraction weights C_k = prod_{j != k} lambda_j / (lambda_j - lambda_k).
+    partial-fraction weights C_k = prod_{j != k} lambda_j / (lambda_j - lambda_k),
+    each multiplied in ascending j order (see _partial_fractions).
+
+    cdf and pdf take finite t >= 0 of any shape and return that shape (a
+    numpy float64 for a scalar t).  Each fills one array of t.shape + (m,)
+    floats in place, exp and then the weights, and sums its last axis.
     """
 
     rates: np.ndarray
     coefficients: np.ndarray
 
     def pdf(self, t):
-        t = _times(t)
-        terms = (self.coefficients * self.rates
-                 * np.exp(-np.multiply.outer(t, self.rates)))
-        return terms.sum(axis=-1)
+        return self._weighted_sum(t, self.coefficients * self.rates)
 
     def cdf(self, t):
-        t = _times(t)
-        terms = self.coefficients * np.exp(-np.multiply.outer(t, self.rates))
-        return 1.0 - terms.sum(axis=-1)
+        return 1.0 - self._weighted_sum(t, self.coefficients)
+
+    def _weighted_sum(self, t, weights):
+        """sum_k weights_k exp(-lambda_k t) over the last axis, in one
+        times x states array filled in place."""
+        terms = np.multiply.outer(-_times(t), self.rates)
+        np.exp(terms, out=terms)
+        terms *= weights
+        return terms.sum(axis=-1)
 
     def mean(self) -> float:
         return float(np.sum(1.0 / self.rates))
@@ -151,24 +166,40 @@ def hitting_time_distribution(model: RateModel,
 
 
 def _partial_fractions(rates):
-    """C_k = prod_{j != k} lambda_j / (lambda_j - lambda_k), a block of rows
-    at a time, with a factor 1 in place of j = k; kappa = sum |C_k| is
-    summed as the blocks come, and checked after each."""
+    """C_k = prod_{j != k} lambda_j / (lambda_j - lambda_k), a block of
+    columns k at a time in one buffer of m x floor(2^18 / m) floats.
+
+    Column k of a block holds lambda_j / (lambda_j - lambda_k) over the
+    rows j, with a factor 1 in place of j = k, and np.multiply.reduce
+    takes all the columns of a block down the rows at once: each C_k is
+    still multiplied in ascending j order, the order of np.prod over
+    lambda_j / (lambda_j - lambda_k) for j != k, and so is the same to the
+    bit.  The buffer is allocated once, for every block.  kappa =
+    sum |C_k| is summed as the blocks come, and checked after each, so a
+    refused law costs one block.
+    """
     m = rates.size
-    rows = max(1, _BLOCK_ENTRIES // m)
+    cols = min(m, max(1, _BLOCK_ENTRIES // m))
+    buf = np.empty((m, cols))
+    # entry (lo + i, i) of the buffer is the diagonal j = k of column i
+    flat = buf.reshape(-1)
     coeffs = np.empty(m)
     kappa = 0.0
     # a repeated rate divides by 0, close ones overflow the product, and
     # inf times an underflowed 0 is nan: each fails the check below
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for lo in range(0, m, rows):
-            hi = min(lo + rows, m)
-            gaps = rates[None, :] - rates[lo:hi, None]
-            diagonal = (np.arange(hi - lo), np.arange(lo, hi))
-            gaps[diagonal] = 1.0
-            ratios = rates / gaps
-            ratios[diagonal] = 1.0
-            coeffs[lo:hi] = np.prod(ratios, axis=1)
+        for lo in range(0, m, cols):
+            hi = min(lo + cols, m)
+            block = buf[:, :hi - lo]
+            diagonal = flat[lo * cols::cols + 1][:hi - lo]
+            # a copy and an in-place subtract beat one doubly broadcast
+            # subtract by about 2 ms at m = 2000, with the same values
+            np.copyto(block, rates[:, None])
+            block -= rates[lo:hi]
+            diagonal[:] = 1.0
+            np.divide(rates[:, None], block, out=block)
+            diagonal[:] = 1.0
+            np.multiply.reduce(block, axis=0, out=coeffs[lo:hi])
             kappa += float(np.sum(np.abs(coeffs[lo:hi])))
             if not kappa * 2.0 ** -52 <= LAW_ROUNDOFF_TOL:
                 raise ToleranceNotMet(

@@ -57,10 +57,20 @@ _FAMILY_ALIASES = {
 
 @dataclass(frozen=True)
 class RateModel:
-    """A validated family of per-state birth rates.
+    """An immutable family of per-state birth rates, checked when built.
 
-    Use :func:`build_rate_model` or the family-specific constructors rather
-    than instantiating this directly.
+    Every model, whether built here, by :func:`build_rate_model` or by the
+    family-specific constructors, passes the same checks, and raises:
+
+    * OutOfRange: an unknown family name (the canonical names only; the
+      aliases are read by build_rate_model), a non-finite or nonpositive
+      rate parameter, p outside (0, 1], N or the cap not an integer >= 2,
+      a non-finite exponent, or rates that break the rule of the module
+      docstring;
+    * MissingParameter: a parameter required by the family is None;
+    * CapRequired: a powerlaw model without a state cap.
+
+    The messages name the parameters by their keys in build_rate_model.
     """
 
     family: str
@@ -72,6 +82,30 @@ class RateModel:
     exponent: Optional[float] = None
     state_cap: Optional[int] = None
     time_unit: str = "time"
+
+    def __post_init__(self):
+        family = self.family
+        if family == POWERLAW:
+            _positive("c", self.coefficient, family)
+            _finite("exponent", self.exponent, family)
+            if self.state_cap is None:
+                # every power-law state space is unbounded; computation
+                # needs a cap
+                raise CapRequired("powerlaw models require a state cap "
+                                  "(unbounded state space)")
+            _at_least_two("cap", self.state_cap)
+        elif family == HYPERGEOMETRIC or family == YULE:
+            _at_least_two("N", _present("N", self.population, family))
+            p = _finite("p", self.transmission_prob, family)
+            if not 0.0 < p <= 1.0:
+                raise OutOfRange(f"p must lie in (0, 1], got {p}")
+            if family == HYPERGEOMETRIC:
+                _positive("lambda", self.contact_rate, family)
+            else:
+                _positive("mu", self.per_capita_rate, family)
+        else:
+            raise OutOfRange(f"unknown rate family: {family!r}")
+        _check_rates(self)
 
     @property
     def absorbing_state(self) -> int:
@@ -131,66 +165,39 @@ def power_law(coefficient, exponent, state_cap=None, time_unit="time"):
 
 
 def build_rate_model(spec: dict) -> RateModel:
-    """Validate a flat parameter record and return an immutable model.
+    """Translate a flat parameter record into a checked model.
 
-    Recognized keys: ``family``, ``N``, ``lambda``, ``mu``, ``p``, ``c``,
-    ``exponent``, ``cap``, ``time_unit``.
+    Recognized keys: ``family`` (or one of its aliases), ``N``, ``lambda``,
+    ``mu``, ``p``, ``c``, ``exponent``, ``cap``, ``time_unit``; keys that
+    the family does not use are ignored.  N and cap are taken as integers,
+    the others as floats, and the model then checks itself (RateModel).
 
     Raises:
-        MissingParameter: a key required by the family is absent.
-        OutOfRange: a non-finite input, N < 2, p outside (0, 1], a
-            nonpositive parameter, a largest rate that overflows a float,
-            or a smallest rate for which a holding time could (the rate
-            rule in the module docstring).
+        MissingParameter: no family, or a key required by the family is
+            absent.
+        OutOfRange: an unknown family, N or cap not an integer, or any
+            check of RateModel.
         CapRequired: powerlaw family without a state cap.
     """
-    if "family" not in spec or spec["family"] is None:
+    if spec.get("family") is None:
         raise MissingParameter("family is required")
     family = normalize_family(spec["family"])
     time_unit = spec.get("time_unit") or "time"
-
-    if family in (HYPERGEOMETRIC, YULE):
-        n = _require(spec, "N", family)
-        n = _as_int(n, "N")
-        if n < 2:
-            raise OutOfRange(f"N must be >= 2, got {n}")
-        p = _require_float(spec, "p", family)
-        if not 0.0 < p <= 1.0:
-            raise OutOfRange(f"p must lie in (0, 1], got {p}")
-        if family == HYPERGEOMETRIC:
-            lam = _require_float(spec, "lambda", family)
-            if lam <= 0.0:
-                raise OutOfRange(f"lambda must be positive, got {lam}")
-            return _checked(RateModel(
-                family=HYPERGEOMETRIC, population=n, contact_rate=lam,
-                transmission_prob=p, time_unit=time_unit))
-        mu = _require_float(spec, "mu", family)
-        if mu <= 0.0:
-            raise OutOfRange(f"mu must be positive, got {mu}")
-        return _checked(RateModel(family=YULE, population=n,
-                                  per_capita_rate=mu, transmission_prob=p,
-                                  time_unit=time_unit))
-
-    # powerlaw
-    c = _require_float(spec, "c", family)
-    if c <= 0.0:
-        raise OutOfRange(f"c must be positive, got {c}")
-    exponent = _require_float(spec, "exponent", family)
-    cap = spec.get("cap")
-    if cap is None:
-        # every power-law state space is unbounded; computation needs a cap
-        raise CapRequired(
-            "powerlaw models require a state cap (unbounded state space)")
-    cap = _as_int(cap, "cap")
-    if cap < 2:
-        raise OutOfRange(f"cap must be >= 2, got {cap}")
-    return _checked(RateModel(family=POWERLAW, coefficient=c,
-                              exponent=exponent, state_cap=cap,
-                              time_unit=time_unit))
+    if family == POWERLAW:
+        return RateModel(family=POWERLAW, coefficient=_float(spec, "c"),
+                         exponent=_float(spec, "exponent"),
+                         state_cap=_int(spec, "cap"), time_unit=time_unit)
+    lam = _float(spec, "lambda") if family == HYPERGEOMETRIC else None
+    mu = _float(spec, "mu") if family == YULE else None
+    return RateModel(family=family, population=_int(spec, "N"),
+                     contact_rate=lam, per_capita_rate=mu,
+                     transmission_prob=_float(spec, "p"),
+                     time_unit=time_unit)
 
 
-def _checked(model):
-    """The model, once its rates pass the rule of the module docstring."""
+def _check_rates(model):
+    """Raise OutOfRange unless the model's rates pass the rule of the
+    module docstring."""
     last = model.absorbing_state - 1
     # c k^exponent is monotone in k and k (N - k) peaks at N // 2, so the
     # extreme rates are among these states' rates
@@ -203,7 +210,6 @@ def _checked(model):
     if not (smallest > 0 and math.isfinite(37.0 * last / smallest)):
         raise OutOfRange("a holding time overflows a float: the smallest "
                          f"rate is {smallest!r}")
-    return model
 
 
 def _rates(model, k):
@@ -225,24 +231,51 @@ def rate_vector(model: RateModel, start: int = 1) -> np.ndarray:
     return _rates(model, np.arange(start, absorbing, dtype=float))
 
 
-def _require(spec, key, family):
+def _float(spec, key):
+    """spec[key] as a float; None when absent."""
     value = spec.get(key)
+    return None if value is None else float(value)
+
+
+def _int(spec, key):
+    """spec[key] as an int, once it is a finite integral value; None when
+    absent."""
+    value = spec.get(key)
+    if value is None:
+        return None
+    if not math.isfinite(float(value)):
+        raise OutOfRange(f"{key} must be finite, got {value}")
+    as_int = int(value)
+    if as_int != float(value):
+        raise OutOfRange(f"{key} must be an integer, got {value}")
+    return as_int
+
+
+def _present(key, value, family):
     if value is None:
         raise MissingParameter(f"{key} is required for the {family} family")
     return value
 
 
-def _require_float(spec, key, family):
-    value = float(_require(spec, key, family))
-    if not math.isfinite(value):
-        raise OutOfRange(f"{key} must be finite, got {value}")
+def _finite(key, value, family):
+    """value, once it is a finite real number."""
+    _present(key, value, family)
+    try:
+        finite = not isinstance(value, bool) and math.isfinite(value)
+    except TypeError:
+        finite = False
+    if not finite:
+        raise OutOfRange(f"{key} must be a finite number, got {value!r}")
     return value
 
 
-def _as_int(value, name):
-    if not math.isfinite(float(value)):
-        raise OutOfRange(f"{name} must be finite, got {value}")
-    as_int = int(value)
-    if as_int != float(value):
-        raise OutOfRange(f"{name} must be an integer, got {value}")
-    return as_int
+def _positive(key, value, family):
+    if not _finite(key, value, family) > 0.0:
+        raise OutOfRange(f"{key} must be positive, got {value}")
+
+
+def _at_least_two(key, value):
+    if not is_integer(value):
+        raise OutOfRange(f"{key} must be an integer, got {value!r}")
+    if value < 2:
+        raise OutOfRange(f"{key} must be >= 2, got {value}")

@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -370,6 +371,77 @@ class TestLawConditioning:
         for t in (2.0, 5.0, 8.0):
             assert absorption_probability(model, 1, t) == pytest.approx(
                 (1.0 - math.exp(-t)) ** 119, abs=1e-10)
+
+
+def reference_cdf(law, t):
+    # the law's cdf written out as one expression, temporaries and all
+    t = np.asarray(t, dtype=float)
+    return 1.0 - (law.coefficients
+                  * np.exp(-np.multiply.outer(t, law.rates))).sum(axis=-1)
+
+
+def reference_pdf(law, t):
+    t = np.asarray(t, dtype=float)
+    return (law.coefficients * law.rates
+            * np.exp(-np.multiply.outer(t, law.rates))).sum(axis=-1)
+
+
+def assert_bitwise_equal(actual, expected):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+class TestLawEvaluation:
+    """cdf and pdf fill one times x states array in place; the values are
+    those of the plain expressions, to the bit."""
+
+    @pytest.mark.parametrize("model", [power_law(1.0, 2.0, 2000),
+                                       power_law(1.0, 1.0, 8)],
+                             ids=["bench-law", "small"])
+    def test_bitwise_equal_to_the_expressions(self, model):
+        # the benchmark's grid: 200 points on [0, 4 E(T)]
+        law = hitting_time_distribution(model)
+        t = np.linspace(0.0, 4.0 * law.mean(), 200)
+        assert_bitwise_equal(law.cdf(t), reference_cdf(law, t))
+        assert_bitwise_equal(law.pdf(t), reference_pdf(law, t))
+        for scalar in (0.0, 0.37, float(t[117])):
+            assert_bitwise_equal(law.cdf(scalar), reference_cdf(law, scalar))
+            assert_bitwise_equal(law.pdf(scalar), reference_pdf(law, scalar))
+
+    @pytest.mark.parametrize("method", ["cdf", "pdf"])
+    def test_a_python_float_gives_a_numpy_float(self, method):
+        law = hitting_time_distribution(power_law(1.0, 2.0, 20))
+        assert type(getattr(law, method)(1.5)) is np.float64
+        assert type(getattr(law, method)(2)) is np.float64
+
+    @pytest.mark.parametrize("shape", [(), (7,), (3, 4)])
+    @pytest.mark.parametrize("method", ["cdf", "pdf"])
+    def test_times_keep_their_shape(self, method, shape):
+        law = hitting_time_distribution(power_law(1.0, 2.0, 20))
+        t = np.linspace(0.0, 3.0, max(1, math.prod(shape))).reshape(shape)
+        values = getattr(law, method)(t)
+        assert np.shape(values) == shape
+        flat = getattr(law, method)(t.reshape(-1))
+        assert_bitwise_equal(np.reshape(values, -1), flat)
+
+    def test_memory_of_the_bench_law(self):
+        # one 2 MB block buffer for the build; one 200 x 1999 array (3.2
+        # MB) for a call on 200 times
+        model = power_law(1.0, 2.0, 2000)
+        tracemalloc.start()
+        try:
+            law = hitting_time_distribution(model)
+            build_peak = tracemalloc.get_traced_memory()[1]
+            t = np.linspace(0.0, 4.0 * law.mean(), 200)
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            law.cdf(t)
+            cdf_peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert build_peak <= 2.5e6
+        assert cdf_peak <= 3.5e6
 
 
 class TestPowerLawExpectedTime:

@@ -1,0 +1,122 @@
+"""tools/bench_pairs.py's summary and claim rule, on hand-made pairs."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+BOUNDS = {"wall_ref_s": ("lower", 0.25), "setup_s": ("lower", 0.25),
+          "peak_rss_mb": ("lower", 0.1)}
+
+
+def side(wall, setup, rss, law_s, expect_s):
+    return {"metrics": {"wall_ref_s": {"value": wall},
+                        "setup_s": {"value": setup},
+                        "peak_rss_mb": {"value": rss}},
+            "detail": {"law_of_t": law_s, "best_job_sum_s": law_s + expect_s},
+            "job_s": {"000-law": law_s, "001-expect": expect_s},
+            "correct": True, "failed": 0}
+
+
+def two_pairs():
+    return {"analytic_large_n": [
+        {"seed": 1, "first": "parent",
+         "parent": side(0.040, 0.11, 80.0, 0.030, 0.004),
+         "change": side(0.030, 0.12, 90.0, 0.020, 0.004)},
+        {"seed": 2, "first": "change",
+         "parent": side(0.036, 0.11, 80.0, 0.026, 0.006),
+         "change": side(0.032, 0.11, 95.0, 0.022, 0.008)},
+    ], "forward_large_n": []}
+
+
+@pytest.fixture
+def summary():
+    return bench_pairs.summarize(two_pairs(), BOUNDS)
+
+
+def test_workloads_without_pairs_are_left_out(summary):
+    assert list(summary) == ["analytic_large_n"]
+    entry = summary["analytic_large_n"]
+    assert entry["seeds"] == [1, 2] and entry["pairs"] == 2
+    assert entry["all_runs_correct"]
+
+
+def test_wins_spreads_and_bounds(summary):
+    metrics = summary["analytic_large_n"]["metrics"]
+    wall = metrics["wall_ref_s"]
+    assert wall["change_wins"] == 2
+    assert wall["parent"]["median"] == pytest.approx(0.038)
+    # inclusive quartiles of two runs: a quarter of the way in from each
+    assert wall["parent"]["q1"] == pytest.approx(0.037)
+    assert wall["parent"]["q3"] == pytest.approx(0.039)
+    assert wall["change"]["median"] == pytest.approx(0.031)
+    assert wall["relative_change"] == pytest.approx(-0.007 / 0.038)
+    assert wall["within_bound"]
+    # a tie counts for neither side
+    assert metrics["setup_s"]["change_wins"] == 0
+    assert metrics["setup_s"]["within_bound"]
+    # 92.5 MB against 80 is 15.6% worse, past the 10% bound
+    rss = metrics["peak_rss_mb"]
+    assert rss["change_wins"] == 0
+    assert rss["relative_change"] == pytest.approx(0.15625)
+    assert not rss["within_bound"]
+
+
+def test_medians_per_kind_and_per_job(summary):
+    entry = summary["analytic_large_n"]
+    assert entry["detail"]["parent"]["law_of_t"] == pytest.approx(0.028)
+    assert entry["job_s"] == {
+        "parent": {"000-law": pytest.approx(0.028),
+                   "001-expect": pytest.approx(0.005)},
+        "change": {"000-law": pytest.approx(0.021),
+                   "001-expect": pytest.approx(0.006)}}
+
+
+def test_job_medians_of_one_run():
+    run = {"jobs": [{"name": "law"}, {"name": "expect"}],
+           "passes": [{"job_s": [0.3, 0.1]}, {"job_s": [0.1, 0.2]},
+                      {"job_s": [0.2, 0.3]}]}
+    assert bench_pairs.job_medians(run) == {"000-law": 0.2,
+                                            "001-expect": 0.2}
+
+
+def test_claim_needs_enough_pairs(summary):
+    claim = bench_pairs.claim(summary, "analytic_large_n:wall_ref_s")
+    assert claim["wins"] == 2 and claim["pairs"] == 2
+    assert claim["median_drop"] == pytest.approx(0.007)
+    assert claim["parent_iqr"] == pytest.approx(0.002)
+    assert claim["median_drop"] > claim["parent_iqr"]
+    assert bench_pairs.PAIRS == 10
+    assert not claim["holds"]
+
+
+def test_claim_rule(summary, monkeypatch):
+    monkeypatch.setattr(bench_pairs, "PAIRS", 2)
+    assert bench_pairs.claim(summary, "analytic_large_n:wall_ref_s")["holds"]
+    # no wins and no drop
+    assert not bench_pairs.claim(summary,
+                                 "analytic_large_n:peak_rss_mb")["holds"]
+    # won every pair, but the drop is within the parent's spread
+    results = two_pairs()
+    results["analytic_large_n"][0]["parent"]["metrics"]["wall_ref_s"] = {
+        "value": 0.050}
+    results["analytic_large_n"][0]["change"]["metrics"]["wall_ref_s"] = {
+        "value": 0.049}
+    results["analytic_large_n"][1]["change"]["metrics"]["wall_ref_s"] = {
+        "value": 0.035}
+    claim = bench_pairs.claim(bench_pairs.summarize(results, BOUNDS),
+                              "analytic_large_n:wall_ref_s")
+    assert claim["wins"] == 2
+    assert claim["median_drop"] == pytest.approx(0.001)
+    assert claim["parent_iqr"] == pytest.approx(0.007)
+    assert not claim["holds"]
+
+
+def test_claim_of_an_unknown_metric(summary):
+    assert bench_pairs.claim(summary, "analytic_large_n:nfev") is None
+    assert bench_pairs.claim(summary, "forward_large_n:wall_ref_s") is None

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 
 import purebirth
 from purebirth import (CapRequired, MissingParameter, OutOfRange,
-                       StateOutOfRange, build_rate_model,
+                       PureBirthError, RateModel, StateOutOfRange,
+                       build_rate_model,
                        empirical_distribution_at, estimate_absorption_time,
                        expected_absorption_time, explosion_study,
                        absorption_probability, forward_grid,
@@ -120,6 +122,93 @@ class TestBuildRateModel:
 
     def test_time_unit_carried(self):
         assert yule_scaled(5, 1.0, 0.5, "hours").time_unit == "hours"
+
+
+YULE_FIELDS = {"family": "yule", "population": 10, "per_capita_rate": 1.0,
+               "transmission_prob": 0.3}
+
+
+class TestRateModelChecksItself:
+    """A RateModel built directly passes the checks of build_rate_model."""
+
+    def test_negative_rate_refused(self):
+        # its exact_mean was -8.49 and its Monte Carlo mean -9.24
+        with pytest.raises(OutOfRange, match="mu must be positive"):
+            RateModel(family="yule", population=10, per_capita_rate=-1.0,
+                      transmission_prob=0.3)
+
+    def test_powerlaw_without_cap_refused(self):
+        # rate_vector raised a TypeError on it
+        with pytest.raises(CapRequired):
+            RateModel(family="powerlaw", coefficient=1.0, exponent=2.0)
+
+    @pytest.mark.parametrize("field, value, error", [
+        ("family", "Yule", OutOfRange),
+        ("family", "logistic", OutOfRange),
+        ("population", None, MissingParameter),
+        ("population", 1, OutOfRange),
+        ("population", 10.0, OutOfRange),
+        ("population", True, OutOfRange),
+        ("per_capita_rate", None, MissingParameter),
+        ("per_capita_rate", 0.0, OutOfRange),
+        ("per_capita_rate", math.inf, OutOfRange),
+        ("per_capita_rate", "1", OutOfRange),
+        ("per_capita_rate", 1e308, OutOfRange),
+        ("transmission_prob", None, MissingParameter),
+        ("transmission_prob", 1.5, OutOfRange),
+        ("transmission_prob", math.nan, OutOfRange),
+        ("transmission_prob", True, OutOfRange),
+    ])
+    def test_mixing_fields_checked(self, field, value, error):
+        with pytest.raises(error):
+            RateModel(**{**YULE_FIELDS, field: value})
+
+    @pytest.mark.parametrize("fields, error", [
+        ({"family": "hypergeometric", "population": 10,
+          "transmission_prob": 0.3}, MissingParameter),
+        ({"family": "hypergeometric", "population": 10, "contact_rate": -1.0,
+          "transmission_prob": 0.3}, OutOfRange),
+        ({"family": "powerlaw", "exponent": 2.0, "state_cap": 10},
+         MissingParameter),
+        ({"family": "powerlaw", "coefficient": 1.0, "exponent": math.nan,
+          "state_cap": 10}, OutOfRange),
+        ({"family": "powerlaw", "coefficient": 1.0, "exponent": 2.0,
+          "state_cap": 10.0}, OutOfRange),
+        ({"family": "powerlaw", "coefficient": 1.0, "exponent": 2.0,
+          "state_cap": 1}, OutOfRange),
+        ({"family": "powerlaw", "coefficient": 1.0, "exponent": -400.0,
+          "state_cap": 10}, OutOfRange),
+    ], ids=["no-lambda", "negative-lambda", "no-c", "nan-exponent",
+            "float-cap", "cap-1", "underflowing-rate"])
+    def test_other_families_checked(self, fields, error):
+        with pytest.raises(error):
+            RateModel(**fields)
+
+    def test_replace_checks_again(self):
+        model = yule_scaled(10, 1.0, 0.3)
+        with pytest.raises(OutOfRange):
+            dataclasses.replace(model, transmission_prob=0.0)
+
+    def test_every_refusal_is_a_package_error(self):
+        for fields in ({**YULE_FIELDS, "per_capita_rate": -1.0},
+                       {"family": "powerlaw", "coefficient": 1.0,
+                        "exponent": 2.0}):
+            with pytest.raises(PureBirthError):
+                RateModel(**fields)
+
+    @pytest.mark.parametrize("build, fields", [
+        (lambda: yule_scaled(10, 1.0, 0.3), YULE_FIELDS),
+        (lambda: hypergeometric_mixing(np.int64(12), 2, 0.5),
+         {"family": "hypergeometric", "population": 12, "contact_rate": 2.0,
+          "transmission_prob": 0.5}),
+        (lambda: power_law(1, 2, 10.0),
+         {"family": "powerlaw", "coefficient": 1.0, "exponent": 2.0,
+          "state_cap": 10}),
+    ], ids=["yule", "hypergeometric", "powerlaw"])
+    def test_direct_model_equals_the_built_one(self, build, fields):
+        model = build()
+        assert model == RateModel(**fields)
+        assert type(model.absorbing_state) is int
 
 
 class TestRateAt:

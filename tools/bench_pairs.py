@@ -7,18 +7,25 @@ Usage, from the root of a git checkout:
 
 Each revision is exported with ``git archive`` into a fresh directory under
 ``--workdir``, so each side runs its committed files only.  For every seed
-and every workload the unmodified ``perfbench/run.py --trace 0`` runs
-once on each side, for the ``run_seconds`` of the change's
-BENCHMARK.json, over ten seeds; the side that runs first alternates from
-seed to seed.  The
+and every workload the unmodified ``perfbench/run.py --trace 0`` runs once
+on each side, for the ``run_seconds`` of the change's BENCHMARK.json, over
+ten seeds; the side that runs first alternates from seed to seed.  The
 record holds every run, and per end-to-end metric of BENCHMARK.json the
 medians and quartiles (``statistics.quantiles``, inclusive: numpy's linear
 25th/75th percentiles) of both sides, the pairs the change won (ties count
 for neither side), the relative change of the medians and whether it is
-within the metric's bound; per workload also the medians of perfbench's
-per-kind best job times (its ``detail``).  A claim holds when at least
-ten pairs ran, the change won at least 9 in 10 of them and its median
-beats the parent's by more than the parent's interquartile range.
+within the metric's bound.  Per workload it also holds, for each side:
+
+* ``detail``: the medians of perfbench's per-kind best job times;
+* ``job_s``: each job's median seconds, the median over the runs of the
+  run's median over its passes (``passes[].job_s``), keyed ``NNN-name``
+  by the job's index and name in the run's ``jobs``, as in
+  ``output_hashes``.  A shift on a job that a change does not touch shows
+  up there by name.
+
+A claim holds when at least ten pairs ran, the change won at least 9 in 10
+of them and its median beats the parent's by more than the parent's
+interquartile range.
 
 Two more measurements run once per side, each in fresh processes:
 
@@ -133,9 +140,18 @@ def spread(runs):
             "runs": runs}
 
 
+def job_medians(run):
+    """Each job's median seconds over the passes of one perfbench run
+    record, keyed by the job's index and name."""
+    return {f"{index:03d}-{job['name']}":
+            statistics.median(p["job_s"][index] for p in run["passes"])
+            for index, job in enumerate(run["jobs"])}
+
+
 def summarize(results, bounds):
     """Per workload and end-to-end metric: both sides' spreads, the change's
-    wins, the relative change of the medians and the bound check."""
+    wins, the relative change of the medians and the bound check; per
+    workload also the medians of the runs' detail and job_s entries."""
     out = {}
     for workload, pairs in results.items():
         if not pairs:
@@ -158,9 +174,13 @@ def summarize(results, bounds):
                                                 for pair in pairs)
                          for key in pairs[0][side]["detail"]}
                   for side in SIDES}
+        job_s = {side: {job: statistics.median(pair[side]["job_s"][job]
+                                               for pair in pairs)
+                        for job in pairs[0][side]["job_s"]}
+                 for side in SIDES}
         out[workload] = {
             "seeds": [pair["seed"] for pair in pairs], "pairs": len(pairs),
-            "metrics": metrics, "detail": detail,
+            "metrics": metrics, "detail": detail, "job_s": job_s,
             "all_runs_correct": all(pair[side]["correct"]
                                     and pair[side]["failed"] == 0
                                     for pair in pairs for side in SIDES)}
@@ -258,10 +278,13 @@ def main(argv=None):
                     "perfbench/run.py", "--workload", workload,
                     "--seed", str(seed), "--seconds", str(seconds),
                     "--trace", "0"])
-                # per-kind best job times, from the run's full record
+                # per-kind best job times and per-job medians, from the
+                # run's full record
                 with open(checkouts[side] / "perfbench" / "out"
                           / f"{workload}-seed{seed}-trace0.json") as handle:
-                    pair[side]["detail"] = json.load(handle)["detail"]
+                    run = json.load(handle)
+                pair[side]["detail"] = run["detail"]
+                pair[side]["job_s"] = job_medians(run)
             results[workload].append(pair)
         record["workloads"] = summarize(results, bounds)
         if args.claim:
