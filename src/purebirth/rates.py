@@ -94,7 +94,7 @@ class RateModel:
                 raise CapRequired("powerlaw models require a state cap "
                                   "(unbounded state space)")
             _at_least_two("cap", self.state_cap)
-        elif family == HYPERGEOMETRIC or family == YULE:
+        elif family in (HYPERGEOMETRIC, YULE):
             _at_least_two("N", _present("N", self.population, family))
             p = _finite("p", self.transmission_prob, family)
             if not 0.0 < p <= 1.0:

@@ -6,8 +6,7 @@ import pytest
 
 import purebirth
 from purebirth import (CapRequired, MissingParameter, OutOfRange,
-                       PureBirthError, RateModel, StateOutOfRange,
-                       build_rate_model,
+                       RateModel, StateOutOfRange, build_rate_model,
                        empirical_distribution_at, estimate_absorption_time,
                        expected_absorption_time, explosion_study,
                        absorption_probability, forward_grid,
@@ -188,13 +187,6 @@ class TestRateModelChecksItself:
         model = yule_scaled(10, 1.0, 0.3)
         with pytest.raises(OutOfRange):
             dataclasses.replace(model, transmission_prob=0.0)
-
-    def test_every_refusal_is_a_package_error(self):
-        for fields in ({**YULE_FIELDS, "per_capita_rate": -1.0},
-                       {"family": "powerlaw", "coefficient": 1.0,
-                        "exponent": 2.0}):
-            with pytest.raises(PureBirthError):
-                RateModel(**fields)
 
     @pytest.mark.parametrize("build, fields", [
         (lambda: yule_scaled(10, 1.0, 0.3), YULE_FIELDS),
