@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import (OutOfRange, StateOutOfRange, ToleranceNotMet,
-                     require_integer)
+                     require_finite, require_integer, require_times)
 from .rates import YULE, RateModel, power_law, rate_vector
 
 # Euler-Mascheroni constant, for the refined ln(N) + gamma diagnostic.
@@ -104,9 +104,9 @@ class HittingTimeDistribution:
     partial-fraction weights C_k = prod_{j != k} lambda_j / (lambda_j - lambda_k),
     each multiplied in ascending j order (see _partial_fractions).
 
-    cdf and pdf take finite t >= 0 of any shape and return that shape (a
-    numpy float64 for a scalar t).  Each fills one array of t.shape + (m,)
-    floats in place, exp and then the weights, and sums its last axis.
+    cdf and pdf take times (errors.require_times) of any shape, and return
+    that shape (a numpy float64 for a scalar t).  Each fills one t.shape +
+    (m,) array in place, exp and then the weights, and sums its last axis.
     """
 
     rates: np.ndarray
@@ -121,7 +121,7 @@ class HittingTimeDistribution:
     def _weighted_sum(self, t, weights):
         """sum_k weights_k exp(-lambda_k t) over the last axis, in one
         times x states array filled in place."""
-        terms = np.multiply.outer(-_times(t), self.rates)
+        terms = np.multiply.outer(-require_times("t", t), self.rates)
         np.exp(terms, out=terms)
         terms *= weights
         return terms.sum(axis=-1)
@@ -136,15 +136,6 @@ class HittingTimeDistribution:
         exactly rather than pairwise.
         """
         return math.fsum((self.coefficients / self.rates).tolist())
-
-
-def _times(t):
-    """t as a float array, once every time is finite and >= 0."""
-    t = np.asarray(t, dtype=float)
-    ok = np.isfinite(t) & (t >= 0)
-    if not ok.all():
-        raise OutOfRange(f"t must be finite and >= 0, got {t[~ok].flat[0]}")
-    return t
 
 
 def hitting_time_distribution(model: RateModel,
@@ -229,8 +220,8 @@ class PowerLawTimeReport:
 
 def powerlaw_expected_time(c: float, exponent: int, n: int) -> PowerLawTimeReport:
     """Expected time to pass through states 1..n under c * k**exponent rates."""
-    if not (math.isfinite(c) and c > 0):
-        raise OutOfRange(f"c must be finite and positive, got {c}")
+    if not require_finite("c", c) > 0:
+        raise OutOfRange(f"c must be positive, got {c}")
     require_integer("n", n, 1)
     if exponent == 2:
         value = float(np.sum(1.0 / rate_vector(power_law(1.0, 2, n + 1)))) / c

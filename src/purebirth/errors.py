@@ -1,8 +1,15 @@
-"""Exception types shared across the package, and its one integer test,
-is_integer, that every state, index, count and seed must pass: a Python or
-numpy integer, not a bool, which is a flag passed by mistake."""
+"""Exception types shared across the package, and its input rules:
+is_integer and require_integer for every state, index, count and seed (a
+Python or numpy integer), require_finite for every real parameter (a finite
+Python or numpy real number), and require_times for times (finite real
+numbers >= 0, taken as one float array; a str, bool, None or object value
+is refused).  A bool is never a number: it is a flag passed by mistake.
+Each rule raises OutOfRange, never a TypeError, on a value it refuses."""
 
+import math
 import numbers
+
+import numpy as np
 
 
 class PureBirthError(Exception):
@@ -48,3 +55,30 @@ def require_integer(name, value, lo):
     """Raise OutOfRange unless value is an integer >= lo."""
     if not (is_integer(value) and value >= lo):
         raise OutOfRange(f"{name} must be an integer >= {lo}, got {value!r}")
+
+
+def require_finite(name, value):
+    """value, once it is a finite number; OutOfRange otherwise."""
+    # a plain float first, as in is_integer
+    if not ((type(value) is float or isinstance(value, numbers.Real)
+             and not isinstance(value, bool)) and math.isfinite(value)):
+        raise OutOfRange(f"{name} must be a finite number, got {value!r}")
+    return value
+
+
+# what require_times asks of its value, by the ndim it requires
+_SHAPES = {None: "finite and >= 0", 0: "a finite number >= 0",
+           1: "a 1-d sequence of finite numbers >= 0"}
+
+
+def require_times(name, value, ndim=None):
+    """value as a float array (a float64 array itself, not a copy) once it
+    holds times, in ndim dimensions when ndim is given; else OutOfRange."""
+    t = np.asarray(value)
+    if t.dtype.kind in "iuf" and ndim in (None, t.ndim):
+        t = t.astype(float, copy=False)
+        bad = ~(np.isfinite(t) & (t >= 0))
+        if not bad.any():
+            return t
+        value = float(t[bad].flat[0])
+    raise OutOfRange(f"{name} must be {_SHAPES[ndim]}, got {value!r}")

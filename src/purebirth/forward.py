@@ -53,7 +53,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import (OutOfRange, StateOutOfRange, ToleranceNotMet,
-                     is_integer)
+                     is_integer, require_finite, require_times)
 from .rates import RateModel, rate_vector
 
 MASS_DEFECT_TOL = 1e-8
@@ -92,7 +92,7 @@ _STIRLING_ERROR = np.array(
 class SolverConfig:
     """Error control for the forward solver.
 
-    abs_tol is the error allowed per requested time; it must lie in
+    abs_tol is the error allowed per requested time, a finite number in
     [1e-300, 1).  (Below that, n / (Lambda t) can overflow in the Poisson
     weights.)  Under uniformization it bounds the Poisson weight of the
     terms the sum leaves out, and so every probability's error.  Under
@@ -104,7 +104,7 @@ class SolverConfig:
     abs_tol: float = 1e-10
 
     def __post_init__(self):
-        if not 1e-300 <= self.abs_tol < 1.0:
+        if not 1e-300 <= require_finite("abs_tol", self.abs_tol) < 1.0:
             raise OutOfRange(
                 f"abs_tol must lie in [1e-300, 1), got {self.abs_tol}")
 
@@ -140,17 +140,11 @@ def forward_grid(model: RateModel, start_state: int, times: Sequence[float],
     """Snapshots at each requested time, all by one scheme (see the
     module docstring for which).
 
-    Times need not be sorted; each must be finite and >= 0.
+    times is a 1-d sequence of times (errors.require_times), in any order.
     """
     config = config or SolverConfig()
     lam = np.append(rate_vector(model, start_state), 0.0)
-    times = np.asarray(times, dtype=float)
-    if times.size == 0:
-        return []
-    if not np.isfinite(times).all():
-        raise OutOfRange("times must be finite")
-    if (times < 0).any():
-        raise OutOfRange("times must be nonnegative")
+    times = require_times("times", times, ndim=1)
 
     states = np.arange(start_state, model.absorbing_state + 1)
     big = float(lam.max())

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutOfRange, WrongFamily, require_integer
+from .errors import OutOfRange, WrongFamily, require_integer, require_times
 from .rates import POWERLAW, RateModel, rate_vector
 
 QUANTILE_LEVELS = (0.05, 0.25, 0.50, 0.75, 0.95)
@@ -218,8 +218,7 @@ def empirical_distribution_at(model: RateModel, start_state: int, t: float,
                               replicates: int, master_seed: int,
                               n_jobs: int = 1) -> StateHistogram:
     """Replicate counts per state at time t (empirical forward solution)."""
-    if not (math.isfinite(t) and t >= 0):
-        raise OutOfRange(f"t must be finite and >= 0, got {t}")
+    require_times("t", t, ndim=0)
     require_integer("replicates", replicates, 1)
     _, states_at_t = _simulate_ensemble(model, start_state, replicates,
                                         master_seed, t=t, n_jobs=n_jobs)

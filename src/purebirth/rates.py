@@ -37,7 +37,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import (CapRequired, MissingParameter, OutOfRange,
-                     StateOutOfRange, is_integer)
+                     StateOutOfRange, is_integer, require_finite,
+                     require_integer)
 
 HYPERGEOMETRIC = "hypergeometric"
 YULE = "yule"
@@ -87,16 +88,18 @@ class RateModel:
         family = self.family
         if family == POWERLAW:
             _positive("c", self.coefficient, family)
-            _finite("exponent", self.exponent, family)
+            require_finite("exponent",
+                           _present("exponent", self.exponent, family))
             if self.state_cap is None:
                 # every power-law state space is unbounded; computation
                 # needs a cap
                 raise CapRequired("powerlaw models require a state cap "
                                   "(unbounded state space)")
-            _at_least_two("cap", self.state_cap)
+            require_integer("cap", self.state_cap, 2)
         elif family in (HYPERGEOMETRIC, YULE):
-            _at_least_two("N", _present("N", self.population, family))
-            p = _finite("p", self.transmission_prob, family)
+            require_integer("N", _present("N", self.population, family), 2)
+            p = require_finite("p",
+                               _present("p", self.transmission_prob, family))
             if not 0.0 < p <= 1.0:
                 raise OutOfRange(f"p must lie in (0, 1], got {p}")
             if family == HYPERGEOMETRIC:
@@ -232,23 +235,21 @@ def rate_vector(model: RateModel, start: int = 1) -> np.ndarray:
 
 
 def _float(spec, key):
-    """spec[key] as a float; None when absent."""
+    """spec[key] as a float, once float() takes it; None when absent."""
     value = spec.get(key)
-    return None if value is None else float(value)
+    try:
+        return None if value is None else float(value)
+    except (TypeError, ValueError):
+        raise OutOfRange(f"{key} must be a number, got {value!r}") from None
 
 
 def _int(spec, key):
-    """spec[key] as an int, once it is a finite integral value; None when
-    absent."""
-    value = spec.get(key)
-    if value is None:
-        return None
-    if not math.isfinite(float(value)):
-        raise OutOfRange(f"{key} must be finite, got {value}")
-    as_int = int(value)
-    if as_int != float(value):
-        raise OutOfRange(f"{key} must be an integer, got {value}")
-    return as_int
+    """spec[key] as an int when it is integral; otherwise as a float, for
+    RateModel to refuse; None when absent."""
+    if is_integer(spec.get(key)):
+        return int(spec[key])
+    value = _float(spec, key)
+    return int(value) if value is not None and value.is_integer() else value
 
 
 def _present(key, value, family):
@@ -257,25 +258,6 @@ def _present(key, value, family):
     return value
 
 
-def _finite(key, value, family):
-    """value, once it is a finite real number."""
-    _present(key, value, family)
-    try:
-        finite = not isinstance(value, bool) and math.isfinite(value)
-    except TypeError:
-        finite = False
-    if not finite:
-        raise OutOfRange(f"{key} must be a finite number, got {value!r}")
-    return value
-
-
 def _positive(key, value, family):
-    if not _finite(key, value, family) > 0.0:
+    if not require_finite(key, _present(key, value, family)) > 0.0:
         raise OutOfRange(f"{key} must be positive, got {value}")
-
-
-def _at_least_two(key, value):
-    if not is_integer(value):
-        raise OutOfRange(f"{key} must be an integer, got {value!r}")
-    if value < 2:
-        raise OutOfRange(f"{key} must be >= 2, got {value}")

@@ -415,6 +415,19 @@ class TestLawEvaluation:
         assert type(getattr(law, method)(1.5)) is np.float64
         assert type(getattr(law, method)(2)) is np.float64
 
+    @pytest.mark.parametrize("method", ["cdf", "pdf"])
+    def test_times_of_any_numeric_type_give_the_same_values(self, method):
+        # each is the float64 array np.asarray(t, dtype=float), as before
+        law = hitting_time_distribution(power_law(1.0, 2.0, 20))
+        evaluate = getattr(law, method)
+        t = np.array([0.0, 0.5, 1.25, 3.0])
+        expected = evaluate(t)
+        for same in ([0.0, 0.5, 1.25, 3.0], t.astype(np.float32),
+                     [0, np.float64(0.5), np.float32(1.25), np.int64(3)]):
+            assert_bitwise_equal(evaluate(same), expected)
+        for whole in (3, np.int64(3), np.int32(3), np.float64(3.0)):
+            assert_bitwise_equal(evaluate(whole), expected[-1])
+
     @pytest.mark.parametrize("shape", [(), (7,), (3, 4)])
     @pytest.mark.parametrize("method", ["cdf", "pdf"])
     def test_times_keep_their_shape(self, method, shape):
@@ -484,11 +497,17 @@ class TestPowerLawExpectedTime:
             powerlaw_expected_time(1.0, 2, 0)
 
     @pytest.mark.parametrize("exponent", [2, -2])
-    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf, "1", True])
     def test_rejects_non_finite_coefficient(self, c, exponent):
         # nan used to give a nan value, and inf with exponent -2 gave 0.0
         with pytest.raises(OutOfRange, match="finite"):
             powerlaw_expected_time(c, exponent, 10)
+
+    @pytest.mark.parametrize("c", [2, np.int64(2), np.float64(2.0),
+                                   np.float32(2.0)])
+    def test_coefficient_of_any_real_type_accepted(self, c):
+        assert powerlaw_expected_time(c, 2, 10).value == \
+            powerlaw_expected_time(2.0, 2, 10).value
 
     @pytest.mark.parametrize("n", [1, 2, 3, 10, 1000, 10 ** 5])
     @pytest.mark.parametrize("c", [1.0, 0.3])
@@ -510,7 +529,7 @@ class TestPowerLawExpectedTime:
 
 
 @pytest.mark.parametrize("t", [-1.0, math.nan, math.inf, [0.0, -1e-300],
-                               [1.0, math.nan]])
+                               [1.0, math.nan], "1", None, True, [1, "a"]])
 @pytest.mark.parametrize("method", ["cdf", "pdf"])
 def test_law_takes_only_finite_nonnegative_times(method, t):
     # cdf(-1.0) was -3.4e146 and pdf(-1.0) 1.2e149 here

@@ -59,7 +59,7 @@ class TestExpectTime:
                      "--mu", "1", "--p", "0.31"]) != 0
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "N must be >= 2" in captured.err
+        assert "N must be an integer >= 2" in captured.err
 
     def test_floats_round_trip_exactly(self, capsys):
         rows = run_csv(capsys, ["expect-time", "--family", "hypergeometric",
@@ -136,8 +136,9 @@ class TestForward:
     def test_non_finite_time_is_an_error(self, capsys, times):
         assert main(["forward", "--family", "hypergeometric", "--N", "5",
                      "--lambda", "1", "--p", "1"] + times) == 1
-        assert capsys.readouterr().err == \
-            "purebirth: error: times must be finite\n"
+        assert capsys.readouterr().err == (
+            "purebirth: error: times must be a 1-d sequence of finite "
+            f"numbers >= 0, got {times[1].split(',')[-1]}\n")
 
     def test_bad_time_names_the_flag_and_the_value(self, capsys):
         assert main(["forward", "--family", "hypergeometric", "--N", "5",

@@ -99,6 +99,40 @@ class TestForwardProbabilities:
             with pytest.raises(ValueError):
                 SolverConfig(abs_tol=tol)
 
+    @pytest.mark.parametrize("tol", ["a", None])
+    def test_abs_tol_must_be_a_number(self, tol):
+        # both raised a TypeError
+        with pytest.raises(OutOfRange, match="abs_tol must be a finite "):
+            SolverConfig(abs_tol=tol)
+
+    @pytest.mark.parametrize("tol", [1e-8, np.float64(1e-8), np.float32(0.5)])
+    def test_abs_tol_of_any_real_type_accepted(self, tol):
+        assert SolverConfig(abs_tol=tol).abs_tol == tol
+
+    @pytest.mark.parametrize("times", [5.0, np.array(5.0)])
+    def test_grid_takes_a_1d_sequence(self, times):
+        # a scalar raised "iteration over a 0-d array"
+        with pytest.raises(OutOfRange, match="1-d sequence"):
+            forward_grid(linear_model(10), 1, times)
+
+    @pytest.mark.parametrize("times", [
+        np.array([0.5, 2.0, 9.0]), [1, 2, 9], np.array([1, 2, 9]),
+        np.array([0.5, 2.0, 9.0], dtype=np.float32),
+        [np.float64(0.5), np.int64(2), np.float32(9.0)]],
+        ids=["float64", "int", "int64", "float32", "mixed"])
+    def test_times_of_any_numeric_type_give_the_same_values(self, times):
+        # each solves the float64 times np.asarray(times, dtype=float), as
+        # before, with Python float snapshot times
+        model = hypergeometric_mixing(12, 1.0, 0.5)
+        expected = np.asarray(times, dtype=float)
+        snaps = forward_grid(model, 1, times)
+        reference = forward_grid(model, 1, expected.tolist())
+        assert [s.time for s in snaps] == expected.tolist()
+        assert all(type(s.time) is float for s in snaps)
+        for snap, ref in zip(snaps, reference):
+            assert snap.probabilities.tobytes() == ref.probabilities.tobytes()
+            assert snap.mass_defect == ref.mass_defect
+
     @pytest.mark.parametrize("start", [0, 11])
     def test_bad_start_raises_without_times(self, start):
         with pytest.raises(StateOutOfRange, match=f"start_state {start} "):

@@ -154,11 +154,21 @@ class TestEmpiricalDistribution:
         tv = 0.5 * np.abs(hist.counts / reps - snap.probabilities).sum()
         assert tv <= 0.01
 
-    @pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -1.0, "1", None, True,
+                                   [1.0, 2.0]])
     def test_time_must_be_finite_and_nonnegative(self, t):
         with pytest.raises(OutOfRange):
             empirical_distribution_at(hypergeometric_mixing(4, 1, 1), 1, t,
                                       10, SEED)
+
+    @pytest.mark.parametrize("t", [2, np.int64(2), np.float64(2.0),
+                                   np.float32(2.0)])
+    def test_time_of_any_real_type_gives_the_same_counts(self, t):
+        model = hypergeometric_mixing(8, 1.0, 0.31)
+        hist = empirical_distribution_at(model, 1, t, 200, SEED)
+        ref = empirical_distribution_at(model, 1, 2.0, 200, SEED)
+        assert hist.time == 2.0
+        assert (hist.counts == ref.counts).all()
 
     def test_parallel_schedule_identical(self):
         model = hypergeometric_mixing(8, 1.0, 0.31)

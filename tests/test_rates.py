@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import purebirth
+from purebirth import errors
 from purebirth import (CapRequired, MissingParameter, OutOfRange,
                        RateModel, StateOutOfRange, build_rate_model,
                        empirical_distribution_at, estimate_absorption_time,
@@ -119,6 +120,19 @@ class TestBuildRateModel:
             assert build_rate_model({"family": name, **spec}).family == \
                 "hypergeometric"
 
+    @pytest.mark.parametrize("key, value", [("mu", "abc"), ("N", "ten"),
+                                            ("mu", [1])])
+    def test_non_numeric_value_names_its_key(self, key, value):
+        # "abc" and "ten" raised a bare ValueError, [1] a TypeError
+        spec = {"family": "yule", "N": 10, "mu": 1.0, "p": 0.3, key: value}
+        with pytest.raises(OutOfRange, match=f"^{key} must be a number, "):
+            build_rate_model(spec)
+
+    def test_numeric_strings_accepted(self):
+        # a spec is a text-facing record
+        spec = {"family": "yule", "N": "10", "mu": "1.0", "p": "0.3"}
+        assert build_rate_model(spec) == yule_scaled(10, 1.0, 0.3)
+
     def test_time_unit_carried(self):
         assert yule_scaled(5, 1.0, 0.5, "hours").time_unit == "hours"
 
@@ -157,6 +171,8 @@ class TestRateModelChecksItself:
         ("transmission_prob", 1.5, OutOfRange),
         ("transmission_prob", math.nan, OutOfRange),
         ("transmission_prob", True, OutOfRange),
+        ("transmission_prob", "0.3", OutOfRange),
+        ("per_capita_rate", [1], OutOfRange),
     ])
     def test_mixing_fields_checked(self, field, value, error):
         with pytest.raises(error):
@@ -183,6 +199,14 @@ class TestRateModelChecksItself:
         with pytest.raises(error):
             RateModel(**fields)
 
+    def test_numpy_numbers_accepted(self):
+        model = RateModel(family="yule", population=np.int64(10),
+                          per_capita_rate=np.float32(1.0),
+                          transmission_prob=np.float64(0.3))
+        assert model == RateModel(**YULE_FIELDS)
+        assert (rate_vector(model)
+                == rate_vector(RateModel(**YULE_FIELDS))).all()
+
     def test_replace_checks_again(self):
         model = yule_scaled(10, 1.0, 0.3)
         with pytest.raises(OutOfRange):
@@ -196,7 +220,9 @@ class TestRateModelChecksItself:
         (lambda: power_law(1, 2, 10.0),
          {"family": "powerlaw", "coefficient": 1.0, "exponent": 2.0,
           "state_cap": 10}),
-    ], ids=["yule", "hypergeometric", "powerlaw"])
+        (lambda: yule_scaled(np.int32(10), np.float32(1.0), np.float64(0.3)),
+         YULE_FIELDS),
+    ], ids=["yule", "hypergeometric", "powerlaw", "numpy-yule"])
     def test_direct_model_equals_the_built_one(self, build, fields):
         model = build()
         assert model == RateModel(**fields)
@@ -380,6 +406,30 @@ STATE_TAKERS = {
 def test_every_engine_takes_only_integer_states(engine, state):
     with pytest.raises(StateOutOfRange, match="not an integer"):
         STATE_TAKERS[engine](power_law(1.0, 2.0, 50), state)
+
+
+# every forward entry point gets its times through errors.require_times;
+# "2", True and np.True_ ran as t = 2.0 and 1.0, and [1.0, 2.0] let an
+# IndexError out of forward_grid
+TIME_TAKERS = {
+    "forward_grid": lambda m, t: forward_grid(m, 1, [t]),
+    "forward_probabilities": lambda m, t: forward_probabilities(m, 1, t),
+    "absorption_probability": lambda m, t: absorption_probability(m, 1, t),
+}
+
+
+@pytest.mark.parametrize("t", ["2", True, np.True_, None, [1.0, 2.0]])
+@pytest.mark.parametrize("engine", TIME_TAKERS)
+def test_every_forward_engine_takes_only_times(engine, t):
+    with pytest.raises(OutOfRange, match="^times must be a 1-d sequence of "
+                                         "finite numbers >= 0, got "):
+        TIME_TAKERS[engine](power_law(1.0, 2.0, 50), t)
+
+
+def test_a_float64_times_array_is_not_copied():
+    t = np.linspace(0.0, 1.0, 5)
+    assert errors.require_times("t", t) is t
+    assert errors.require_times("times", t, ndim=1) is t
 
 
 @pytest.mark.parametrize("n", [2.5, 3.0])

@@ -27,15 +27,10 @@ A claim holds when at least ten pairs ran, the change won at least 9 in 10
 of them and its median beats the parent's by more than the parent's
 interquartile range.
 
-Two more measurements run once per side, each in fresh processes:
-
-* ``main_call``: the time of one in-process ``purebirth.cli.main`` call on
-  a 1000-replicate simulate of a two-state model (yule N = 2), and of one
-  ``build_parser()``, as the best of repeated calls, in rounds that
-  alternate between the sides;
-* ``output_hashes``: the SHA-256 of every job's output for one seed, the
-  job's output files for a CLI job or its pickled return value for a
-  library job, and the jobs whose hashes differ between the sides.
+One more measurement runs once per side, in a fresh process:
+``output_hashes``, the SHA-256 of every job's output for one seed, the
+job's output files for a CLI job or its pickled return value for a library
+job, and the jobs whose hashes differ between the sides.
 
 The record is rewritten after every pair, so an interrupted series keeps
 the pairs it finished.
@@ -56,39 +51,6 @@ WORKLOADS = ("analytic_large_n", "forward_large_n", "mc_many_replicates",
 SIDES = ("parent", "change")
 # alternating pairs per workload: the fewest a claimed gain is judged on
 PAIRS = 10
-# fresh processes per side that time main_call, the first side alternating
-MAIN_ROUNDS = 3
-MAIN_ARGV = ["simulate", "--family", "yule", "--N", "2", "--mu", "1",
-             "--p", "1", "--replicates", "1000", "--seed", "1"]
-
-MAIN_CALL = r"""
-import io, json, sys, time
-sys.path.insert(0, "src")
-from purebirth import cli
-
-ARGV = sys.argv[1:]
-REPEATS, CALLS = 5, 200
-
-def best_per_call(fn):
-    best = float("inf")
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        for _ in range(CALLS):
-            fn()
-        best = min(best, (time.perf_counter() - start) / CALLS)
-    return best
-
-def call_main():
-    stdout, sys.stdout = sys.stdout, io.StringIO()
-    try:
-        assert cli.main(ARGV) == 0
-    finally:
-        sys.stdout = stdout
-
-call_main()
-print(json.dumps({"main_s": best_per_call(call_main),
-                  "build_parser_s": best_per_call(cli.build_parser)}))
-"""
 
 OUTPUT_HASHES = r"""
 import hashlib, json, pickle, sys, tempfile
@@ -241,20 +203,6 @@ def main(argv=None):
             json.dump(record, handle, indent=1)
             handle.write("\n")
 
-    # one fresh process per side and round, the first side alternating
-    rounds = {side: [] for side in SIDES}
-    for r in range(MAIN_ROUNDS):
-        for side in (SIDES if r % 2 == 0 else SIDES[::-1]):
-            rounds[side].append(python_json(checkouts[side],
-                                            ["-c", MAIN_CALL] + MAIN_ARGV))
-    record["main_call"] = {
-        "argv": " ".join(MAIN_ARGV),
-        "method": "best of 5 x 200 calls per fresh process, stdout to a "
-                  "StringIO; one process per side and round",
-        **{side: {"main_s": min(r["main_s"] for r in rounds[side]),
-                  "build_parser_s": min(r["build_parser_s"]
-                                        for r in rounds[side]),
-                  "rounds": rounds[side]} for side in SIDES}}
     hashes = {side: python_json(checkouts[side],
                                 ["-c", OUTPUT_HASHES, str(args.first_seed)])
               for side in SIDES}
