@@ -26,8 +26,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (OutOfRange, StateOutOfRange, ToleranceNotMet,
-                     require_finite, require_integer, require_times)
+from .errors import (OutOfRange, ToleranceNotMet, require_finite,
+                     require_integer, require_times)
 from .rates import YULE, RateModel, power_law, rate_vector
 
 # Euler-Mascheroni constant, for the refined ln(N) + gamma diagnostic.
@@ -63,9 +63,10 @@ def expected_absorption_time(model: RateModel,
     For yule models the ln(N)/(p mu) approximation and its Euler-Mascheroni
     refinement are reported alongside.  The variance is None when it
     overflows a float, as it can for a valid model whose smallest rate is
-    below about 1e-154: E(T) is still finite and reported.
+    below about 1e-154: E(T) is still finite and reported.  From the
+    absorbing state both are 0.
     """
-    rates = _transient_rates(model, start_state)
+    rates = rate_vector(model, start_state)
     exact = float(np.sum(1.0 / rates))
     # the square of a tiny rate can underflow to 0, or its reciprocal
     # overflow: Var(T) is then inf, reported as None
@@ -86,14 +87,6 @@ def expected_absorption_time(model: RateModel,
                                 time_unit=model.time_unit,
                                 approx_mean=approx,
                                 approx_mean_refined=refined)
-
-
-def _transient_rates(model, start_state):
-    rates = rate_vector(model, start_state)
-    if rates.size == 0:
-        raise StateOutOfRange(
-            f"start_state {start_state} is not transient for this model")
-    return rates
 
 
 @dataclass(frozen=True)
@@ -140,7 +133,8 @@ class HittingTimeDistribution:
 
 def hitting_time_distribution(model: RateModel,
                               start_state: int = 1) -> HittingTimeDistribution:
-    """Closed-form law of the absorption time from start_state.
+    """Closed-form law of the absorption time from start_state.  From the
+    absorbing state T = 0: the cdf is 1 and the pdf 0 at every time.
 
     The one refusal is by conditioning: ToleranceNotMet when the
     alternating sum over the coefficients could lose more than
@@ -151,7 +145,7 @@ def hitting_time_distribution(model: RateModel,
     Callers should then use the forward solver, e.g. absorption_probability
     for the cdf.
     """
-    rates = _transient_rates(model, start_state)
+    rates = rate_vector(model, start_state)
     return HittingTimeDistribution(rates=rates,
                                    coefficients=_partial_fractions(rates))
 
@@ -170,7 +164,8 @@ def _partial_fractions(rates):
     refused law costs one block.
     """
     m = rates.size
-    cols = min(m, max(1, _BLOCK_ENTRIES // m))
+    # m = 0, from the absorbing state, runs no block and gives no C_k
+    cols = max(1, min(m, _BLOCK_ENTRIES // max(m, 1)))
     buf = np.empty((m, cols))
     # entry (lo + i, i) of the buffer is the diagonal j = k of column i
     flat = buf.reshape(-1)

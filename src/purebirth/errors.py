@@ -1,9 +1,10 @@
 """Exception types shared across the package, and its input rules:
 is_integer and require_integer for every state, index, count and seed (a
 Python or numpy integer), require_finite for every real parameter (a finite
-Python or numpy real number), and require_times for times (finite real
-numbers >= 0, taken as one float array; a str, bool, None or object value
-is refused).  A bool is never a number: it is a flag passed by mistake.
+Python or numpy real number; an int too large for a float is not), and
+require_times for times (finite real numbers >= 0, taken as one float
+array; a str, bool, None, object or ragged value is refused).  A bool is
+never a number: it is a flag passed by mistake.
 Each rule raises OutOfRange, never a TypeError, on a value it refuses."""
 
 import math
@@ -60,8 +61,12 @@ def require_integer(name, value, lo):
 def require_finite(name, value):
     """value, once it is a finite number; OutOfRange otherwise."""
     # a plain float first, as in is_integer
-    if not ((type(value) is float or isinstance(value, numbers.Real)
-             and not isinstance(value, bool)) and math.isfinite(value)):
+    try:
+        finite = ((type(value) is float or isinstance(value, numbers.Real)
+                   and not isinstance(value, bool)) and math.isfinite(value))
+    except OverflowError:  # an int too large for a float
+        finite = False
+    if not finite:
         raise OutOfRange(f"{name} must be a finite number, got {value!r}")
     return value
 
@@ -74,7 +79,10 @@ _SHAPES = {None: "finite and >= 0", 0: "a finite number >= 0",
 def require_times(name, value, ndim=None):
     """value as a float array (a float64 array itself, not a copy) once it
     holds times, in ndim dimensions when ndim is given; else OutOfRange."""
-    t = np.asarray(value)
+    try:
+        t = np.asarray(value)
+    except ValueError:  # a ragged sequence, refused below as an object
+        t = np.asarray(None)
     if t.dtype.kind in "iuf" and ndim in (None, t.ndim):
         t = t.astype(float, copy=False)
         bad = ~(np.isfinite(t) & (t >= 0))

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutOfRange, WrongFamily, require_integer, require_times
+from .errors import WrongFamily, require_integer, require_times
 from .rates import POWERLAW, RateModel, rate_vector
 
 QUANTILE_LEVELS = (0.05, 0.25, 0.50, 0.75, 0.95)
@@ -124,6 +124,7 @@ def event_time_blocks(model: RateModel, start_state: int, replicates: int,
     """Yield (first replicate, times) block by block; row r of ``times``
     holds the times at which replicate first + r enters each state from
     start_state (0) on.  A block takes 8 KB per transient state."""
+    require_integer("replicates", replicates, 1)
     lam = rate_vector(model, start_state)
     for first in range(0, replicates, BLOCK):
         stream = replicate_stream(master_seed, first // BLOCK)
@@ -243,8 +244,6 @@ def explosion_study(model: RateModel, start_state: int, replicates: int,
                           "with exponent +2")
     cap = model.state_cap
     lam = rate_vector(model, start_state)
-    if lam.size == 0:
-        raise OutOfRange(f"cap {cap} must exceed start_state {start_state}")
     summary = estimate_absorption_time(model, start_state, replicates,
                                        master_seed, n_jobs=n_jobs)
     c = model.coefficient

@@ -44,18 +44,6 @@ HYPERGEOMETRIC = "hypergeometric"
 YULE = "yule"
 POWERLAW = "powerlaw"
 
-_FAMILY_ALIASES = {
-    "hypergeometric": HYPERGEOMETRIC,
-    "hypergeometricmixing": HYPERGEOMETRIC,
-    "mixing": HYPERGEOMETRIC,
-    "yule": YULE,
-    "yulescaled": YULE,
-    "powerlaw": POWERLAW,
-    "power_law": POWERLAW,
-    "power-law": POWERLAW,
-}
-
-
 @dataclass(frozen=True)
 class RateModel:
     """An immutable family of per-state birth rates, checked when built.
@@ -63,10 +51,10 @@ class RateModel:
     Every model, whether built here, by :func:`build_rate_model` or by the
     family-specific constructors, passes the same checks, and raises:
 
-    * OutOfRange: an unknown family name (the canonical names only; the
-      aliases are read by build_rate_model), a non-finite or nonpositive
-      rate parameter, p outside (0, 1], N or the cap not an integer >= 2,
-      a non-finite exponent, or rates that break the rule of the module
+    * OutOfRange: a family name other than hypergeometric, yule and
+      powerlaw, a non-finite or nonpositive rate parameter, p outside
+      (0, 1], N or the cap not an integer >= 2 that a float can hold, a
+      non-finite exponent, or rates that break the rule of the module
       docstring;
     * MissingParameter: a parameter required by the family is None;
     * CapRequired: a powerlaw model without a state cap.
@@ -96,8 +84,10 @@ class RateModel:
                 raise CapRequired("powerlaw models require a state cap "
                                   "(unbounded state space)")
             require_integer("cap", self.state_cap, 2)
+            require_finite("cap", self.state_cap)
         elif family in (HYPERGEOMETRIC, YULE):
             require_integer("N", _present("N", self.population, family), 2)
+            require_finite("N", self.population)
             p = require_finite("p",
                                _present("p", self.transmission_prob, family))
             if not 0.0 < p <= 1.0:
@@ -123,13 +113,6 @@ class RateModel:
         if self.family == YULE:
             return self.population * self.per_capita_rate
         return self.contact_rate
-
-
-def normalize_family(name: str) -> str:
-    key = str(name).strip().lower()
-    if key not in _FAMILY_ALIASES:
-        raise OutOfRange(f"unknown rate family: {name!r}")
-    return _FAMILY_ALIASES[key]
 
 
 def hypergeometric_mixing(population, contact_rate, transmission_prob,
@@ -170,10 +153,12 @@ def power_law(coefficient, exponent, state_cap=None, time_unit="time"):
 def build_rate_model(spec: dict) -> RateModel:
     """Translate a flat parameter record into a checked model.
 
-    Recognized keys: ``family`` (or one of its aliases), ``N``, ``lambda``,
-    ``mu``, ``p``, ``c``, ``exponent``, ``cap``, ``time_unit``; keys that
-    the family does not use are ignored.  N and cap are taken as integers,
-    the others as floats, and the model then checks itself (RateModel).
+    Recognized keys: ``family`` (passed to RateModel as it is), ``N``,
+    ``lambda``, ``mu``, ``p``, ``c``, ``exponent``, ``cap``,
+    ``time_unit``; keys that the family does not use are ignored.  N and
+    cap are taken as integers, the others as floats (a numeric string
+    too, but never a bool), and the model then checks itself
+    (RateModel).
 
     Raises:
         MissingParameter: no family, or a key required by the family is
@@ -184,7 +169,7 @@ def build_rate_model(spec: dict) -> RateModel:
     """
     if spec.get("family") is None:
         raise MissingParameter("family is required")
-    family = normalize_family(spec["family"])
+    family = spec["family"]
     time_unit = spec.get("time_unit") or "time"
     if family == POWERLAW:
         return RateModel(family=POWERLAW, coefficient=_float(spec, "c"),
@@ -235,12 +220,17 @@ def rate_vector(model: RateModel, start: int = 1) -> np.ndarray:
 
 
 def _float(spec, key):
-    """spec[key] as a float, once float() takes it; None when absent."""
+    """spec[key] as a float, once float() takes it and it is not a bool;
+    None when absent."""
     value = spec.get(key)
+    if value is None:
+        return None
     try:
-        return None if value is None else float(value)
-    except (TypeError, ValueError):
-        raise OutOfRange(f"{key} must be a number, got {value!r}") from None
+        if not isinstance(value, (bool, np.bool_)):
+            return float(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise OutOfRange(f"{key} must be a number, got {value!r}")
 
 
 def _int(spec, key):

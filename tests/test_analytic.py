@@ -82,11 +82,14 @@ class TestExpectedAbsorptionTime:
         head = sum(1.0 / rate_at(model, k) for k in (1, 2))
         assert tail == pytest.approx(full - head, rel=1e-12)
 
-    def test_start_state_must_be_transient(self):
+    def test_start_state_must_be_in_the_chain(self):
         model = hypergeometric_mixing(5, 1.0, 1.0)
-        for start in (0, 5, 6):
+        for start in (0, 6):
             with pytest.raises(StateOutOfRange):
                 expected_absorption_time(model, start)
+        # from the absorbing state T = 0 (this start was refused)
+        report = expected_absorption_time(model, 5)
+        assert (report.exact_mean, report.variance) == (0.0, 0.0)
 
     def test_sanity_envelope_for_large_populations(self):
         for n in (100, 1000, 10000):
@@ -334,8 +337,16 @@ class TestHittingTimeDistribution:
         assert dist.cdf(1e3) == pytest.approx(1.0, abs=1e-10)
 
     def test_start_state_validation(self):
-        with pytest.raises(StateOutOfRange):
-            hitting_time_distribution(power_law(1.0, 1.0, 5), start_state=5)
+        model = power_law(1.0, 1.0, 5)
+        for start in (0, 6):
+            with pytest.raises(StateOutOfRange):
+                hitting_time_distribution(model, start_state=start)
+        # from the absorbing state (refused before) T = 0: a point mass
+        law = hitting_time_distribution(model, start_state=5)
+        assert law.cdf(0.0) == 1.0 and law.pdf(0.0) == 0.0
+        assert law.cdf([0.5, 1e3]).tolist() == [1.0, 1.0]
+        assert law.pdf([[0.5], [1e3]]).tolist() == [[0.0], [0.0]]
+        assert law.mean() == law.implied_mean() == 0.0
 
 
 class TestLawConditioning:
@@ -529,10 +540,12 @@ class TestPowerLawExpectedTime:
 
 
 @pytest.mark.parametrize("t", [-1.0, math.nan, math.inf, [0.0, -1e-300],
-                               [1.0, math.nan], "1", None, True, [1, "a"]])
+                               [1.0, math.nan], "1", None, True, [1, "a"],
+                               [[1.0], [1.0, 2.0]]])
 @pytest.mark.parametrize("method", ["cdf", "pdf"])
 def test_law_takes_only_finite_nonnegative_times(method, t):
-    # cdf(-1.0) was -3.4e146 and pdf(-1.0) 1.2e149 here
+    # cdf(-1.0) was -3.4e146 and pdf(-1.0) 1.2e149 here; the ragged
+    # [[1.0], [1.0, 2.0]] let numpy's bare ValueError out
     law = hitting_time_distribution(power_law(1.0, 2.0, 20))
     with pytest.raises(OutOfRange, match="t must be finite and >= 0"):
         getattr(law, method)(t)

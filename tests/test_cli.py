@@ -3,6 +3,8 @@ import io
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import threading
@@ -726,3 +728,28 @@ class TestOneShotProcess:
         assert done.returncode == 2
         assert done.stdout == b""
         assert b"unrecognized arguments: --no-such-flag" in done.stderr
+
+
+def _readme_commands():
+    """Each ``purebirth ...`` line of README's sh blocks, as an argv."""
+    text = (ROOT / "README.md").read_text()
+    return [shlex.split(line, comments=True)[1:]
+            for block in re.findall(r"```sh\n(.*?)```", text, re.S)
+            for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("purebirth ")]
+
+
+README_COMMANDS = _readme_commands()
+
+
+def test_readme_shows_every_subcommand():
+    assert {argv[0] for argv in README_COMMANDS} == {
+        "expect-time", "forward", "simulate", "sweep", "explosion"}
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS,
+                         ids=[argv[0] for argv in README_COMMANDS])
+def test_readme_command_runs(argv, tmp_path, monkeypatch, capsys):
+    # so README's CLI examples cannot drift from the flags
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0, capsys.readouterr().err

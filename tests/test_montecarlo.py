@@ -296,6 +296,15 @@ class TestCounts:
                            match="replicates must be an integer >= "):
             self.SAMPLERS[sampler](power_law(1.0, 2.0, 20), replicates, 1)
 
+    # 2.5 raised a bare TypeError, True dumped one replicate and -5 none
+    @pytest.mark.parametrize("replicates", [2.5, True, -5])
+    def test_event_time_blocks_takes_only_a_replicate_count(self, replicates):
+        blocks = event_time_blocks(power_law(1.0, 2.0, 20), 1, replicates,
+                                   SEED)
+        with pytest.raises(OutOfRange,
+                           match="^replicates must be an integer >= 1, "):
+            list(blocks)
+
     # 1.5 used to run on one thread
     @pytest.mark.parametrize("n_jobs", [1.5, 2.0, np.float64(1), "2", None,
                                         True, 0])
@@ -341,8 +350,10 @@ class TestExplosionStudy:
             explosion_study(power_law(1.0, -2.0, 100), 1, 10, SEED)
         with pytest.raises(WrongFamily):
             explosion_study(hypergeometric_mixing(5, 1, 1), 1, 10, SEED)
-        with pytest.raises(OutOfRange):
-            explosion_study(power_law(1.0, 2.0, 5), 5, 10, SEED)
+        # from the cap itself (refused before) the time to hit it is 0
+        report = explosion_study(power_law(1.0, 2.0, 5), 5, 10, SEED)
+        assert report.summary.mean == report.analytic_mean == 0.0
+        assert set(report.summary.quantiles.values()) == {0.0}
 
 
 @pytest.mark.parametrize("n,p,lam", [(2, 1.0, 0.5), (3, 0.31, 1.0),

@@ -7,7 +7,8 @@ import pytest
 import purebirth
 from purebirth import errors
 from purebirth import (CapRequired, MissingParameter, OutOfRange,
-                       RateModel, StateOutOfRange, build_rate_model,
+                       RateModel, SolverConfig, StateOutOfRange,
+                       build_rate_model,
                        empirical_distribution_at, estimate_absorption_time,
                        expected_absorption_time, explosion_study,
                        absorption_probability, forward_grid,
@@ -15,6 +16,7 @@ from purebirth import (CapRequired, MissingParameter, OutOfRange,
                        hypergeometric_mixing, power_law,
                        powerlaw_expected_time, rate_vector, simulate_path,
                        yule_scaled)
+from purebirth.montecarlo import event_time_blocks
 from scalar_oracles import rate_list
 
 
@@ -115,15 +117,22 @@ class TestBuildRateModel:
             build_rate_model({"family": "logistic"})
 
     def test_family_aliases(self):
+        # the names RateModel takes, passed as they are: these aliases and
+        # case-foldings were taken as "hypergeometric"
         spec = {"N": 4, "lambda": 1.0, "p": 1.0}
-        for name in ("HypergeometricMixing", "hypergeometric", "MIXING"):
-            assert build_rate_model({"family": name, **spec}).family == \
-                "hypergeometric"
+        assert build_rate_model({"family": "hypergeometric", **spec}) == \
+            hypergeometric_mixing(4, 1.0, 1.0)
+        for name in ("HypergeometricMixing", "MIXING", " hypergeometric"):
+            with pytest.raises(OutOfRange, match="^unknown rate family: "
+                                                 f"{name!r}$"):
+                build_rate_model({"family": name, **spec})
 
     @pytest.mark.parametrize("key, value", [("mu", "abc"), ("N", "ten"),
-                                            ("mu", [1])])
+                                            ("mu", [1]), ("mu", True),
+                                            ("N", True), ("p", np.True_)])
     def test_non_numeric_value_names_its_key(self, key, value):
-        # "abc" and "ten" raised a bare ValueError, [1] a TypeError
+        # "abc" and "ten" raised a bare ValueError, [1] a TypeError; the
+        # bools were taken as 1.0 (N = True was reported as "got 1")
         spec = {"family": "yule", "N": 10, "mu": 1.0, "p": 0.3, key: value}
         with pytest.raises(OutOfRange, match=f"^{key} must be a number, "):
             build_rate_model(spec)
@@ -408,9 +417,112 @@ def test_every_engine_takes_only_integer_states(engine, state):
         STATE_TAKERS[engine](power_law(1.0, 2.0, 50), state)
 
 
+def _snapshot(snap):
+    return snap.states.tolist(), snap.probabilities.tolist()
+
+
+def _law(law):
+    return law.cdf([0.0, 1.0]).tolist(), law.pdf([0.0, 1.0]).tolist()
+
+
+def _histogram(hist):
+    return hist.states.tolist(), hist.counts.tolist()
+
+
+def _summary(summary):
+    return summary.mean, summary.std_error, set(summary.quantiles.values())
+
+
+# from the absorbing state T = 0 in every engine; three of them refused
+# it.  Each entry is (what the engine reports from the state cap 50 of
+# power_law(1, 2, 50), what that must be).
+FROM_ABSORBING = {
+    "rate_vector": (lambda m, k: rate_vector(m, k).tolist(), []),
+    "expected_absorption_time": (
+        lambda m, k: dataclasses.astuple(expected_absorption_time(m, k))[:2],
+        (0.0, 0.0)),
+    "hitting_time_distribution": (
+        lambda m, k: _law(hitting_time_distribution(m, k)),
+        ([1.0, 1.0], [0.0, 0.0])),
+    "forward_probabilities": (
+        lambda m, k: _snapshot(forward_probabilities(m, k, 1.0)),
+        ([50], [1.0])),
+    "absorption_probability": (
+        lambda m, k: absorption_probability(m, k, 1.0), 1.0),
+    "forward_grid": (
+        lambda m, k: [_snapshot(s) for s in forward_grid(m, k, [0.0, 1.0])],
+        [([50], [1.0])] * 2),
+    "estimate_absorption_time": (
+        lambda m, k: _summary(estimate_absorption_time(m, k, 10, 1)),
+        (0.0, 0.0, {0.0})),
+    "empirical_distribution_at": (
+        lambda m, k: _histogram(empirical_distribution_at(m, k, 1.0, 10, 1)),
+        ([50], [10])),
+    "explosion_study": (
+        lambda m, k: _summary(explosion_study(m, k, 10, 1).summary),
+        (0.0, 0.0, {0.0})),
+    "explosion_study_analytic_mean": (
+        lambda m, k: explosion_study(m, k, 10, 1).analytic_mean, 0.0),
+    "simulate_path": (
+        lambda m, k: dataclasses.astuple(simulate_path(m, k, 1)),
+        ([(0.0, 50)], 0.0)),
+    "event_time_blocks": (
+        lambda m, k: [(first, times.tolist())
+                      for first, times in event_time_blocks(m, k, 3, 1)],
+        [(0, [[0.0]] * 3)]),
+}
+
+
+@pytest.mark.parametrize("engine", FROM_ABSORBING)
+def test_every_engine_gives_t_zero_from_the_absorbing_state(engine):
+    report, expected = FROM_ABSORBING[engine]
+    assert report(power_law(1.0, 2.0, 50), 50) == expected
+
+
+@pytest.mark.parametrize("name", ["Yule", "mixing", "power-law"])
+def test_build_rate_model_and_rate_model_refuse_the_same_names(name):
+    # build_rate_model took these as yule, hypergeometric and powerlaw
+    message = f"^unknown rate family: {name!r}$"
+    with pytest.raises(OutOfRange, match=message):
+        build_rate_model({"family": name, "N": 10, "mu": 1.0, "p": 0.3,
+                          "lambda": 1.0, "c": 1.0, "exponent": 2.0,
+                          "cap": 10})
+    with pytest.raises(OutOfRange, match=message):
+        RateModel(**{**YULE_FIELDS, "family": name})
+
+
+YULE_SPEC = {"family": "yule", "N": 10, "mu": 1.0, "p": 0.3}
+
+
+@pytest.mark.parametrize("key, build", [
+    ("mu", lambda: RateModel(**{**YULE_FIELDS, "per_capita_rate": 10 ** 400})),
+    ("mu", lambda: build_rate_model({**YULE_SPEC, "mu": 10 ** 400})),
+    ("N", lambda: build_rate_model({**YULE_SPEC, "N": 10 ** 400})),
+    ("cap", lambda: power_law(1.0, 2.0, 10 ** 400)),
+    ("c", lambda: powerlaw_expected_time(10 ** 400, 2, 5)),
+    ("abs_tol", lambda: SolverConfig(10 ** 400)),
+], ids=["RateModel-mu", "build-mu", "build-N", "power_law-cap",
+        "powerlaw_expected_time-c", "SolverConfig-abs_tol"])
+def test_an_int_too_large_for_a_float_names_its_parameter(key, build):
+    # each let OverflowError out: "int too large to convert to float"
+    with pytest.raises(OutOfRange, match=f"^{key} must be a "):
+        build()
+
+
+@pytest.mark.parametrize("key, build", [
+    ("mu", lambda: yule_scaled(10, True, 0.3)),
+    ("exponent", lambda: power_law(1, np.True_, 5)),
+], ids=["yule_scaled-mu", "power_law-exponent"])
+def test_family_constructors_take_no_bool(key, build):
+    # mu and the exponent were taken as 1.0
+    with pytest.raises(OutOfRange, match=f"^{key} must be a number, got "):
+        build()
+
+
 # every forward entry point gets its times through errors.require_times;
-# "2", True and np.True_ ran as t = 2.0 and 1.0, and [1.0, 2.0] let an
-# IndexError out of forward_grid
+# "2", True and np.True_ ran as t = 2.0 and 1.0, [1.0, 2.0] let an
+# IndexError out of forward_grid and the ragged [[1.0], [1.0, 2.0]] a bare
+# ValueError out of np.asarray
 TIME_TAKERS = {
     "forward_grid": lambda m, t: forward_grid(m, 1, [t]),
     "forward_probabilities": lambda m, t: forward_probabilities(m, 1, t),
@@ -418,7 +530,8 @@ TIME_TAKERS = {
 }
 
 
-@pytest.mark.parametrize("t", ["2", True, np.True_, None, [1.0, 2.0]])
+@pytest.mark.parametrize("t", ["2", True, np.True_, None, [1.0, 2.0],
+                               [[1.0], [1.0, 2.0]]])
 @pytest.mark.parametrize("engine", TIME_TAKERS)
 def test_every_forward_engine_takes_only_times(engine, t):
     with pytest.raises(OutOfRange, match="^times must be a 1-d sequence of "
