@@ -175,6 +175,8 @@ def build_rate_model(spec: dict) -> RateModel:
         return RateModel(family=POWERLAW, coefficient=_float(spec, "c"),
                          exponent=_float(spec, "exponent"),
                          state_cap=_int(spec, "cap"), time_unit=time_unit)
+    if family not in (HYPERGEOMETRIC, YULE):
+        return RateModel(family=family)  # refuses the name, before a value
     lam = _float(spec, "lambda") if family == HYPERGEOMETRIC else None
     mu = _float(spec, "mu") if family == YULE else None
     return RateModel(family=family, population=_int(spec, "N"),

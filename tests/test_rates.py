@@ -115,6 +115,9 @@ class TestBuildRateModel:
     def test_unknown_family(self):
         with pytest.raises(OutOfRange):
             build_rate_model({"family": "logistic"})
+        # the name is refused before any value is read
+        with pytest.raises(OutOfRange, match="^unknown rate family: "):
+            build_rate_model({"family": "logistic", "N": "ten", "p": True})
 
     def test_family_aliases(self):
         # the names RateModel takes, passed as they are: these aliases and
