@@ -58,6 +58,13 @@ def require_integer(name, value, lo):
         raise OutOfRange(f"{name} must be an integer >= {lo}, got {value!r}")
 
 
+def too_large_for_a_float(name):
+    """The refusal of a number that a float cannot hold, such as an int of
+    400 digits, which it does not print."""
+    return OutOfRange(
+        f"{name} must be a finite number, got one too large for a float")
+
+
 def require_finite(name, value):
     """value, once it is a finite number; OutOfRange otherwise."""
     # a plain float first, as in is_integer
@@ -65,7 +72,7 @@ def require_finite(name, value):
         finite = ((type(value) is float or isinstance(value, numbers.Real)
                    and not isinstance(value, bool)) and math.isfinite(value))
     except OverflowError:  # an int too large for a float
-        finite = False
+        raise too_large_for_a_float(name) from None
     if not finite:
         raise OutOfRange(f"{name} must be a finite number, got {value!r}")
     return value

@@ -121,17 +121,22 @@ def _running_sum(strip: np.ndarray) -> np.ndarray:
 
 def event_time_blocks(model: RateModel, start_state: int, replicates: int,
                       master_seed: int):
-    """Yield (first replicate, times) block by block; row r of ``times``
-    holds the times at which replicate first + r enters each state from
-    start_state (0) on.  A block takes 8 KB per transient state."""
+    """An iterator of (first replicate, times), block by block; row r of
+    ``times`` holds the times at which replicate first + r enters each
+    state from start_state (0) on.  A block takes 8 KB per transient state.
+    The start state, replicate count and seed are checked at the call."""
     require_integer("replicates", replicates, 1)
+    require_integer("master_seed", master_seed, 0)
     lam = rate_vector(model, start_state)
-    for first in range(0, replicates, BLOCK):
-        stream = replicate_stream(master_seed, first // BLOCK)
-        times = np.vstack([np.zeros((1, BLOCK)),
-                           *(_running_sum(strip)
-                             for strip, _ in _strips(stream, lam))])
-        yield first, times[:, :replicates - first].T
+
+    def blocks():
+        for first in range(0, replicates, BLOCK):
+            stream = replicate_stream(master_seed, first // BLOCK)
+            times = np.vstack([np.zeros((1, BLOCK)),
+                               *(_running_sum(strip)
+                                 for strip, _ in _strips(stream, lam))])
+            yield first, times[:, :replicates - first].T
+    return blocks()
 
 
 def simulate_path(model: RateModel, start_state: int, master_seed: int,

@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import (CapRequired, MissingParameter, OutOfRange,
                      StateOutOfRange, is_integer, require_finite,
-                     require_integer)
+                     require_integer, too_large_for_a_float)
 
 HYPERGEOMETRIC = "hypergeometric"
 YULE = "yule"
@@ -230,7 +230,9 @@ def _float(spec, key):
     try:
         if not isinstance(value, (bool, np.bool_)):
             return float(value)
-    except (TypeError, ValueError, OverflowError):
+    except OverflowError:  # an int too large for a float
+        raise too_large_for_a_float(key) from None
+    except (TypeError, ValueError):
         pass
     raise OutOfRange(f"{key} must be a number, got {value!r}")
 

@@ -15,7 +15,8 @@ from purebirth import (OutOfRange, StateOutOfRange,
                        hitting_time_distribution, hypergeometric_mixing,
                        power_law, powerlaw_expected_time, rate_vector,
                        yule_scaled)
-from purebirth.analytic import EULER_GAMMA, LAW_ROUNDOFF_TOL
+from purebirth.analytic import (EULER_GAMMA, LAW_ROUNDOFF_TOL,
+                                 _partial_fractions)
 from scalar_oracles import harmonic, rate_at, rate_list
 
 # frozen from the direct-summation oracle (1999/620) * H_1999
@@ -240,6 +241,13 @@ class TestHittingTimeDistribution:
         with pytest.raises(ToleranceNotMet):
             hitting_time_distribution(hypergeometric_mixing(4, 1.0, 1.0))
 
+    @pytest.mark.parametrize("rates", [[3.0, 1.0, 2.0, 1.0], [5.0, 5.0]])
+    def test_repeated_rates_are_refused_before_the_product(self, rates):
+        # a tie was refused by kappa = inf or nan, after one block
+        with pytest.raises(ToleranceNotMet,
+                           match="repeat; use absorption_probability "):
+            _partial_fractions(np.array(rates))
+
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(n=st.integers(3, 400), data=st.data())
     def test_mixing_rates_repeat_below_the_midpoint(self, n, data):
@@ -278,10 +286,11 @@ class TestHittingTimeDistribution:
 
     @pytest.mark.parametrize("start", [1, 20_000])
     def test_refusal_costs_one_block(self, start):
-        # the whole O(m^2) product took 1.4 s from the midpoint
+        # the whole O(m^2) product took 1.4 s from the midpoint; from start
+        # 1 the rates repeat, and from 20 000 the first block overflows
         model = hypergeometric_mixing(40_000, 1.0, 0.31)
         began = time.perf_counter()
-        with pytest.raises(ToleranceNotMet):
+        with pytest.raises(ToleranceNotMet, match="absorption_probability"):
             hitting_time_distribution(model, start)
         assert time.perf_counter() - began < 0.1
 
@@ -293,14 +302,35 @@ class TestHittingTimeDistribution:
         (power_law(1.0, 2.0, 2000), 1),
     ])
     def test_coefficients_match_elementwise_oracle(self, model, start):
-        # 2000 states span several row blocks of the product
+        # 2000 states span several bands and blocks of the product, and
+        # 1561 of its coefficients are +0 or -0
         dist = hitting_time_distribution(model, start)
-        rates = rate_vector(model, start)
-        oracle = np.empty(rates.size)
-        for k in range(rates.size):
-            others = np.delete(rates, k)
-            oracle[k] = np.prod(others / (others - rates[k]))
-        np.testing.assert_array_equal(dist.coefficients, oracle)
+        oracle = elementwise_oracle(rate_vector(model, start))
+        assert_bitwise_equal(dist.coefficients, oracle)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(m=st.integers(200, 1100), power=st.floats(2.0, 6.0),
+           order=st.sampled_from(["increasing", "decreasing", "shuffled"]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_coefficients_match_the_oracle_to_the_bit(self, m, power, order,
+                                                      seed):
+        # rates k^power past m = 256 cross band and block edges, and from
+        # m of about 300 whole blocks underflow to 0 and stop early, with
+        # an odd or even number of sign flips left in decreasing order
+        rates = np.arange(1.0, m + 1.0) ** power
+        if order == "decreasing":
+            rates = rates[::-1].copy()
+        elif order == "shuffled":
+            rates = np.random.default_rng(seed).permutation(rates)
+        with np.errstate(over="ignore", invalid="ignore"):
+            oracle = elementwise_oracle(rates)
+        kappa = float(np.sum(np.abs(oracle)))
+        if kappa * 2.0 ** -52 <= LAW_ROUNDOFF_TOL:
+            assert_bitwise_equal(_partial_fractions(rates), oracle)
+        else:
+            # decreasing rates past m of about 1000 overflow in this order
+            with pytest.raises(ToleranceNotMet):
+                _partial_fractions(rates)
 
     def test_mixing_model_distinct_past_midpoint(self):
         # k(N-k) is strictly decreasing above N/2, so these rates are distinct
@@ -384,6 +414,15 @@ class TestLawConditioning:
                 (1.0 - math.exp(-t)) ** 119, abs=1e-10)
 
 
+def elementwise_oracle(rates):
+    """Each C_k by its own np.prod, in ascending j order."""
+    oracle = np.empty(rates.size)
+    for k in range(rates.size):
+        others = np.delete(rates, k)
+        oracle[k] = np.prod(others / (others - rates[k]))
+    return oracle
+
+
 def reference_cdf(law, t):
     # the law's cdf written out as one expression, temporaries and all
     t = np.asarray(t, dtype=float)
@@ -420,6 +459,22 @@ class TestLawEvaluation:
             assert_bitwise_equal(law.cdf(scalar), reference_cdf(law, scalar))
             assert_bitwise_equal(law.pdf(scalar), reference_pdf(law, scalar))
 
+    @pytest.mark.parametrize("model", [power_law(1.0, 2.0, 2000),
+                                       power_law(1.0, 1.0, 8)],
+                             ids=["bench-law", "small"])
+    def test_bitwise_equal_where_exp_underflows(self, model):
+        # exp is subnormal from about -708 down and 0 from about -745.13;
+        # the rate 1 of the small law puts -t itself on the exp axis
+        law = hitting_time_distribution(model)
+        edges = np.array([708.0, 745.13, 745.1332, 745.14, 746.0])
+        x = np.concatenate([np.linspace(700.0, 760.0, 61), edges,
+                            np.nextafter(edges, 0.0),
+                            np.nextafter(edges, np.inf)])
+        t = np.multiply.outer(x, 1.0 / law.rates[::400]).reshape(-1)
+        t = np.concatenate([x, t])
+        assert_bitwise_equal(law.cdf(t), reference_cdf(law, t))
+        assert_bitwise_equal(law.pdf(t), reference_pdf(law, t))
+
     @pytest.mark.parametrize("method", ["cdf", "pdf"])
     def test_a_python_float_gives_a_numpy_float(self, method):
         law = hitting_time_distribution(power_law(1.0, 2.0, 20))
@@ -450,8 +505,8 @@ class TestLawEvaluation:
         assert_bitwise_equal(np.reshape(values, -1), flat)
 
     def test_memory_of_the_bench_law(self):
-        # one 2 MB block buffer for the build; one 200 x 1999 array (3.2
-        # MB) for a call on 200 times
+        # one 512 KB band buffer for the build; one 200 x 1999 array (3.2
+        # MB) for a call on 200 times, with a 64 KB mask per exp chunk
         model = power_law(1.0, 2.0, 2000)
         tracemalloc.start()
         try:

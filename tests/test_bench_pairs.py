@@ -1,6 +1,7 @@
 """tools/bench_pairs.py's summary and claim rule, on hand-made pairs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -120,3 +121,38 @@ def test_claim_rule(summary, monkeypatch):
 def test_claim_of_an_unknown_metric(summary):
     assert bench_pairs.claim(summary, "analytic_large_n:nfev") is None
     assert bench_pairs.claim(summary, "forward_large_n:wall_ref_s") is None
+
+
+def test_workload_names_come_from_benchmark_json(tmp_path):
+    # the list was a constant of four names, so a fifth workload was never
+    # run and a parent without one of them crashed the series
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"workloads": [
+        {"name": "mc_long_paths", "why": "x"},
+        {"name": "law_only", "why": "y"}]}))
+    assert bench_pairs.workload_names(tmp_path) == ["mc_long_paths",
+                                                   "law_only"]
+    assert bench_pairs.workload_names(tmp_path / "absent") == []
+
+
+def test_a_workload_the_parent_lacks_is_change_only():
+    results = two_pairs()
+    results["law_only"] = [
+        {"seed": seed, "first": "change",
+         "change": side(wall, 0.1, 70.0, wall, 0.0)}
+        for seed, wall in ((1, 0.010), (2, 0.014))]
+    summary = bench_pairs.summarize(results, BOUNDS)
+    assert not summary["analytic_large_n"]["change_only"]
+    entry = summary["law_only"]
+    assert entry["change_only"] and entry["all_runs_correct"]
+    assert entry["metrics"]["wall_ref_s"] == {"change": {
+        "median": pytest.approx(0.012), "q1": pytest.approx(0.011),
+        "q3": pytest.approx(0.013), "runs": [0.010, 0.014]}}
+    assert list(entry["detail"]) == list(entry["job_s"]) == ["change"]
+    assert bench_pairs.claim(summary, "law_only:wall_ref_s") is None
+
+
+def test_output_hashes_of_jobs_on_one_side():
+    parent = {"a/000-x": "1", "a/001-y": "2", "a/002-z": "3"}
+    change = {"a/000-x": "1", "a/001-y": "9", "b/000-w": "4"}
+    assert bench_pairs.compare_hashes(parent, change) == {
+        "differing": ["a/001-y", "a/002-z"], "change_only": ["b/000-w"]}

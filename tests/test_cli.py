@@ -133,6 +133,13 @@ class TestForward:
         assert main(["forward", "--family", "hypergeometric", "--N", "5",
                      "--lambda", "1", "--p", "1", "--t-grid", "2,1"]) != 0
 
+    @pytest.mark.parametrize("grid", ["", ",", " , ,"])
+    def test_rejects_empty_grid(self, capsys, grid):
+        assert main(["forward", "--family", "hypergeometric", "--N", "5",
+                     "--lambda", "1", "--p", "1", "--t-grid", grid]) == 1
+        assert capsys.readouterr().err == \
+            "purebirth: error: --t-grid is empty\n"
+
     @pytest.mark.parametrize("times", [["--t-grid", "1,nan"],
                                        ["--t", "inf"], ["--t", "nan"]])
     def test_non_finite_time_is_an_error(self, capsys, times):
@@ -371,6 +378,14 @@ class TestConfigFile:
                                 "--p", "0.62"])
         assert float(rows[0]["approx_mean"]) == pytest.approx(
             math.log(2000) / 0.62, rel=1e-12)
+
+    def test_line_without_equals_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("family = yule\nN 2000  # no equals sign\n")
+        assert main(["expect-time", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            f"purebirth: error: {cfg}:2: expected key = value, got "
+            "'N 2000  # no equals sign\\n'\n")
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -11,10 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from purebirth import (OutOfRange, SolverConfig, StateOutOfRange,
-                       absorption_probability, expected_absorption_time,
-                       forward_grid, forward_probabilities,
+                       ToleranceNotMet, absorption_probability,
+                       expected_absorption_time, forward_grid,
+                       forward_probabilities,
                        hitting_time_distribution, hypergeometric_mixing,
                        mean_state, power_law, yule_scaled)
+from purebirth import forward
 from purebirth.forward import DistributionSnapshot
 from scalar_oracles import rate_at
 
@@ -187,6 +189,23 @@ class TestForwardProbabilities:
             for a, b in zip(tight, loose):
                 assert np.abs(a.probabilities - b.probabilities).max() <= tol
                 assert b.mass_defect <= 1e-12
+
+    # neither check fires on a working solver, so a solution row is
+    # planted in its place
+    @pytest.mark.parametrize("row, message", [
+        ([0.5, 0.4999, 0.0],
+         r"^probability mass defect 1\.000e-04 at t=2\.0$"),
+        ([0.6, 0.5, -0.1], r"^negative probability -1\.000e-01 at t=2\.0 "
+                           r"exceeds roundoff floor$"),
+    ], ids=["mass-defect", "negative"])
+    def test_a_solution_off_its_tolerance_is_refused(self, monkeypatch, row,
+                                                     message):
+        def solve(lam, times, counts, abs_tol):
+            return np.array([row]), forward.FORWARD_SCHEME
+
+        monkeypatch.setattr(forward, "_solve", solve)
+        with pytest.raises(ToleranceNotMet, match=message):
+            forward_probabilities(linear_model(3), 1, 2.0)
 
 
 class TestMeanState:

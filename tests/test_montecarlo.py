@@ -296,14 +296,24 @@ class TestCounts:
                            match="replicates must be an integer >= "):
             self.SAMPLERS[sampler](power_law(1.0, 2.0, 20), replicates, 1)
 
-    # 2.5 raised a bare TypeError, True dumped one replicate and -5 none
+    # 2.5 raised a bare TypeError, True dumped one replicate and -5 none;
+    # then each was refused only at the first block, not at the call
     @pytest.mark.parametrize("replicates", [2.5, True, -5])
     def test_event_time_blocks_takes_only_a_replicate_count(self, replicates):
-        blocks = event_time_blocks(power_law(1.0, 2.0, 20), 1, replicates,
-                                   SEED)
         with pytest.raises(OutOfRange,
                            match="^replicates must be an integer >= 1, "):
-            list(blocks)
+            event_time_blocks(power_law(1.0, 2.0, 20), 1, replicates, SEED)
+
+    @pytest.mark.parametrize("start, seed, error, message", [
+        (1, -1, OutOfRange, "^master_seed must be an integer >= 0, "),
+        (1, 2.5, OutOfRange, "^master_seed must be an integer >= 0, "),
+        (0, SEED, StateOutOfRange, "^start_state 0 "),
+        (21, SEED, StateOutOfRange, "^start_state 21 "),
+    ])
+    def test_event_time_blocks_checks_at_the_call(self, start, seed, error,
+                                                   message):
+        with pytest.raises(error, match=message):
+            event_time_blocks(power_law(1.0, 2.0, 20), start, 10, seed)
 
     # 1.5 used to run on one thread
     @pytest.mark.parametrize("n_jobs", [1.5, 2.0, np.float64(1), "2", None,

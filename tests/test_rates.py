@@ -504,12 +504,18 @@ YULE_SPEC = {"family": "yule", "N": 10, "mu": 1.0, "p": 0.3}
     ("cap", lambda: power_law(1.0, 2.0, 10 ** 400)),
     ("c", lambda: powerlaw_expected_time(10 ** 400, 2, 5)),
     ("abs_tol", lambda: SolverConfig(10 ** 400)),
+    # past Python's 4300-digit limit, printing the int is a ValueError
+    ("mu", lambda: build_rate_model({**YULE_SPEC, "mu": 10 ** 5000})),
 ], ids=["RateModel-mu", "build-mu", "build-N", "power_law-cap",
-        "powerlaw_expected_time-c", "SolverConfig-abs_tol"])
+        "powerlaw_expected_time-c", "SolverConfig-abs_tol",
+        "build-mu-5000-digits"])
 def test_an_int_too_large_for_a_float_names_its_parameter(key, build):
-    # each let OverflowError out: "int too large to convert to float"
-    with pytest.raises(OutOfRange, match=f"^{key} must be a "):
+    # each let OverflowError out: "int too large to convert to float"; then
+    # each message printed all 401 digits, and "mu" was "not a number"
+    with pytest.raises(OutOfRange) as refused:
         build()
+    assert str(refused.value) == (
+        f"{key} must be a finite number, got one too large for a float")
 
 
 @pytest.mark.parametrize("key, build", [

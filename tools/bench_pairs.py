@@ -7,14 +7,17 @@ Usage, from the root of a git checkout:
 
 Each revision is exported with ``git archive`` into a fresh directory under
 ``--workdir``, so each side runs its committed files only.  For every seed
-and every workload the unmodified ``perfbench/run.py --trace 0`` runs once
-on each side, for the ``run_seconds`` of the change's BENCHMARK.json, over
-ten seeds; the side that runs first alternates from seed to seed.  The
-record holds every run, and per end-to-end metric of BENCHMARK.json the
-medians and quartiles (``statistics.quantiles``, inclusive: numpy's linear
-25th/75th percentiles) of both sides, the pairs the change won (ties count
-for neither side), the relative change of the medians and whether it is
-within the metric's bound.  Per workload it also holds, for each side:
+and every workload of the change's BENCHMARK.json the unmodified
+``perfbench/run.py --trace 0`` runs once on each side, for the
+``run_seconds`` of the change's BENCHMARK.json, over ten seeds; the side
+that runs first alternates from seed to seed.  A workload that the
+parent's BENCHMARK.json does not list runs on the change alone, and is
+recorded as ``change_only``, with the change's spreads and no comparison.
+The record holds every run, and per end-to-end metric of BENCHMARK.json
+the medians and quartiles (``statistics.quantiles``, inclusive: numpy's
+linear 25th/75th percentiles) of both sides, the pairs the change won (ties
+count for neither side), the relative change of the medians and whether it
+is within the metric's bound.  Per workload it also holds, for each side:
 
 * ``detail``: the medians of perfbench's per-kind best job times;
 * ``job_s``: each job's median seconds, the median over the runs of the
@@ -30,7 +33,9 @@ interquartile range.
 One more measurement runs once per side, in a fresh process:
 ``output_hashes``, the SHA-256 of every job's output for one seed, the
 job's output files for a CLI job or its pickled return value for a library
-job, and the jobs whose hashes differ between the sides.
+job; the parent's jobs whose hashes differ on the change or that the change
+lacks (``differing``), and the change's jobs that the parent lacks
+(``change_only``).
 
 The record is rewritten after every pair, so an interrupted series keeps
 the pairs it finished.
@@ -46,8 +51,6 @@ import sys
 import tempfile
 from pathlib import Path
 
-WORKLOADS = ("analytic_large_n", "forward_large_n", "mc_many_replicates",
-             "mc_long_paths")
 SIDES = ("parent", "change")
 # alternating pairs per workload: the fewest a claimed gain is judged on
 PAIRS = 10
@@ -85,6 +88,23 @@ def export(rev, dest):
                           capture_output=True, text=True).stdout.strip()
 
 
+def workload_names(checkout):
+    """The workload names of checkout's BENCHMARK.json, in its order; none
+    when it has no BENCHMARK.json."""
+    path = Path(checkout) / "BENCHMARK.json"
+    if not path.exists():
+        return []
+    with open(path) as handle:
+        return [entry["name"] for entry in json.load(handle)["workloads"]]
+
+
+def compare_hashes(parent, change):
+    """The output_hashes comparison of two sides' job -> hash maps."""
+    return {"differing": sorted(job for job in parent
+                                if change.get(job) != parent[job]),
+            "change_only": sorted(change.keys() - parent.keys())}
+
+
 def python_json(checkout, argv):
     """The JSON object on the last stdout line of a python run in checkout."""
     done = subprocess.run([sys.executable] + argv, cwd=checkout,
@@ -112,47 +132,53 @@ def job_medians(run):
 
 def summarize(results, bounds):
     """Per workload and end-to-end metric: both sides' spreads, the change's
-    wins, the relative change of the medians and the bound check; per
-    workload also the medians of the runs' detail and job_s entries."""
+    wins, the relative change of the medians and the bound check (the
+    change's spread alone for a change-only workload); per workload also
+    the medians of the runs' detail and job_s entries."""
     out = {}
     for workload, pairs in results.items():
         if not pairs:
             continue
+        sides = [side for side in SIDES if side in pairs[0]]
         metrics = {}
         for metric, (better, bound) in bounds.items():
             runs = {side: [pair[side]["metrics"][metric]["value"]
-                           for pair in pairs] for side in SIDES}
+                           for pair in pairs] for side in sides}
+            metrics[metric] = {side: spread(runs[side]) for side in sides}
+            if "parent" not in sides:
+                continue
             sign = 1 if better == "lower" else -1
             wins = sum(sign * (c - p) < 0
                        for p, c in zip(runs["parent"], runs["change"]))
-            parent, change = spread(runs["parent"]), spread(runs["change"])
-            relative = (change["median"] - parent["median"]) / parent["median"]
-            metrics[metric] = {"parent": parent, "change": change,
-                               "change_wins": wins,
-                               "relative_change": relative, "bound": bound,
-                               "within_bound": sign * relative <= bound}
+            parent, change = (metrics[metric][side]["median"]
+                              for side in SIDES)
+            relative = (change - parent) / parent
+            metrics[metric].update(change_wins=wins,
+                                   relative_change=relative, bound=bound,
+                                   within_bound=sign * relative <= bound)
         # medians of perfbench's per-kind best job times and pass times
         detail = {side: {key: statistics.median(pair[side]["detail"][key]
                                                 for pair in pairs)
                          for key in pairs[0][side]["detail"]}
-                  for side in SIDES}
+                  for side in sides}
         job_s = {side: {job: statistics.median(pair[side]["job_s"][job]
                                                for pair in pairs)
                         for job in pairs[0][side]["job_s"]}
-                 for side in SIDES}
+                 for side in sides}
         out[workload] = {
             "seeds": [pair["seed"] for pair in pairs], "pairs": len(pairs),
+            "change_only": "parent" not in sides,
             "metrics": metrics, "detail": detail, "job_s": job_s,
             "all_runs_correct": all(pair[side]["correct"]
                                     and pair[side]["failed"] == 0
-                                    for pair in pairs for side in SIDES)}
+                                    for pair in pairs for side in sides)}
     return out
 
 
 def claim(summary, spec):
     workload, metric = spec.split(":")
     entry = summary.get(workload, {}).get("metrics", {}).get(metric)
-    if entry is None:
+    if entry is None or "parent" not in entry:
         return None
     parent, change = entry["parent"], entry["change"]
     drop = parent["median"] - change["median"]
@@ -208,20 +234,19 @@ def main(argv=None):
               for side in SIDES}
     record["output_hashes"] = {
         "seed": args.first_seed, "jobs": len(hashes["change"]),
-        "differing": sorted(job for job in hashes["parent"].keys()
-                            | hashes["change"].keys()
-                            if hashes["parent"].get(job)
-                            != hashes["change"].get(job)),
+        **compare_hashes(hashes["parent"], hashes["change"]),
         "change": hashes["change"]}
     write()
 
-    results = {workload: [] for workload in WORKLOADS}
+    in_parent = set(workload_names(checkouts["parent"]))
+    results = {entry["name"]: [] for entry in bench["workloads"]}
     for i in range(PAIRS):
         seed = args.first_seed + i
         order = SIDES if i % 2 == 0 else SIDES[::-1]
-        for workload in WORKLOADS:
-            pair = {"seed": seed, "first": order[0]}
-            for side in order:
+        for workload in results:
+            sides = order if workload in in_parent else ("change",)
+            pair = {"seed": seed, "first": sides[0]}
+            for side in sides:
                 pair[side] = python_json(checkouts[side], [
                     "perfbench/run.py", "--workload", workload,
                     "--seed", str(seed), "--seconds", str(seconds),
