@@ -131,7 +131,6 @@ def test_workload_names_come_from_benchmark_json(tmp_path):
         {"name": "law_only", "why": "y"}]}))
     assert bench_pairs.workload_names(tmp_path) == ["mc_long_paths",
                                                    "law_only"]
-    assert bench_pairs.workload_names(tmp_path / "absent") == []
 
 
 def test_a_workload_the_parent_lacks_is_change_only():

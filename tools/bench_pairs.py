@@ -89,12 +89,8 @@ def export(rev, dest):
 
 
 def workload_names(checkout):
-    """The workload names of checkout's BENCHMARK.json, in its order; none
-    when it has no BENCHMARK.json."""
-    path = Path(checkout) / "BENCHMARK.json"
-    if not path.exists():
-        return []
-    with open(path) as handle:
+    """The workload names of checkout's BENCHMARK.json, in its order."""
+    with open(Path(checkout) / "BENCHMARK.json") as handle:
         return [entry["name"] for entry in json.load(handle)["workloads"]]
 
 
