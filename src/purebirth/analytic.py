@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (OutOfRange, ToleranceNotMet, require_finite,
+from .errors import (OutOfRange, ToleranceNotMet, describe, require_finite,
                      require_integer, require_times)
 from .rates import YULE, RateModel, power_law, rate_vector
 
@@ -267,4 +267,4 @@ def powerlaw_expected_time(c: float, exponent: int, n: int) -> PowerLawTimeRepor
         return PowerLawTimeReport(value=closed / c, coefficient=c,
                                   exponent=-2, n=n,
                                   growth=n ** 3 / (3.0 * c))
-    raise OutOfRange(f"exponent must be +2 or -2, got {exponent}")
+    raise OutOfRange(f"exponent must be +2 or -2, got {describe(exponent)}")

@@ -141,13 +141,13 @@ def _apply_config(args: argparse.Namespace, path: str, actions: dict):
     """Fill unset args from a flat key=value file; flags win.  A key of
     another subcommand is ignored; a key of none is an error."""
     with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, 1):
-            line = raw.split("#", 1)[0].strip()
+        for lineno, line in enumerate(handle, 1):
+            line = line.split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
                 raise PureBirthError(
-                    f"{path}:{lineno}: expected key = value, got {raw!r}")
+                    f"{path}:{lineno}: expected key = value, got {line!r}")
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
             if key not in actions:

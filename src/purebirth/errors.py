@@ -5,7 +5,8 @@ Python or numpy real number; an int too large for a float is not), and
 require_times for times (finite real numbers >= 0, taken as one float
 array; a str, bool, None, object or ragged value is refused).  A bool is
 never a number: it is a flag passed by mistake.
-Each rule raises OutOfRange, never a TypeError, on a value it refuses."""
+Each rule raises OutOfRange, never a TypeError, on a value it refuses, and
+names the value by describe."""
 
 import math
 import numbers
@@ -52,17 +53,24 @@ def is_integer(value) -> bool:
                                   and not isinstance(value, bool))
 
 
+def describe(value) -> str:
+    """repr(value) for a refusal's message, but an integer of more than 20
+    digits by its digit count: Python prints none of more than 4300."""
+    # int first: abs of numpy's most negative int64 overflows
+    magnitude = abs(int(value)) if is_integer(value) else 0
+    if magnitude < 10 ** 20:
+        return repr(value)
+    # log10 may round across a power of ten; the two tests correct that
+    digits = int(math.log10(magnitude))
+    digits += (magnitude >= 10 ** digits) + (magnitude >= 10 ** (digits + 1))
+    return f"<{'negative ' if value < 0 else ''}integer of {digits} digits>"
+
+
 def require_integer(name, value, lo):
     """Raise OutOfRange unless value is an integer >= lo."""
     if not (is_integer(value) and value >= lo):
-        raise OutOfRange(f"{name} must be an integer >= {lo}, got {value!r}")
-
-
-def too_large_for_a_float(name):
-    """The refusal of a number that a float cannot hold, such as an int of
-    400 digits, which it does not print."""
-    return OutOfRange(
-        f"{name} must be a finite number, got one too large for a float")
+        raise OutOfRange(
+            f"{name} must be an integer >= {lo}, got {describe(value)}")
 
 
 def require_finite(name, value):
@@ -71,8 +79,9 @@ def require_finite(name, value):
     try:
         finite = ((type(value) is float or isinstance(value, numbers.Real)
                    and not isinstance(value, bool)) and math.isfinite(value))
-    except OverflowError:  # an int too large for a float
-        raise too_large_for_a_float(name) from None
+    except OverflowError:  # an int too large for a float, not described
+        raise OutOfRange(f"{name} must be a finite number, got one too "
+                         "large for a float") from None
     if not finite:
         raise OutOfRange(f"{name} must be a finite number, got {value!r}")
     return value

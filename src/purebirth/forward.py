@@ -53,7 +53,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import (OutOfRange, StateOutOfRange, ToleranceNotMet,
-                     is_integer, require_finite, require_times)
+                     describe, is_integer, require_finite, require_times)
 from .rates import RateModel, rate_vector
 
 MASS_DEFECT_TOL = 1e-8
@@ -123,7 +123,7 @@ class DistributionSnapshot:
         lo, hi = self.states[0], self.states[-1]
         if not (is_integer(state) and lo <= state <= hi):
             raise StateOutOfRange(
-                f"state {state} is not an integer in [{lo}, {hi}]")
+                f"state {describe(state)} is not an integer in [{lo}, {hi}]")
         return float(self.probabilities[state - lo])
 
 

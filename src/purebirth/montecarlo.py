@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analytic import expected_absorption_time
 from .errors import WrongFamily, require_integer, require_times
 from .rates import POWERLAW, RateModel, rate_vector
 
@@ -242,16 +243,16 @@ def explosion_study(model: RateModel, start_state: int, replicates: int,
     lambda_k = c k^2.
 
     The mean is reported against the analytic partial sum
-    (1/c) sum_{k=start}^{cap-1} 1/k^2 and the limiting bound pi^2/(6c).
+    (1/c) sum_{k=start}^{cap-1} 1/k^2, the exact E(T) of
+    expected_absorption_time, and the limiting bound pi^2/(6c).
     """
     if model.family != POWERLAW or model.exponent != 2:
         raise WrongFamily("explosion_study requires a powerlaw model "
                           "with exponent +2")
-    cap = model.state_cap
-    lam = rate_vector(model, start_state)
+    # before the replicates and the seed, the start state is checked here
+    analytic = expected_absorption_time(model, start_state).exact_mean
     summary = estimate_absorption_time(model, start_state, replicates,
                                        master_seed, n_jobs=n_jobs)
-    c = model.coefficient
-    analytic = float(np.sum(1.0 / lam))
-    return ExplosionReport(summary=summary, cap=cap, analytic_mean=analytic,
-                           limit_bound=math.pi ** 2 / (6.0 * c))
+    limit = math.pi ** 2 / (6.0 * model.coefficient)
+    return ExplosionReport(summary=summary, cap=model.state_cap,
+                           analytic_mean=analytic, limit_bound=limit)

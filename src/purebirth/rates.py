@@ -19,6 +19,10 @@ the number of transient states and lambda_min the smallest rate.  37
 draws, so no sampled absorption time overflows; and every rate is a normal
 float, which the engines may divide by.
 
+RateModel is the one place that takes a model's values: each value a
+family uses is checked and stored as a float (N and the cap as an int), so
+every rate vector is float64.
+
 Models are immutable; every operation here is a pure function of
 (model, state) and safe to call concurrently.  ``rate_vector`` gives the
 rates of the states from a start state on as one numpy array.  It takes
@@ -37,8 +41,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import (CapRequired, MissingParameter, OutOfRange,
-                     StateOutOfRange, is_integer, require_finite,
-                     require_integer, too_large_for_a_float)
+                     StateOutOfRange, describe, is_integer, require_finite,
+                     require_integer)
 
 HYPERGEOMETRIC = "hypergeometric"
 YULE = "yule"
@@ -49,13 +53,15 @@ class RateModel:
     """An immutable family of per-state birth rates, checked when built.
 
     Every model, whether built here, by :func:`build_rate_model` or by the
-    family-specific constructors, passes the same checks, and raises:
+    family-specific constructors, passes the same checks, and stores each
+    value its family uses as a float, or N and the cap as an int.  It
+    raises:
 
     * OutOfRange: a family name other than hypergeometric, yule and
-      powerlaw, a non-finite or nonpositive rate parameter, p outside
-      (0, 1], N or the cap not an integer >= 2 that a float can hold, a
-      non-finite exponent, or rates that break the rule of the module
-      docstring;
+      powerlaw, a rate parameter that is not a finite positive number, p
+      outside (0, 1], N or the cap not an integer >= 2 that a float can
+      hold (a numeric string or an integral float is not), a non-finite
+      exponent, or rates that break the rule of the module docstring;
     * MissingParameter: a parameter required by the family is None;
     * CapRequired: a powerlaw model without a state cap.
 
@@ -75,27 +81,23 @@ class RateModel:
     def __post_init__(self):
         family = self.family
         if family == POWERLAW:
-            _positive("c", self.coefficient, family)
-            require_finite("exponent",
-                           _present("exponent", self.exponent, family))
+            _positive(self, "coefficient", "c")
+            _real(self, "exponent", "exponent")
             if self.state_cap is None:
                 # every power-law state space is unbounded; computation
                 # needs a cap
                 raise CapRequired("powerlaw models require a state cap "
                                   "(unbounded state space)")
-            require_integer("cap", self.state_cap, 2)
-            require_finite("cap", self.state_cap)
+            _count(self, "state_cap", "cap")
         elif family in (HYPERGEOMETRIC, YULE):
-            require_integer("N", _present("N", self.population, family), 2)
-            require_finite("N", self.population)
-            p = require_finite("p",
-                               _present("p", self.transmission_prob, family))
+            _count(self, "population", "N")
+            p = _real(self, "transmission_prob", "p")
             if not 0.0 < p <= 1.0:
                 raise OutOfRange(f"p must lie in (0, 1], got {p}")
             if family == HYPERGEOMETRIC:
-                _positive("lambda", self.contact_rate, family)
+                _positive(self, "contact_rate", "lambda")
             else:
-                _positive("mu", self.per_capita_rate, family)
+                _positive(self, "per_capita_rate", "mu")
         else:
             raise OutOfRange(f"unknown rate family: {family!r}")
         _check_rates(self)
@@ -118,71 +120,56 @@ class RateModel:
 def hypergeometric_mixing(population, contact_rate, transmission_prob,
                           time_unit="time"):
     """Pair-sampling mixing model with contact rate lambda."""
-    return build_rate_model({
-        "family": HYPERGEOMETRIC,
-        "N": population,
-        "lambda": contact_rate,
-        "p": transmission_prob,
-        "time_unit": time_unit,
-    })
+    return RateModel(HYPERGEOMETRIC, population=population,
+                     contact_rate=contact_rate,
+                     transmission_prob=transmission_prob, time_unit=time_unit)
 
 
 def yule_scaled(population, per_capita_rate, transmission_prob,
                 time_unit="time"):
     """Mixing model with population-scaled contact rate lambda = N * mu."""
-    return build_rate_model({
-        "family": YULE,
-        "N": population,
-        "mu": per_capita_rate,
-        "p": transmission_prob,
-        "time_unit": time_unit,
-    })
+    return RateModel(YULE, population=population,
+                     per_capita_rate=per_capita_rate,
+                     transmission_prob=transmission_prob, time_unit=time_unit)
 
 
 def power_law(coefficient, exponent, state_cap=None, time_unit="time"):
     """Rates c * k**exponent, truncated at state_cap."""
-    return build_rate_model({
-        "family": POWERLAW,
-        "c": coefficient,
-        "exponent": exponent,
-        "cap": state_cap,
-        "time_unit": time_unit,
-    })
+    return RateModel(POWERLAW, coefficient=coefficient, exponent=exponent,
+                     state_cap=state_cap, time_unit=time_unit)
+
+
+# the key in a flat parameter record of each field that a family uses
+_KEYS = {
+    HYPERGEOMETRIC: {"population": "N", "contact_rate": "lambda",
+                     "transmission_prob": "p"},
+    YULE: {"population": "N", "per_capita_rate": "mu",
+           "transmission_prob": "p"},
+    POWERLAW: {"coefficient": "c", "exponent": "exponent", "state_cap": "cap"},
+}
 
 
 def build_rate_model(spec: dict) -> RateModel:
     """Translate a flat parameter record into a checked model.
 
-    Recognized keys: ``family`` (passed to RateModel as it is), ``N``,
-    ``lambda``, ``mu``, ``p``, ``c``, ``exponent``, ``cap``,
-    ``time_unit``; keys that the family does not use are ignored.  N and
-    cap are taken as integers, the others as floats (a numeric string
-    too, but never a bool), and the model then checks itself
-    (RateModel).
+    Recognized keys: ``family``, ``N``, ``lambda``, ``mu``, ``p``, ``c``,
+    ``exponent``, ``cap``, ``time_unit``; keys that the family does not
+    use are ignored.  The others are passed to RateModel as they are, so
+    it takes and refuses exactly what RateModel does; an unknown family
+    is refused before any value is read.
 
     Raises:
         MissingParameter: no family, or a key required by the family is
             absent.
-        OutOfRange: an unknown family, N or cap not an integer, or any
-            check of RateModel.
+        OutOfRange: an unknown family, or any check of RateModel.
         CapRequired: powerlaw family without a state cap.
     """
     if spec.get("family") is None:
         raise MissingParameter("family is required")
     family = spec["family"]
-    time_unit = spec.get("time_unit") or "time"
-    if family == POWERLAW:
-        return RateModel(family=POWERLAW, coefficient=_float(spec, "c"),
-                         exponent=_float(spec, "exponent"),
-                         state_cap=_int(spec, "cap"), time_unit=time_unit)
-    if family not in (HYPERGEOMETRIC, YULE):
-        return RateModel(family=family)  # refuses the name, before a value
-    lam = _float(spec, "lambda") if family == HYPERGEOMETRIC else None
-    mu = _float(spec, "mu") if family == YULE else None
-    return RateModel(family=family, population=_int(spec, "N"),
-                     contact_rate=lam, per_capita_rate=mu,
-                     transmission_prob=_float(spec, "p"),
-                     time_unit=time_unit)
+    keys = _KEYS[family] if family in (HYPERGEOMETRIC, YULE, POWERLAW) else {}
+    return RateModel(family=family, time_unit=spec.get("time_unit") or "time",
+                     **{field: spec.get(key) for field, key in keys.items()})
 
 
 def _check_rates(model):
@@ -217,41 +204,37 @@ def rate_vector(model: RateModel, start: int = 1) -> np.ndarray:
     absorbing = model.absorbing_state
     if not (is_integer(start) and 1 <= start <= absorbing):
         raise StateOutOfRange(
-            f"start_state {start} is not an integer in [1, {absorbing}]")
+            f"start_state {describe(start)} is not an integer in "
+            f"[1, {absorbing}]")
     return _rates(model, np.arange(start, absorbing, dtype=float))
 
 
-def _float(spec, key):
-    """spec[key] as a float, once float() takes it and it is not a bool;
-    None when absent."""
-    value = spec.get(key)
+# the helpers below check a field, named by its key in build_rate_model,
+# and store it converted
+
+def _present(model, field, key):
+    value = getattr(model, field)
     if value is None:
-        return None
-    try:
-        if not isinstance(value, (bool, np.bool_)):
-            return float(value)
-    except OverflowError:  # an int too large for a float
-        raise too_large_for_a_float(key) from None
-    except (TypeError, ValueError):
-        pass
-    raise OutOfRange(f"{key} must be a number, got {value!r}")
-
-
-def _int(spec, key):
-    """spec[key] as an int when it is integral; otherwise as a float, for
-    RateModel to refuse; None when absent."""
-    if is_integer(spec.get(key)):
-        return int(spec[key])
-    value = _float(spec, key)
-    return int(value) if value is not None and value.is_integer() else value
-
-
-def _present(key, value, family):
-    if value is None:
-        raise MissingParameter(f"{key} is required for the {family} family")
+        raise MissingParameter(
+            f"{key} is required for the {model.family} family")
     return value
 
 
-def _positive(key, value, family):
-    if not require_finite(key, _present(key, value, family)) > 0.0:
+def _real(model, field, key):
+    """The field as a float, once it is a finite number."""
+    value = float(require_finite(key, _present(model, field, key)))
+    object.__setattr__(model, field, value)
+    return value
+
+
+def _positive(model, field, key):
+    value = _real(model, field, key)
+    if not value > 0.0:
         raise OutOfRange(f"{key} must be positive, got {value}")
+
+
+def _count(model, field, key):
+    """The field as an int, once it is an integer >= 2 a float can hold."""
+    value = _present(model, field, key)
+    require_integer(key, value, 2)
+    object.__setattr__(model, field, int(require_finite(key, value)))

@@ -365,6 +365,26 @@ class TestExplosionStudy:
         assert report.summary.mean == report.analytic_mean == 0.0
         assert set(report.summary.quantiles.values()) == {0.0}
 
+    @pytest.mark.parametrize("cap, start", [(2, 1), (50, 1), (50, 17),
+                                            (1000, 1), (2000, 999)])
+    def test_analytic_mean_is_the_exact_mean_bit_for_bit(self, cap, start):
+        # it was summed here over the model's own rate vector; it is now
+        # expected_absorption_time's exact_mean, which is the same sum
+        model = power_law(0.7, 2.0, cap)
+        own_sum = float(np.sum(1.0 / rate_vector(model, start)))
+        analytic = explosion_study(model, start, 2, SEED).analytic_mean
+        assert analytic.hex() == own_sum.hex() == \
+            expected_absorption_time(model, start).exact_mean.hex()
+
+    def test_order_of_refusals(self):
+        # the family, then the start state, then the replicates and seed
+        with pytest.raises(WrongFamily):
+            explosion_study(power_law(1.0, -2.0, 5), 0, 1.5, -1)
+        with pytest.raises(StateOutOfRange):
+            explosion_study(power_law(1.0, 2.0, 5), 0, 1.5, -1)
+        with pytest.raises(OutOfRange, match="^replicates "):
+            explosion_study(power_law(1.0, 2.0, 5), 1, 1.5, -1)
+
 
 @pytest.mark.parametrize("n,p,lam", [(2, 1.0, 0.5), (3, 0.31, 1.0),
                                      (5, 1.0, 3.0), (10, 0.31, 0.5)])

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,6 +20,32 @@ from purebirth import (CapRequired, MissingParameter, OutOfRange,
                        yule_scaled)
 from purebirth.montecarlo import event_time_blocks
 from scalar_oracles import rate_list
+
+
+# per family: its constructor, and for each of its keys in build_rate_model
+# the RateModel field and a valid value, in the constructor's order
+FAMILIES = {
+    "hypergeometric": (hypergeometric_mixing, {
+        "N": ("population", 10), "lambda": ("contact_rate", 2.0),
+        "p": ("transmission_prob", 0.3)}),
+    "yule": (yule_scaled, {
+        "N": ("population", 10), "mu": ("per_capita_rate", 1.0),
+        "p": ("transmission_prob", 0.3)}),
+    "powerlaw": (power_law, {
+        "c": ("coefficient", 1.0), "exponent": ("exponent", 2.0),
+        "cap": ("state_cap", 10)}),
+}
+
+
+def three_ways(family, **values):
+    """Builders of one model by its constructor, by build_rate_model and
+    by RateModel(...), from the given values by key and valid others."""
+    constructor, keys = FAMILIES[family]
+    values = {key: values.get(key, valid) for key, (_, valid) in keys.items()}
+    fields = {field: values[key] for key, (field, _) in keys.items()}
+    return [lambda: constructor(*values.values()),
+            lambda: build_rate_model({"family": family, **values}),
+            lambda: RateModel(family, **fields)]
 
 
 class TestBuildRateModel:
@@ -137,13 +165,18 @@ class TestBuildRateModel:
         # "abc" and "ten" raised a bare ValueError, [1] a TypeError; the
         # bools were taken as 1.0 (N = True was reported as "got 1")
         spec = {"family": "yule", "N": 10, "mu": 1.0, "p": 0.3, key: value}
-        with pytest.raises(OutOfRange, match=f"^{key} must be a number, "):
+        rule = "an integer >= 2" if key == "N" else "a finite number"
+        with pytest.raises(OutOfRange, match=f"^{key} must be {rule}, got "
+                                             f"{re.escape(repr(value))}$"):
             build_rate_model(spec)
 
-    def test_numeric_strings_accepted(self):
-        # a spec is a text-facing record
-        spec = {"family": "yule", "N": "10", "mu": "1.0", "p": "0.3"}
-        assert build_rate_model(spec) == yule_scaled(10, 1.0, 0.3)
+    def test_numeric_strings_refused(self):
+        # build_rate_model and the constructors took "10" as 10 and "1.0"
+        # as 1.0, while RateModel refused both
+        for key, value in {"N": "10", "mu": "1.0", "p": "0.3"}.items():
+            for build in three_ways("yule", **{key: value}):
+                with pytest.raises(OutOfRange, match=f"^{key} must be "):
+                    build()
 
     def test_time_unit_carried(self):
         assert yule_scaled(5, 1.0, 0.5, "hours").time_unit == "hours"
@@ -229,7 +262,7 @@ class TestRateModelChecksItself:
         (lambda: hypergeometric_mixing(np.int64(12), 2, 0.5),
          {"family": "hypergeometric", "population": 12, "contact_rate": 2.0,
           "transmission_prob": 0.5}),
-        (lambda: power_law(1, 2, 10.0),
+        (lambda: power_law(1, 2, 10),
          {"family": "powerlaw", "coefficient": 1.0, "exponent": 2.0,
           "state_cap": 10}),
         (lambda: yule_scaled(np.int32(10), np.float32(1.0), np.float64(0.3)),
@@ -518,13 +551,118 @@ def test_an_int_too_large_for_a_float_names_its_parameter(key, build):
         f"{key} must be a finite number, got one too large for a float")
 
 
+INTEGRAL_TYPES = (int, np.int32, np.int64)
+
+
+@pytest.mark.parametrize("kind", [int, float, np.int32, np.int64, np.float32,
+                                  np.float64, Fraction],
+                         ids=lambda kind: kind.__name__)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_every_numeric_type_gives_float_and_int_fields(family, kind):
+    # RateModel stored each value as given: a Fraction rate gave an object
+    # rate vector, on which the forward solver and the sampler failed
+    integral = kind in INTEGRAL_TYPES
+    values = {"N": 12, "cap": 12, "lambda": kind(2), "mu": kind(3),
+              "p": kind(1 if integral else "0.3"), "c": kind(3),
+              "exponent": kind(2 if integral else "0.5")}
+    if integral:
+        values.update(N=kind(12), cap=kind(12))
+    values = {key: values[key] for key in FAMILIES[family][1]}
+    models = [build() for build in three_ways(family, **values)]
+    assert models[0] == models[1] == models[2]
+    for model in models:
+        for field, _ in FAMILIES[family][1].values():
+            integer = field in ("population", "state_cap")
+            assert type(getattr(model, field)) is (int if integer else float)
+        assert rate_vector(model).dtype == np.float64
+
+
+def test_a_fraction_model_runs_every_engine():
+    # forward_probabilities raised a bare TypeError on it, and
+    # estimate_absorption_time numpy's UFuncTypeError
+    model = RateModel(family="yule", population=50,
+                      per_capita_rate=Fraction(1, 3), transmission_prob=0.31)
+    same = yule_scaled(50, 1 / 3, 0.31)
+    assert model == same
+    for engine in (lambda m: expected_absorption_time(m, 1),
+                   lambda m: forward_probabilities(m, 1, 1.0),
+                   lambda m: estimate_absorption_time(m, 1, 100, 7)):
+        np.testing.assert_equal(vars(engine(model)), vars(engine(same)))
+
+
+@pytest.mark.parametrize("family, key, value", [
+    ("yule", "N", 10.0),
+    ("hypergeometric", "N", np.float64(10)),
+    ("powerlaw", "cap", 10.0),
+    ("hypergeometric", "lambda", "2"),
+    ("powerlaw", "c", "1"),
+    ("powerlaw", "exponent", "2"),
+    ("powerlaw", "cap", "10"),
+])
+def test_every_entry_point_refuses_the_same_values(family, key, value):
+    # an integral float for N or the cap, and any numeric string, were
+    # taken by build_rate_model and the constructors but not by RateModel
+    for build in three_ways(family, **{key: value}):
+        with pytest.raises(OutOfRange, match=f"^{key} must be "):
+            build()
+
+
+HUGE = 10 ** 5000
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda m: forward_probabilities(m, -HUGE, 1.0), StateOutOfRange,
+     "start_state <negative integer of 5001 digits> is not an integer in "
+     "[1, 5]"),
+    (lambda m: simulate_path(m, 1, -HUGE), OutOfRange,
+     "master_seed must be an integer >= 0, got <negative integer of 5001 "
+     "digits>"),
+    (lambda m: estimate_absorption_time(m, 1, -HUGE, 1), OutOfRange,
+     "replicates must be an integer >= 2, got <negative integer of 5001 "
+     "digits>"),
+    (lambda m: forward_probabilities(m, 1, 1.0).probability_of(HUGE),
+     StateOutOfRange, "state <integer of 5001 digits> is not an integer in "
+                      "[1, 5]"),
+    (lambda m: powerlaw_expected_time(1.0, HUGE, 5), OutOfRange,
+     "exponent must be +2 or -2, got <integer of 5001 digits>"),
+], ids=["forward-start", "simulate-seed", "estimate-replicates",
+        "probability_of", "powerlaw_expected_time-exponent"])
+def test_a_refused_huge_integer_is_named_by_its_digit_count(call, error,
+                                                            message):
+    # past Python's 4300-digit limit, printing the int was a bare ValueError
+    with pytest.raises(error) as refused:
+        call(power_law(1, 2, 5))
+    assert str(refused.value) == message
+
+
+@pytest.mark.parametrize("k", [20, 21, 22, 399, 400, 4299, 4300, 4301])
+def test_describe_counts_digits_exactly(k):
+    # 10**k has k + 1 digits and 10**k - 1 has k
+    assert errors.describe(10 ** k) == f"<integer of {k + 1} digits>"
+    assert errors.describe(-10 ** k - 1) == \
+        f"<negative integer of {k + 1} digits>"
+    assert errors.describe(10 ** k - 1) == (
+        repr(10 ** k - 1) if k == 20 else f"<integer of {k} digits>")
+    # abs(np.int64(-2**63)) overflows, with a RuntimeWarning
+    assert errors.describe(np.int64(-2 ** 63)) == repr(np.int64(-2 ** 63))
+
+
+def test_a_refused_400_digit_integer_gives_a_short_message():
+    # the message printed all 401 digits: 442 characters
+    with pytest.raises(OutOfRange) as refused:
+        RateModel(**{**YULE_FIELDS, "population": -10 ** 400})
+    assert str(refused.value) == ("N must be an integer >= 2, got <negative "
+                                  "integer of 401 digits>")
+
+
 @pytest.mark.parametrize("key, build", [
     ("mu", lambda: yule_scaled(10, True, 0.3)),
     ("exponent", lambda: power_law(1, np.True_, 5)),
 ], ids=["yule_scaled-mu", "power_law-exponent"])
 def test_family_constructors_take_no_bool(key, build):
     # mu and the exponent were taken as 1.0
-    with pytest.raises(OutOfRange, match=f"^{key} must be a number, got "):
+    with pytest.raises(OutOfRange, match=f"^{key} must be a finite number, "
+                                         "got "):
         build()
 
 
