@@ -551,9 +551,6 @@ def test_an_int_too_large_for_a_float_names_its_parameter(key, build):
         f"{key} must be a finite number, got one too large for a float")
 
 
-INTEGRAL_TYPES = (int, np.int32, np.int64)
-
-
 @pytest.mark.parametrize("kind", [int, float, np.int32, np.int64, np.float32,
                                   np.float64, Fraction],
                          ids=lambda kind: kind.__name__)
@@ -561,13 +558,11 @@ INTEGRAL_TYPES = (int, np.int32, np.int64)
 def test_every_numeric_type_gives_float_and_int_fields(family, kind):
     # RateModel stored each value as given: a Fraction rate gave an object
     # rate vector, on which the forward solver and the sampler failed
-    integral = kind in INTEGRAL_TYPES
-    values = {"N": 12, "cap": 12, "lambda": kind(2), "mu": kind(3),
-              "p": kind(1 if integral else "0.3"), "c": kind(3),
-              "exponent": kind(2 if integral else "0.5")}
-    if integral:
-        values.update(N=kind(12), cap=kind(12))
-    values = {key: values[key] for key in FAMILIES[family][1]}
+    integral = kind in (int, np.int32, np.int64)
+    count = kind if integral else int
+    values = {"N": count(12), "cap": count(12), "lambda": kind(2),
+              "mu": kind(3), "p": kind(1 if integral else "0.3"),
+              "c": kind(3), "exponent": kind(2 if integral else "0.5")}
     models = [build() for build in three_ways(family, **values)]
     assert models[0] == models[1] == models[2]
     for model in models:
