@@ -252,8 +252,10 @@ class PowerLawTimeReport:
 
 
 def powerlaw_expected_time(c: float, exponent: int, n: int) -> PowerLawTimeReport:
-    """Expected time to pass through states 1..n under c * k**exponent rates."""
-    if not require_finite("c", c) > 0:
+    """Expected time to pass through states 1..n under c * k**exponent rates.
+    c is taken as a float, as RateModel takes it."""
+    c = float(require_finite("c", c))
+    if not c > 0:
         raise OutOfRange(f"c must be positive, got {c}")
     require_integer("n", n, 1)
     if exponent == 2:

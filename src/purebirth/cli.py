@@ -13,6 +13,12 @@ with it: parsing reads the parser without changing it and returns a fresh
 namespace, so repeated in-process calls stay independent of each other
 and skip the parser build, about 2 ms; a one-shot process builds it once.
 build_parser() still returns a new parser on every call.
+
+simulate --trajectories writes the same bytes as fmt would, one row per
+event, but renders them in numpy, a chunk of cells at a time: a time in
+[1e-4, 1e16) gets the 17-digit significand "%.17g" rounds to, computed
+exactly in float64 by Dekker's two-product, and any other time (0.0, the
+tiny and the huge) goes through fmt itself.
 """
 
 from __future__ import annotations
@@ -24,6 +30,8 @@ import io
 import json
 import sys
 from typing import Optional
+
+import numpy as np
 
 from . import __version__
 from .analytic import expected_absorption_time
@@ -321,6 +329,175 @@ def _start(args):
     return 1 if args.start is None else args.start
 
 
+# The trajectory dump writes each time as fmt does, "%.17g", but renders the
+# cells of [1e-4, 1e16) in numpy: there "%.17g" is the 17-digit significand
+# D of x, rounded half to even, written in fixed point with its trailing
+# zeros (and a bare point) dropped.
+DUMP_CELLS = 2 ** 13        # cells per chunk, which bounds the working set
+_SPLIT = 134217729.0        # 2**27 + 1, Veltkamp's splitting constant
+_POW = np.array([float(10 ** q) for q in range(22)])  # exact: 5**21 < 2**53
+_POW_HI = _SPLIT * _POW - (_SPLIT * _POW - _POW)
+_POW_LO = _POW - _POW_HI
+_DIGITS = np.frombuffer(b"".join(b"%04d" % k for k in range(10000)),
+                        "<u4").astype(np.uint64)  # k -> ASCII, 4 bytes
+_TRAILING_ZEROS = sum((np.arange(10000) % 10 ** j == 0).astype(np.int64)
+                      for j in range(1, 5))          # of k as 4 digits
+
+
+def _words(strings, width=None):
+    """The strings NUL-padded to ``width`` bytes, a multiple of 8 (by
+    default the longest rounded up), as the rows of a uint64 array.  Its
+    words are little-endian, like all of the dump's: byte j of a word is
+    its bits 8j to 8j + 7."""
+    width = width or -(-max(map(len, strings)) // 8) * 8
+    return np.frombuffer(b"".join(s.ljust(width, b"\0") for s in strings),
+                         "<u8").reshape(len(strings), width // 8)
+
+
+def _word_table(strings):
+    """_words(strings, 24) by column: table[k][i] is word k of strings[i]."""
+    return _words(strings, 24).T.copy()
+
+
+# by byte count m: the first m bytes of a 24-byte field
+_FIRST = _word_table([b"\xff" * m for m in range(25)])
+# by d + 4, then d + 24 with a point: what precedes the digits, or sits
+# between them, in a cell of exponent d
+_LEAD = _word_table([b"0." + b"0" * (-d - 1) if d < 0 else
+                     b"\0" * (d + 1) + b"." * point
+                     for point in (0, 1) for d in range(-4, 16)])
+# by d + 4: the bytes the digits after the point move right
+_SHIFT = np.array([8 * max(1, 1 - d) for d in range(-4, 16)], np.uint64)
+
+
+def _two_product(x, q):
+    """p, e with p + e == x * 10**q exactly (Dekker's TwoProduct)."""
+    b, b_hi, b_lo = _POW[q], _POW_HI[q], _POW_LO[q]
+    p = x * b
+    hi = _SPLIT * x
+    hi -= hi - x
+    lo = x - hi
+    e = hi * b_hi - p
+    e += hi * b_lo
+    e += lo * b_hi
+    e += lo * b_lo
+    return p, e
+
+
+def _significand(x, d):
+    """(d, D) for float64 x in [1e-4, 1e16) and an int64 guess d of its
+    decimal exponent that is off by at most one, corrected in place: the
+    exponent and the 17-digit significand D that "%.17g" writes,
+    1e16 <= D < 1e17, as int64.
+
+    D is rint(x * 10**q) with q = 16 - d.  10**q is an exact double for
+    0 <= q <= 21, and Dekker's TwoProduct, products of Veltkamp's 26-bit
+    halves, gives p + e == x * 10**q exactly in float64.  When
+    x * 10**q >= 1e16 > 2**53, p is an even integer, so p + rint(e) is the
+    rounding half to even that "%.17g" does; it is summed in int64, exact
+    below 2**63.  Two corrections make d the exponent:
+    * down, when p + e < 1e16 (p < 1e16, or p == 1e16 and e < 0): d - 1,
+      and the product again;
+    * up, when D >= 1e17: d + 1, and the product again.  A guess one too
+      low gives this; so would a cell corrected down whose x * 10**(q + 1)
+      rounds to 1e17, and it goes back to its first d, where D = 1e16."""
+    p, e = _two_product(x, 16 - d)
+    down = np.flatnonzero((p < 1e16) | ((p == 1e16) & (e < 0)))
+    d[down] -= 1
+    p[down], e[down] = _two_product(x[down], 16 - d[down])
+    D = p.astype(np.int64) + np.rint(e).astype(np.int64)
+    up = np.flatnonzero(D >= 10 ** 17)
+    d[up] += 1
+    p, e = _two_product(x[up], 16 - d[up])
+    D[up] = p.astype(np.int64) + np.rint(e).astype(np.int64)
+    return d, D
+
+
+def _fixed17(x):
+    """"%.17g" % x for float64 x in [1e-4, 1e16), as 24 NUL-padded bytes
+    per cell: an (n, 3) uint64 array.  In that domain "%.17g" writes the
+    significand of _significand in fixed point, without its trailing
+    zeros and without a point that no digit follows; np.log10 gives the
+    exponent within one."""
+    d, D = _significand(x, np.floor(np.log10(x)).astype(np.int64))
+
+    # D as its first digit and four groups of 4 digits
+    first = D // 10 ** 16
+    D -= first * 10 ** 16
+    high = D // 10 ** 8
+    low = D - high * 10 ** 8
+    groups = [high // 10000, high % 10000, low // 10000, low % 10000]
+    # last: the index of D's last nonzero digit of the 17
+    zeros = _TRAILING_ZEROS[groups[3]]
+    for k in (4, 8, 12):
+        more = np.flatnonzero(zeros == k)
+        zeros[more] += _TRAILING_ZEROS[groups[3 - k // 4][more]]
+    last = 16 - zeros
+    # the 17 ASCII digits at bytes 0-16 of three little-endian words
+    a = _DIGITS[groups[0]] | (_DIGITS[groups[1]] << np.uint64(32))
+    b = _DIGITS[groups[2]] | (_DIGITS[groups[3]] << np.uint64(32))
+    digits = [(first.astype(np.uint64) + np.uint64(48)) | (a << np.uint64(8)),
+              (a >> np.uint64(56)) | (b << np.uint64(8)),
+              b >> np.uint64(56)]
+
+    # keep the digits up to the last nonzero one or the units digit; the
+    # first max(d + 1, 0) stay put and the rest move right to make room
+    # for the point, or for "0." and the zeros before the first digit
+    keep = np.maximum(last, d) + 1
+    stay = np.maximum(d + 1, 0)
+    shift = _SHIFT[d + 4]
+    back = np.uint64(64) - shift
+    lead = d + 4 + 20 * (last > d)
+    out = np.empty((len(x), 3), np.uint64)
+    carry = np.uint64(0)
+    for k in range(3):
+        word = digits[k] & _FIRST[k][keep]
+        fixed = word & _FIRST[k][stay]
+        word ^= fixed
+        fixed |= _LEAD[k][lead]
+        fixed |= carry
+        carry = word >> back
+        word <<= shift
+        out[:, k] = fixed | word
+    return out
+
+
+def _cells(x):
+    """fmt(x[i]) for every float64 cell, as 24 NUL-padded bytes: an (n, 3)
+    uint64 array.  _fixed17 renders the cells of its domain and fmt the
+    rest: 0.0, times below 1e-4 and times of 1e16 or more."""
+    inside = (x >= 1e-4) & (x < 1e16)
+    cells = _fixed17(np.where(inside, x, 1.0))
+    outside = np.flatnonzero(~inside)
+    if outside.size:
+        cells[outside] = _words([fmt(t).encode()
+                                 for t in x[outside].tolist()], 24)
+    return cells
+
+
+def _trajectory_lines(first, times, start):
+    """The dump's rows "replicate,time,state\\n" of one block of
+    event_time_blocks, as bytes, DUMP_CELLS cells at a time: each chunk is
+    laid out NUL-padded in uint64 words and its NULs deleted."""
+    rows, states = times.shape
+    prefix = _words([b"%d," % i for i in range(first, first + rows)])
+    suffix = _words([b",%d\n" % k for k in range(start, start + states)])
+    width = min(states, DUMP_CELLS)
+    height = max(1, DUMP_CELLS // states)
+    for r in range(0, rows, height):
+        for s in range(0, states, width):
+            tile = times[r:r + height, s:s + width]
+            h, w = tile.shape
+            line = np.concatenate(
+                [np.broadcast_to(prefix[r:r + h, None],
+                                 (h, w, prefix.shape[1])),
+                 _cells(tile.ravel()).reshape(h, w, 3),
+                 np.broadcast_to(suffix[s:s + w], (h, w, suffix.shape[1]))],
+                axis=2)
+            yield line.astype("<u8", copy=False).tobytes().translate(
+                None, b"\0")
+
+
 def _summary_row(summary):
     header = ["replicates", "master_seed", "mean", "std_error"] + [
         f"q{round(100 * q):02d}" for q in QUANTILE_LEVELS] + ["time_unit"]
@@ -338,18 +515,11 @@ def _cmd_simulate(args):
     summary = estimate_absorption_time(model, start, replicates, seed,
                                        n_jobs=_jobs(args))
     if args.trajectories:
-        with open(args.trajectories, "w", encoding="utf-8",
-                  newline="") as handle:
-            handle.write("replicate,time,state\n")
-            # one %-template per replicate; "%.17g" % t == f"{t:.17g}"
-            parts = [f"%.17g,{k}\n"
-                     for k in range(start, model.absorbing_state + 1)]
+        with open(args.trajectories, "wb") as handle:
+            handle.write(b"replicate,time,state\n")
             for first, times in event_time_blocks(model, start, replicates,
                                                   seed):
-                for i, row in enumerate(times, first):
-                    pre = f"{i},"
-                    handle.write((pre + pre.join(parts))
-                                 % tuple(row.tolist()))
+                handle.writelines(_trajectory_lines(first, times, start))
     header, row = _summary_row(summary)
     _write_rows(args, header, [row],
                 _metadata(args, "simulate", seed=seed, replicates=replicates,

@@ -61,7 +61,8 @@ class RateModel:
       powerlaw, a rate parameter that is not a finite positive number, p
       outside (0, 1], N or the cap not an integer >= 2 that a float can
       hold (a numeric string or an integral float is not), a non-finite
-      exponent, or rates that break the rule of the module docstring;
+      exponent, a time_unit that is not a str, or rates that break the
+      rule of the module docstring;
     * MissingParameter: a parameter required by the family is None;
     * CapRequired: a powerlaw model without a state cap.
 
@@ -79,6 +80,9 @@ class RateModel:
     time_unit: str = "time"
 
     def __post_init__(self):
+        if not isinstance(self.time_unit, str):
+            raise OutOfRange(
+                f"time_unit must be a str, got {describe(self.time_unit)}")
         family = self.family
         if family == POWERLAW:
             _positive(self, "coefficient", "c")

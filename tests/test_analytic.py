@@ -575,6 +575,17 @@ class TestPowerLawExpectedTime:
         assert powerlaw_expected_time(c, 2, 10).value == \
             powerlaw_expected_time(2.0, 2, 10).value
 
+    @pytest.mark.parametrize("exponent", [2, -2])
+    @pytest.mark.parametrize("c, n", [(np.float32(3), 10 ** 6),
+                                      (Fraction(1, 3), 10)])
+    def test_coefficient_is_taken_as_a_float(self, c, n, exponent):
+        # float32 3 with -2 gave a numpy.float32 1.1111128e+17, and
+        # Fraction(1, 3) a Fraction(1155); coefficient kept the type
+        report = powerlaw_expected_time(c, exponent, n)
+        assert type(report.coefficient) is float
+        assert type(report.value) is float
+        assert report == powerlaw_expected_time(float(c), exponent, n)
+
     @pytest.mark.parametrize("n", [1, 2, 3, 10, 1000, 10 ** 5])
     @pytest.mark.parametrize("c", [1.0, 0.3])
     def test_square_sum_identity(self, n, c):

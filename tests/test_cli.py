@@ -8,12 +8,18 @@ import shlex
 import subprocess
 import sys
 import threading
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from purebirth import absorption_probability, hypergeometric_mixing, power_law
-from purebirth.cli import _config_actions, _parser, build_parser, fmt, main
+from purebirth import cli
+from purebirth.cli import (_cells, _config_actions, _parser, _significand,
+                           build_parser, fmt, main)
 from purebirth.forward import FORWARD_SCHEME, forward_grid
 from purebirth.montecarlo import (RNG_SCHEME, _simulate_ensemble,
                                   event_time_blocks)
@@ -306,6 +312,136 @@ class TestSimulate:
         assert main(["simulate", "--family", "hypergeometric", "--N", "3",
                      "--lambda", "1", "--p", "1", "--replicates", "10"]) != 0
         assert "--seed" in capsys.readouterr().err
+
+
+def _rendered(values):
+    """The text of each cell that the trajectory dump renders."""
+    cells = _cells(np.array(values, dtype=float))
+    return [bytes(row).replace(b"\0", b"").decode()
+            for row in cells.view(np.uint8).reshape(len(values), 24)]
+
+
+def _csv_dump(model, start, replicates, seed):
+    """The bytes the csv module writes for the events of the dump."""
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(["replicate", "time", "state"])
+    for first, times in event_time_blocks(model, start, replicates, seed):
+        for i, row in enumerate(times.tolist(), first):
+            for state, t in enumerate(row, start):
+                writer.writerow([i, fmt(t), state])
+    return expected.getvalue().encode()
+
+
+def _ties():
+    """Doubles x whose x * 10**q, q = 16 - (decimal exponent of x), ends in
+    exactly .5: the 17th digit is a tie, rounded half to even.  They are
+    m / 2**(q + 1) with m odd, m < 2**53 and 1e16 <= m * 5**q / 2 < 1e17."""
+    out = []
+    for q in range(1, 21):
+        low = -(-2 * 10 ** 16 // 5 ** q) | 1
+        high = min((2 * 10 ** 17 - 1) // 5 ** q, 2 ** 53 - 1)
+        high -= 1 - high % 2
+        for m in (low, low + 2, low + 4, high):
+            x = m / 2 ** (q + 1)
+            assert Fraction(x) * 10 ** q % 1 == Fraction(1, 2)
+            out.append(x)
+    return out
+
+
+def _edges():
+    """Up to 3 doubles on either side of each power of ten from 1e-5 to
+    1e17, the power itself, the ties, 9.9999999999999995e{k} and the ends
+    of the kernel's domain [1e-4, 1e16)."""
+    out = [1e-4, math.nextafter(1e-4, 0), 1e16, math.nextafter(1e16, 0)]
+    for k in range(-5, 18):
+        power = float(f"1e{k}")
+        out.append(power)
+        for toward in (0.0, math.inf):
+            x = power
+            for _ in range(3):
+                x = math.nextafter(x, toward)
+                out.append(x)
+    out += [float(f"9.9999999999999995e{k}") for k in range(-5, 18)]
+    return out + _ties()
+
+
+class TestDumpCells:
+    """The dump renders each time as fmt does, by the float64 kernel in
+    [1e-4, 1e16) and by fmt itself elsewhere."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.one_of(st.just(0.0),
+                              st.floats(-6, 18).map(lambda u: 10.0 ** u)),
+                    min_size=1, max_size=64))
+    def test_cells_are_fmt(self, values):
+        assert _rendered(values) == [fmt(x) for x in values]
+
+    def test_edges_are_fmt(self):
+        values = _edges()
+        assert _rendered(values) == [fmt(x) for x in values]
+
+    def test_both_exponent_corrections(self):
+        # a guess one too high is corrected down, one too low up
+        values = [x for x in _edges() if 1e-4 <= x < 1e16]
+        x = np.array(values)
+        digits, exponents = zip(*(format(v, ".16e").split("e")
+                                  for v in values))
+        want_D = [int(s.replace(".", "")) for s in digits]
+        want_d = [int(s) for s in exponents]
+        for miss in (-1, 0, 1):
+            d, D = _significand(x, np.array(want_d) + miss)
+            assert D.tolist() == want_D
+            assert d.tolist() == want_d
+
+    @pytest.mark.parametrize("argv, model, start", [
+        # times of 1e16 and more: fmt writes them with an exponent
+        (["--family", "powerlaw", "--c", "1e-18", "--exponent", "2",
+          "--cap", "30"], power_law(1e-18, 2, 30), 1),
+        (["--family", "powerlaw", "--c", "1e-16", "--exponent", "0.5",
+          "--cap", "10"], power_law(1e-16, 0.5, 10), 1),
+        # first holding times below 1e-4
+        (["--family", "yule", "--N", "40", "--mu", "1e4", "--p", "1"],
+         yule_scaled(40, 1e4, 1), 2),
+    ])
+    def test_dump_outside_the_kernel_domain(self, tmp_path, argv, model,
+                                            start):
+        dump = tmp_path / "paths.csv"
+        assert main(["simulate", *argv, "--start", str(start),
+                     "--replicates", "150", "--seed", "3",
+                     "--trajectories", str(dump),
+                     "--out", str(tmp_path / "s.csv")]) == 0
+        times = np.vstack([t for _, t in
+                           event_time_blocks(model, start, 150, 3)])
+        outside = times[(times != 0) & ((times < 1e-4) | (times >= 1e16))]
+        assert outside.size > 100
+        assert dump.read_bytes() == _csv_dump(model, start, 150, 3)
+
+    @pytest.mark.parametrize("cells", [1, 7, 25, 100, 2 ** 13])
+    def test_dump_in_many_chunks(self, tmp_path, monkeypatch, cells):
+        # rows of 12 states cut into chunks of 1 and 7 cells, and chunks of
+        # 2, 8 and 682 whole rows; 1100 replicates span a second block
+        monkeypatch.setattr(cli, "DUMP_CELLS", cells)
+        dump = tmp_path / "paths.csv"
+        assert main(["simulate", "--family", "hypergeometric", "--N", "14",
+                     "--lambda", "2", "--p", "0.5", "--start", "3",
+                     "--replicates", "1100", "--seed", "11",
+                     "--trajectories", str(dump),
+                     "--out", str(tmp_path / "s.csv")]) == 0
+        model = hypergeometric_mixing(14, 2.0, 0.5)
+        assert dump.read_bytes() == _csv_dump(model, 3, 1100, 11)
+
+    def test_a_row_longer_than_a_chunk(self, tmp_path):
+        # 9999 states: each replicate's row spans two chunks
+        dump = tmp_path / "paths.csv"
+        assert main(["simulate", "--family", "hypergeometric",
+                     "--N", "10000", "--lambda", "1", "--p", "1",
+                     "--replicates", "3", "--seed", "2",
+                     "--trajectories", str(dump),
+                     "--out", str(tmp_path / "s.csv")]) == 0
+        model = hypergeometric_mixing(10000, 1.0, 1.0)
+        assert model.absorbing_state > cli.DUMP_CELLS
+        assert dump.read_bytes() == _csv_dump(model, 1, 3, 2)
 
 
 class TestSweep:

@@ -181,6 +181,29 @@ class TestBuildRateModel:
     def test_time_unit_carried(self):
         assert yule_scaled(5, 1.0, 0.5, "hours").time_unit == "hours"
 
+    @pytest.mark.parametrize("unit", [5, None, b"hours", ["hours"]])
+    def test_time_unit_must_be_a_str(self, unit):
+        # 5 and None were stored and carried into the engines' reports
+        fields = {"population": 10, "per_capita_rate": 1.0,
+                  "transmission_prob": 0.3}
+        builds = [lambda: yule_scaled(10, 1, 0.3, unit),
+                  lambda: RateModel("yule", **fields, time_unit=unit)]
+        if unit:  # build_rate_model maps a missing or empty unit to "time"
+            builds.append(lambda: build_rate_model(
+                {"family": "yule", "N": 10, "mu": 1, "p": 0.3,
+                 "time_unit": unit}))
+        for build in builds:
+            with pytest.raises(OutOfRange, match="^time_unit must be a str, "
+                                                 f"got {re.escape(repr(unit))}$"):
+                build()
+
+    @pytest.mark.parametrize("spec", [{}, {"time_unit": None},
+                                      {"time_unit": ""}])
+    def test_missing_time_unit_is_time(self, spec):
+        model = build_rate_model({"family": "yule", "N": 10, "mu": 1,
+                                  "p": 0.3, **spec})
+        assert model.time_unit == "time"
+
 
 YULE_FIELDS = {"family": "yule", "population": 10, "per_capita_rate": 1.0,
                "transmission_prob": 0.3}
