@@ -338,10 +338,6 @@ _SPLIT = 134217729.0        # 2**27 + 1, Veltkamp's splitting constant
 _POW = np.array([float(10 ** q) for q in range(22)])  # exact: 5**21 < 2**53
 _POW_HI = _SPLIT * _POW - (_SPLIT * _POW - _POW)
 _POW_LO = _POW - _POW_HI
-_DIGITS = np.frombuffer(b"".join(b"%04d" % k for k in range(10000)),
-                        "<u4").astype(np.uint64)  # k -> ASCII, 4 bytes
-_TRAILING_ZEROS = sum((np.arange(10000) % 10 ** j == 0).astype(np.int64)
-                      for j in range(1, 5))          # of k as 4 digits
 
 
 def _words(strings, width=None):
@@ -354,20 +350,28 @@ def _words(strings, width=None):
                          "<u8").reshape(len(strings), width // 8)
 
 
-def _word_table(strings):
-    """_words(strings, 24) by column: table[k][i] is word k of strings[i]."""
-    return _words(strings, 24).T.copy()
-
-
-# by byte count m: the first m bytes of a 24-byte field
-_FIRST = _word_table([b"\xff" * m for m in range(25)])
+# tables of 24-byte fields by column: word k of field i is table[k][i]
+# by byte count m: the first m bytes of a field
+_FIRST = _words([b"\xff" * m for m in range(25)], 24).T
 # by d + 4, then d + 24 with a point: what precedes the digits, or sits
 # between them, in a cell of exponent d
-_LEAD = _word_table([b"0." + b"0" * (-d - 1) if d < 0 else
-                     b"\0" * (d + 1) + b"." * point
-                     for point in (0, 1) for d in range(-4, 16)])
+_LEAD = _words([b"0." + b"0" * (-d - 1) if d < 0 else
+                b"\0" * (d + 1) + b"." * point
+                for point in (0, 1) for d in range(-4, 16)], 24).T
 # by d + 4: the bytes the digits after the point move right
 _SHIFT = np.array([8 * max(1, 1 - d) for d in range(-4, 16)], np.uint64)
+
+
+@functools.cache
+def _groups_of_four():
+    """For k < 10**4: k's 4 ASCII digits in the low bytes of a uint64, and
+    the count of its trailing zeros as 4 digits.  Built by the first dump,
+    so that importing the module costs no memory for them."""
+    ascii4 = np.frombuffer(b"".join(b"%04d" % k for k in range(10000)),
+                           "<u4").astype(np.uint64)
+    zeros = sum((np.arange(10000) % 10 ** j == 0).astype(np.int64)
+                for j in range(1, 5))
+    return ascii4, zeros
 
 
 def _two_product(x, q):
@@ -420,6 +424,7 @@ def _fixed17(x):
     zeros and without a point that no digit follows; np.log10 gives the
     exponent within one."""
     d, D = _significand(x, np.floor(np.log10(x)).astype(np.int64))
+    ascii4, trailing_zeros = _groups_of_four()
 
     # D as its first digit and four groups of 4 digits
     first = D // 10 ** 16
@@ -428,15 +433,16 @@ def _fixed17(x):
     low = D - high * 10 ** 8
     groups = [high // 10000, high % 10000, low // 10000, low % 10000]
     # last: the index of D's last nonzero digit of the 17
-    zeros = _TRAILING_ZEROS[groups[3]]
-    for k in (4, 8, 12):
+    zeros = trailing_zeros[groups[3]]
+    for k, group in ((4, groups[2]), (8, groups[1]), (12, groups[0])):
         more = np.flatnonzero(zeros == k)
-        zeros[more] += _TRAILING_ZEROS[groups[3 - k // 4][more]]
+        zeros[more] += trailing_zeros[group[more]]
     last = 16 - zeros
     # the 17 ASCII digits at bytes 0-16 of three little-endian words
-    a = _DIGITS[groups[0]] | (_DIGITS[groups[1]] << np.uint64(32))
-    b = _DIGITS[groups[2]] | (_DIGITS[groups[3]] << np.uint64(32))
-    digits = [(first.astype(np.uint64) + np.uint64(48)) | (a << np.uint64(8)),
+    a = ascii4[groups[0]] | (ascii4[groups[1]] << np.uint64(32))
+    b = ascii4[groups[2]] | (ascii4[groups[3]] << np.uint64(32))
+    first = first.astype(np.uint64) + np.uint64(ord("0"))
+    digits = [first | (a << np.uint64(8)),
               (a >> np.uint64(56)) | (b << np.uint64(8)),
               b >> np.uint64(56)]
 

@@ -390,7 +390,7 @@ class TestDumpCells:
         want_D = [int(s.replace(".", "")) for s in digits]
         want_d = [int(s) for s in exponents]
         for miss in (-1, 0, 1):
-            d, D = _significand(x, np.array(want_d) + miss)
+            d, D = _significand(x, np.array(want_d, np.int64) + miss)
             assert D.tolist() == want_D
             assert d.tolist() == want_d
 

@@ -192,9 +192,9 @@ class TestBuildRateModel:
             builds.append(lambda: build_rate_model(
                 {"family": "yule", "N": 10, "mu": 1, "p": 0.3,
                  "time_unit": unit}))
+        message = f"^time_unit must be a str, got {re.escape(repr(unit))}$"
         for build in builds:
-            with pytest.raises(OutOfRange, match="^time_unit must be a str, "
-                                                 f"got {re.escape(repr(unit))}$"):
+            with pytest.raises(OutOfRange, match=message):
                 build()
 
     @pytest.mark.parametrize("spec", [{}, {"time_unit": None},
