@@ -358,7 +358,8 @@ _FIRST = _words([b"\xff" * m for m in range(25)], 24).T
 _LEAD = _words([b"0." + b"0" * (-d - 1) if d < 0 else
                 b"\0" * (d + 1) + b"." * point
                 for point in (0, 1) for d in range(-4, 16)], 24).T
-# by d + 4: the bytes the digits after the point move right
+# by d + 4: the bits the digits past the units digit move by, one byte for
+# the point, or 1 - d bytes for "0." and the zeros
 _SHIFT = np.array([8 * max(1, 1 - d) for d in range(-4, 16)], np.uint64)
 
 
