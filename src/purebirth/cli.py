@@ -2,11 +2,13 @@
 
 Subcommands: expect-time, forward, simulate, sweep, explosion.  Model
 parameters come from flags (--family, --N, --lambda, --mu, --p, --c,
---exponent, --cap, --unit) or a flat key=value config file (--config)
-whose keys are the long flag names of any subcommand; flags override the
-file.  Data goes to --out or stdout as CSV (RFC-4180 style, 17 significant
-digits) or JSON (metadata header plus one object per row); diagnostics go
-to stderr and any failure exits nonzero.
+--exponent, --cap, --unit), each stored under its build_rate_model key, or
+a flat key=value config file (--config) whose keys are the long flag names
+of any subcommand; flags override the file.  --t is --t-grid with one
+time, and sweep refuses a --param that its family does not use.  Data goes
+to --out or stdout as CSV (RFC-4180 style, 17 significant digits) or JSON
+(metadata header plus one object per row); diagnostics go to stderr and
+any failure exits nonzero.
 
 main() builds its argument parser once per process and parses every call
 with it: parsing reads the parser without changing it and returns a fresh
@@ -40,7 +42,7 @@ from .forward import SolverConfig, forward_grid
 from .montecarlo import (QUANTILE_LEVELS, RNG_SCHEME,
                          estimate_absorption_time, event_time_blocks,
                          explosion_study)
-from .rates import build_rate_model
+from .rates import _KEYS, build_rate_model
 
 PROB_FLOOR = 1e-12
 
@@ -56,15 +58,16 @@ def fmt(value) -> str:
 
 def _add_model_flags(parser):
     parser.add_argument("--family", help="hypergeometric, yule, or powerlaw")
-    parser.add_argument("--N", dest="N", type=int, help="population size")
-    parser.add_argument("--lambda", dest="lam", type=float,
+    parser.add_argument("--N", type=int, help="population size")
+    parser.add_argument("--lambda", type=float,
                         help="contact rate (hypergeometric)")
     parser.add_argument("--mu", type=float, help="per-capita rate (yule)")
     parser.add_argument("--p", type=float, help="transmission probability")
     parser.add_argument("--c", type=float, help="powerlaw coefficient")
     parser.add_argument("--exponent", type=float, help="powerlaw exponent")
     parser.add_argument("--cap", type=int, help="powerlaw state cap")
-    parser.add_argument("--unit", help="time unit label")
+    parser.add_argument("--unit", dest="time_unit", metavar="UNIT",
+                        help="time unit label")
     parser.add_argument("--start", type=int, help="initial state (default 1)")
 
 
@@ -96,7 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="error allowed per time (default 1e-10): the "
                         "Poisson weight uniformization leaves out, or "
                         "inversion's bound plus its estimate")
-    p.add_argument("--t", type=float, help="single evaluation time")
+    p.add_argument("--t", dest="t_grid", metavar="T",
+                   help="one evaluation time, as --t-grid of one")
     p.add_argument("--t-grid", dest="t_grid",
                    help="comma-separated strictly increasing times")
 
@@ -183,18 +187,25 @@ def _convert(kind, value: str, where: str):
             f"{where} must be {noun}, got {value!r}") from None
 
 
+# build_rate_model's keys, which are also the model flags' destinations
+MODEL_KEYS = ("family", "N", "lambda", "mu", "p", "c", "exponent", "cap",
+              "time_unit")
+
+
 def _model_spec(args) -> dict:
-    return {
-        "family": args.family,
-        "N": args.N,
-        "lambda": args.lam,
-        "mu": args.mu,
-        "p": args.p,
-        "c": args.c,
-        "exponent": args.exponent,
-        "cap": args.cap,
-        "time_unit": args.unit,
-    }
+    return {key: getattr(args, key) for key in MODEL_KEYS}
+
+
+def _increasing(text: str, kind, flag: str, where: str) -> list:
+    """The comma list text as kind (int or float), refused if it is empty
+    or not strictly increasing; a bad value is named after where."""
+    values = [_convert(kind, v.strip(), where) for v in text.split(",")
+              if v.strip()]
+    if not values:
+        raise PureBirthError(f"{flag} is empty")
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise PureBirthError(f"{flag} must be strictly increasing")
+    return values
 
 
 class _SnapshotRows:
@@ -282,23 +293,11 @@ def _cmd_expect_time(args):
     _write_rows(args, header, [row], _metadata(args, "expect-time"))
 
 
-def _parse_grid(args):
-    if args.t_grid is not None:
-        grid = [_convert(float, v, "--t-grid") for v in args.t_grid.split(",")
-                if v.strip()]
-        if not grid:
-            raise PureBirthError("--t-grid is empty")
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise PureBirthError("--t-grid must be strictly increasing")
-        return grid
-    if args.t is not None:
-        return [args.t]
-    raise PureBirthError("forward requires --t or --t-grid")
-
-
 def _cmd_forward(args):
     model = build_rate_model(_model_spec(args))
-    grid = _parse_grid(args)
+    if args.t_grid is None:
+        raise PureBirthError("forward requires --t or --t-grid")
+    grid = _increasing(args.t_grid, float, "--t-grid", "--t-grid")
     config = (SolverConfig() if args.abs_tol is None
               else SolverConfig(abs_tol=args.abs_tol))
     snapshots = forward_grid(model, _start(args), grid, config)
@@ -535,14 +534,14 @@ def _cmd_simulate(args):
 
 def _cmd_sweep(args):
     param = _require_arg(args, "param")
-    raw = _require_arg(args, "values")
-    values = [v.strip() for v in raw.split(",") if v.strip()]
-    if not values:
-        raise PureBirthError("--values is empty")
-    kind = int if param == "N" else float
-    grid = [_convert(kind, v, f"--values: {param}") for v in values]
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise PureBirthError("--values must be strictly increasing")
+    grid = _increasing(_require_arg(args, "values"),
+                       int if param == "N" else float, "--values",
+                       f"--values: {param}")
+    # an unknown or missing family is left to the first point's build
+    used = _KEYS.get(args.family, {}).values()
+    if used and param not in used:
+        raise PureBirthError(f"sweep --param {param}: the {args.family} "
+                             f"family uses only {', '.join(used)}")
     rows = []
     for value in grid:
         spec = _model_spec(args)

@@ -133,9 +133,11 @@ def event_time_blocks(model: RateModel, start_state: int, replicates: int,
     def blocks():
         for first in range(0, replicates, BLOCK):
             stream = replicate_stream(master_seed, first // BLOCK)
-            times = np.vstack([np.zeros((1, BLOCK)),
-                               *(_running_sum(strip)
-                                 for strip, _ in _strips(stream, lam))])
+            # filled strip by strip, so a block is held once
+            times = np.zeros((lam.size + 1, BLOCK))
+            for k, (strip, _) in zip(range(1, lam.size + 1, STRIP),
+                                     _strips(stream, lam)):
+                times[k:k + len(strip)] = _running_sum(strip)
             yield first, times[:, :replicates - first].T
     return blocks()
 

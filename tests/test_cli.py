@@ -101,6 +101,10 @@ class TestExpectTime:
             math.log(100) / 0.5)
 
 
+FORWARD_YULE = ["forward", "--family", "yule", "--N", "20", "--mu", "1",
+                "--p", "1"]
+
+
 class TestForward:
     def test_time_zero_single_row(self, capsys):
         rows = run_csv(capsys, ["forward", "--family", "hypergeometric",
@@ -186,6 +190,22 @@ class TestForward:
                 <= 1e-4
         assert main(argv + ["--abs-tol", "0"]) == 1
         assert "abs_tol" in capsys.readouterr().err
+
+    def test_t_is_a_grid_of_one_time(self, capsys):
+        assert run_csv(capsys, FORWARD_YULE + ["--t", "1,2"]) == \
+            run_csv(capsys, FORWARD_YULE + ["--t-grid", "1,2"])
+        # both flags: the last one wins, as for any repeated flag
+        both = ["--t-grid", "1,2", "--t", "3"]
+        assert run_csv(capsys, FORWARD_YULE + both) == \
+            run_csv(capsys, FORWARD_YULE + ["--t", "3"])
+        assert run_csv(capsys, FORWARD_YULE + both[2:] + both[:2]) == \
+            run_csv(capsys, FORWARD_YULE + ["--t-grid", "1,2"])
+
+    def test_bad_t_is_refused_as_a_grid(self, capsys):
+        # argparse used to exit 2 with its usage message
+        assert main(FORWARD_YULE + ["--t", "x"]) == 1
+        assert capsys.readouterr() == (
+            "", "purebirth: error: --t-grid must be a number, got 'x'\n")
 
     def test_json_metadata_names_scheme_and_mass_defect(self, capsys):
         assert main(["forward", "--family", "powerlaw", "--c", "1",
@@ -444,6 +464,21 @@ class TestDumpCells:
         assert dump.read_bytes() == _csv_dump(model, 1, 3, 2)
 
 
+SWEEP_YULE = ["sweep", "--family", "yule", "--N", "10", "--mu", "1",
+              "--p", "0.5"]
+FAMILY_FLAGS = {
+    "hypergeometric": ["--N", "50", "--lambda", "1", "--p", "0.3"],
+    "yule": ["--N", "50", "--mu", "1", "--p", "0.3"],
+    "powerlaw": ["--c", "1", "--exponent", "2", "--cap", "30"],
+}
+USED = {"hypergeometric": "N, lambda, p", "yule": "N, mu, p",
+        "powerlaw": "c, exponent, cap"}
+UNUSED_PARAMS = [("hypergeometric", "mu"), ("hypergeometric", "c"),
+                 ("yule", "lambda"), ("yule", "c"), ("powerlaw", "N"),
+                 ("powerlaw", "p"), ("powerlaw", "mu"),
+                 ("powerlaw", "lambda")]
+
+
 class TestSweep:
     def test_inverse_proportionality_in_p(self, capsys):
         rows = run_csv(capsys, ["sweep", "--family", "yule", "--N", "200",
@@ -482,6 +517,37 @@ class TestSweep:
     def test_values_must_increase(self, capsys):
         assert main(["sweep", "--family", "yule", "--N", "10", "--mu", "1",
                      "--p", "0.5", "--param", "p", "--values", "0.5,0.2"]) != 0
+
+    @pytest.mark.parametrize("argv, message", [
+        (FORWARD_YULE + ["--t-grid", "2,1"],
+         "--t-grid must be strictly increasing"),
+        (SWEEP_YULE + ["--param", "p", "--values", " , "],
+         "--values is empty"),
+        (SWEEP_YULE + ["--param", "p", "--values", "0.5,0.2"],
+         "--values must be strictly increasing"),
+    ])
+    def test_both_lists_keep_their_messages(self, capsys, argv, message):
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"purebirth: error: {message}\n")
+
+    # each used to print one identical row per value and exit 0
+    @pytest.mark.parametrize("family, param", UNUSED_PARAMS)
+    def test_param_the_family_ignores_is_refused(self, tmp_path, capsys,
+                                                 family, param):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--family", family] + FAMILY_FLAGS[family]
+                    + ["--param", param, "--values", "1,2",
+                       "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", (
+            f"purebirth: error: sweep --param {param}: the {family} family "
+            f"uses only {USED[family]}\n"))
+        assert not out.exists()
+
+    def test_every_ignored_param_is_tested(self):
+        sweep = _config_actions(build_parser())["param"]
+        assert set(UNUSED_PARAMS) == {
+            (family, param) for family, used in USED.items()
+            for param in sweep.choices if param not in used.split(", ")}
 
 
 class TestExplosionCommand:
@@ -537,6 +603,15 @@ class TestConfigFile:
                      "--p", "1", "--t", "1", "--config", str(cfg)]) == 1
         assert f"unknown key {key!r}" in capsys.readouterr().err
 
+    # a config t-grid used to beat a --t flag
+    @pytest.mark.parametrize("line", ["t-grid = 1,2", "t = 1"])
+    def test_t_flag_overrides_config_times(self, tmp_path, capsys, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{line}\n")
+        rows = run_csv(capsys, FORWARD_YULE + ["--t", "5", "--config",
+                                               str(cfg)])
+        assert rows == run_csv(capsys, FORWARD_YULE + ["--t", "5"])
+        assert {row["time"] for row in rows} == {"5"}
 
     @pytest.mark.parametrize("key", ["help", "config", "version", "lam"])
     def test_non_flag_keys_rejected(self, tmp_path, capsys, key):

@@ -1,6 +1,7 @@
 import math
 import os
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -232,6 +233,19 @@ def test_property_path_is_its_index_in_every_ensemble(model, start, replicate,
     rows = dict(event_time_blocks(model, start, replicates, seed))[first]
     assert same_bits(np.array([t for t, _ in path.events]),
                      rows[replicate - first])
+
+
+def test_event_time_block_is_held_once():
+    # np.vstack kept every strip alive next to the stacked copy: 2.05x
+    tracemalloc.start()
+    try:
+        _, times = next(event_time_blocks(yule_scaled(2000, 1.0, 0.31), 1,
+                                          BLOCK, SEED))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert times.shape == (BLOCK, 2000)
+    assert peak < 1.25 * times.nbytes
 
 
 class TestMasterSeed:
