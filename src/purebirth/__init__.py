@@ -8,8 +8,7 @@ reproducible exact-event Monte Carlo simulation.
 __version__ = "0.1.0"
 
 from .analytic import (AbsorptionTimeReport, HittingTimeDistribution,
-                       PowerLawTimeReport, expected_absorption_time,
-                       hitting_time_distribution, powerlaw_expected_time)
+                       expected_absorption_time, hitting_time_distribution)
 from .errors import (CapRequired, MissingParameter, OutOfRange,
                      PureBirthError, StateOutOfRange, ToleranceNotMet,
                      WrongFamily)
@@ -26,14 +25,12 @@ from .rates import (RateModel, build_rate_model, hypergeometric_mixing,
 __all__ = [
     "AbsorptionTimeReport", "CapRequired", "DistributionSnapshot",
     "ExplosionReport", "HittingTimeDistribution", "MissingParameter",
-    "MonteCarloSummary", "OutOfRange", "PowerLawTimeReport",
-    "PureBirthError", "RateModel", "SolverConfig", "StateHistogram",
-    "StateOutOfRange", "ToleranceNotMet", "Trajectory", "WrongFamily",
-    "absorption_probability", "build_rate_model",
-    "empirical_distribution_at", "estimate_absorption_time",
-    "expected_absorption_time", "explosion_study", "forward_grid",
-    "forward_probabilities", "hitting_time_distribution",
-    "hypergeometric_mixing", "mean_state", "power_law",
-    "powerlaw_expected_time", "rate_vector", "simulate_path",
-    "yule_scaled",
+    "MonteCarloSummary", "OutOfRange", "PureBirthError", "RateModel",
+    "SolverConfig", "StateHistogram", "StateOutOfRange", "ToleranceNotMet",
+    "Trajectory", "WrongFamily", "absorption_probability",
+    "build_rate_model", "empirical_distribution_at",
+    "estimate_absorption_time", "expected_absorption_time",
+    "explosion_study", "forward_grid", "forward_probabilities",
+    "hitting_time_distribution", "hypergeometric_mixing", "mean_state",
+    "power_law", "rate_vector", "simulate_path", "yule_scaled",
 ]

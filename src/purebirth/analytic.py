@@ -7,8 +7,11 @@ the model's rate vector by numpy's pairwise summation, whose relative error
 for these positive terms is at most about log2(N) ulps.  For the yule family
 the mean has the closed form ((N-1)/(p mu N)) * H_{N-1} and the
 large-population approximation ln(N) / (p mu); the tests hold the sum to
-the closed form.  T is hypoexponential, with an explicit partial-fraction
-density wherever that form is well conditioned.
+the closed form.  Under power-law rates c k^2 the mean stays below
+pi^2/(6c) however high the cap; under rates c / k^2 it is summed exactly,
+as the integer sum of k^2 over c, and grows like (cap-1)^3/(3c).  T is
+hypoexponential, with an explicit partial-fraction density wherever that
+form is well conditioned.
 
 The partial-fraction coefficients are the one O(m^2) kernel here, for m
 transient states.  They are built in bands of 256 x 256 factors in one
@@ -29,9 +32,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (OutOfRange, ToleranceNotMet, describe, require_finite,
-                     require_integer, require_times)
-from .rates import YULE, RateModel, power_law, rate_vector
+from .errors import ToleranceNotMet, require_times
+from .rates import POWERLAW, YULE, RateModel, rate_vector
 
 # Euler-Mascheroni constant, for the refined ln(N) + gamma diagnostic.
 EULER_GAMMA = 0.5772156649015329
@@ -49,26 +51,40 @@ _EXP_ZERO = -746.0
 
 @dataclass(frozen=True)
 class AbsorptionTimeReport:
-    """Mean and variance of the time to reach the absorbing/cap state."""
+    """Mean and variance of the time to reach the absorbing/cap state.
+
+    approx_mean is the paper's approximation of E(T) from state 1, whatever
+    the start state: ln(N)/(p mu) for the yule family; pi^2/(6c) for rates
+    c k^2, the limit that E(T) stays below, by less than 1/(c n) with
+    n = cap - 1; (cap-1)^3/(3c) for rates c / k^2, the leading term of
+    E(T); None for any other model.
+    """
 
     exact_mean: float
     # None when Var(T) overflows a float while E(T) does not
     variance: Optional[float]
     start_state: int
     time_unit: str
-    # ln(N)/(p mu), yule family only
     approx_mean: Optional[float] = None
-    # (ln(N) + gamma)/(p mu): diagnostic explaining the exact-vs-approx gap
+    # (ln(N) + gamma)/(p mu), yule family only: diagnostic explaining the
+    # exact-vs-approx gap
     approx_mean_refined: Optional[float] = None
+
+
+def _squares(n: int) -> int:
+    """1^2 + 2^2 + ... + n^2, in exact integer arithmetic."""
+    return n * (n + 1) * (2 * n + 1) // 6
 
 
 def expected_absorption_time(model: RateModel,
                              start_state: int = 1) -> AbsorptionTimeReport:
     """Exact E(T) and Var(T) from start_state, as sums over the holding
-    times of the states start_state, ..., absorbing - 1.
+    times of the states start_state, ..., absorbing - 1, with the
+    approximation of AbsorptionTimeReport.approx_mean.
 
-    For yule models the ln(N)/(p mu) approximation and its Euler-Mascheroni
-    refinement are reported alongside.  The variance is None when it
+    For yule models the Euler-Mascheroni refinement of the approximation
+    is reported too.  For rates c / k^2, E(T) is the integer sum of k^2
+    over those states, divided by c.  The variance is None when it
     overflows a float, as it can for a valid model whose smallest rate is
     below about 1e-154: E(T) is still finite and reported.  From the
     absorbing state both are 0.
@@ -89,6 +105,12 @@ def expected_absorption_time(model: RateModel,
         mu = model.per_capita_rate
         approx = math.log(n) / (p * mu)
         refined = (math.log(n) + EULER_GAMMA) / (p * mu)
+    elif model.family == POWERLAW and model.exponent == 2:
+        approx = math.pi ** 2 / (6.0 * model.coefficient)
+    elif model.family == POWERLAW and model.exponent == -2:
+        c, n = model.coefficient, model.state_cap - 1
+        exact = (_squares(n) - _squares(int(start_state) - 1)) / c
+        approx = n ** 3 / (3.0 * c)
     return AbsorptionTimeReport(exact_mean=exact, variance=variance,
                                 start_state=start_state,
                                 time_unit=model.time_unit,
@@ -131,9 +153,6 @@ class HittingTimeDistribution:
             np.maximum(part, 0.0, out=part)
         terms *= weights
         return terms.sum(axis=-1)
-
-    def mean(self) -> float:
-        return float(np.sum(1.0 / self.rates))
 
     def implied_mean(self) -> float:
         """Mean from the partial-fraction form, sum of C_k / lambda_k.
@@ -231,42 +250,3 @@ def _partial_fractions(rates):
                     f"|C_k| >= {kappa:.3e}); use absorption_probability "
                     "for P(T <= t)")
     return coeffs
-
-
-@dataclass(frozen=True)
-class PowerLawTimeReport:
-    """E(T) for rates c * k**(+/-2) summed over states 1..n.
-
-    For exponent +2 the mean stays bounded: ``limit`` is pi^2/(6c) and
-    ``tail_bound`` bounds the remainder past n by 1/(c n).  For exponent -2
-    the mean grows cubically: ``growth`` is the leading term n^3/(3c).
-    """
-
-    value: float
-    coefficient: float
-    exponent: int
-    n: int
-    limit: Optional[float] = None
-    tail_bound: Optional[float] = None
-    growth: Optional[float] = None
-
-
-def powerlaw_expected_time(c: float, exponent: int, n: int) -> PowerLawTimeReport:
-    """Expected time to pass through states 1..n under c * k**exponent rates.
-    c is taken as a float, as RateModel takes it."""
-    c = float(require_finite("c", c))
-    if not c > 0:
-        raise OutOfRange(f"c must be positive, got {c}")
-    require_integer("n", n, 1)
-    if exponent == 2:
-        value = float(np.sum(1.0 / rate_vector(power_law(1.0, 2, n + 1)))) / c
-        return PowerLawTimeReport(value=value, coefficient=c, exponent=2, n=n,
-                                  limit=math.pi ** 2 / (6.0 * c),
-                                  tail_bound=1.0 / (c * n))
-    if exponent == -2:
-        # sum of k^2 for k = 1..n, in exact integer arithmetic
-        closed = n * (n + 1) * (2 * n + 1) // 6
-        return PowerLawTimeReport(value=closed / c, coefficient=c,
-                                  exponent=-2, n=n,
-                                  growth=n ** 3 / (3.0 * c))
-    raise OutOfRange(f"exponent must be +2 or -2, got {describe(exponent)}")

@@ -4,11 +4,11 @@ Subcommands: expect-time, forward, simulate, sweep, explosion.  Model
 parameters come from flags (--family, --N, --lambda, --mu, --p, --c,
 --exponent, --cap, --unit), each stored under its build_rate_model key, or
 a flat key=value config file (--config) whose keys are the long flag names
-of any subcommand; flags override the file.  --t is --t-grid with one
-time, and sweep refuses a --param that its family does not use.  Data goes
-to --out or stdout as CSV (RFC-4180 style, 17 significant digits) or JSON
-(metadata header plus one object per row); diagnostics go to stderr and
-any failure exits nonzero.
+of any subcommand, and which may set each destination once; flags override
+the file.  --t is --t-grid with one time, and sweep refuses a --param that
+its family does not use.  Data goes to --out or stdout as CSV (RFC-4180
+style, 17 significant digits) or JSON (metadata header plus one object per
+row); diagnostics go to stderr and any failure exits nonzero.
 
 main() builds its argument parser once per process and parses every call
 with it: parsing reads the parser without changing it and returns a fresh
@@ -16,8 +16,9 @@ namespace, so repeated in-process calls stay independent of each other
 and skip the parser build, about 2 ms; a one-shot process builds it once.
 build_parser() still returns a new parser on every call.
 
-simulate --trajectories writes the same bytes as fmt would, one row per
-event, but renders them in numpy, a chunk of cells at a time: a time in
+simulate --trajectories draws each block once: the summary is taken from
+the dumped blocks.  The dump has the same bytes as fmt would write, one row
+per event, but renders them in numpy, a chunk of cells at a time: a time in
 [1e-4, 1e16) gets the 17-digit significand "%.17g" rounds to, computed
 exactly in float64 by Dekker's two-product, and any other time (0.0, the
 tiny and the huge) goes through fmt itself.
@@ -37,11 +38,11 @@ import numpy as np
 
 from . import __version__
 from .analytic import expected_absorption_time
-from .errors import PureBirthError
+from .errors import PureBirthError, require_integer
 from .forward import SolverConfig, forward_grid
 from .montecarlo import (QUANTILE_LEVELS, RNG_SCHEME,
                          estimate_absorption_time, event_time_blocks,
-                         explosion_study)
+                         explosion_study, summarize_terminal_times)
 from .rates import _KEYS, build_rate_model
 
 PROB_FLOOR = 1e-12
@@ -151,7 +152,9 @@ def _config_actions(parser: argparse.ArgumentParser) -> dict:
 
 def _apply_config(args: argparse.Namespace, path: str, actions: dict):
     """Fill unset args from a flat key=value file; flags win.  A key of
-    another subcommand is ignored; a key of none is an error."""
+    another subcommand is ignored; a key of none is an error, and so are
+    two lines that set one destination (t and t-grid share one)."""
+    seen = {}  # destination -> (key, line number) that set it
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, 1):
             line = line.split("#", 1)[0].strip()
@@ -165,6 +168,11 @@ def _apply_config(args: argparse.Namespace, path: str, actions: dict):
             if key not in actions:
                 raise PureBirthError(f"{path}:{lineno}: unknown key {key!r}")
             action = actions[key]
+            if action.dest in seen:
+                first, at = seen[action.dest]
+                raise PureBirthError(f"{path}:{lineno}: {key} sets the same "
+                                     f"input as {first} at {path}:{at}")
+            seen[action.dest] = key, lineno
             if getattr(args, action.dest, False) is None:
                 if action.type is not None:
                     value = _convert(action.type, value,
@@ -518,14 +526,23 @@ def _cmd_simulate(args):
     start = _start(args)
     replicates = _require_arg(args, "replicates")
     seed = _require_arg(args, "seed")
-    summary = estimate_absorption_time(model, start, replicates, seed,
-                                       n_jobs=_jobs(args))
     if args.trajectories:
+        # the summary takes the dumped blocks' terminal times, so each block
+        # is drawn once; estimate_absorption_time's checks, in its order,
+        # come before the file is opened
+        require_integer("replicates", replicates, 2)
+        require_integer("n_jobs", _jobs(args), 1)
+        blocks = event_time_blocks(model, start, replicates, seed)
+        terminal = np.empty(replicates)
         with open(args.trajectories, "wb") as handle:
             handle.write(b"replicate,time,state\n")
-            for first, times in event_time_blocks(model, start, replicates,
-                                                  seed):
+            for first, times in blocks:
                 handle.writelines(_trajectory_lines(first, times, start))
+                terminal[first:first + len(times)] = times[:, -1]
+        summary = summarize_terminal_times(terminal, seed, model.time_unit)
+    else:
+        summary = estimate_absorption_time(model, start, replicates, seed,
+                                           n_jobs=_jobs(args))
     header, row = _summary_row(summary)
     _write_rows(args, header, [row],
                 _metadata(args, "simulate", seed=seed, replicates=replicates,

@@ -127,8 +127,8 @@ def event_time_blocks(model: RateModel, start_state: int, replicates: int,
     state from start_state (0) on.  A block takes 8 KB per transient state.
     The start state, replicate count and seed are checked at the call."""
     require_integer("replicates", replicates, 1)
-    require_integer("master_seed", master_seed, 0)
     lam = rate_vector(model, start_state)
+    require_integer("master_seed", master_seed, 0)
 
     def blocks():
         for first in range(0, replicates, BLOCK):
@@ -244,17 +244,17 @@ def explosion_study(model: RateModel, start_state: int, replicates: int,
     """Distribution of the time to hit the model's state_cap under
     lambda_k = c k^2.
 
-    The mean is reported against the analytic partial sum
-    (1/c) sum_{k=start}^{cap-1} 1/k^2, the exact E(T) of
-    expected_absorption_time, and the limiting bound pi^2/(6c).
+    The mean is reported against expected_absorption_time's report: its
+    exact_mean, the partial sum (1/c) sum_{k=start}^{cap-1} 1/k^2, and its
+    approx_mean, the limiting bound pi^2/(6c).
     """
     if model.family != POWERLAW or model.exponent != 2:
         raise WrongFamily("explosion_study requires a powerlaw model "
                           "with exponent +2")
     # before the replicates and the seed, the start state is checked here
-    analytic = expected_absorption_time(model, start_state).exact_mean
+    analytic = expected_absorption_time(model, start_state)
     summary = estimate_absorption_time(model, start_state, replicates,
                                        master_seed, n_jobs=n_jobs)
-    limit = math.pi ** 2 / (6.0 * model.coefficient)
     return ExplosionReport(summary=summary, cap=model.state_cap,
-                           analytic_mean=analytic, limit_bound=limit)
+                           analytic_mean=analytic.exact_mean,
+                           limit_bound=analytic.approx_mean)

@@ -13,8 +13,7 @@ from purebirth import (OutOfRange, StateOutOfRange,
                        ToleranceNotMet, absorption_probability,
                        expected_absorption_time,
                        hitting_time_distribution, hypergeometric_mixing,
-                       power_law, powerlaw_expected_time, rate_vector,
-                       yule_scaled)
+                       power_law, rate_vector, yule_scaled)
 from purebirth.analytic import (EULER_GAMMA, LAW_ROUNDOFF_TOL,
                                  _partial_fractions)
 from scalar_oracles import harmonic, rate_at, rate_list
@@ -229,7 +228,7 @@ class TestHittingTimeDistribution:
         t = np.linspace(0.0, 5.0, 101)
         expected = 2.0 * (np.exp(-t) - np.exp(-2.0 * t))
         np.testing.assert_allclose(dist.pdf(t), expected, atol=1e-12)
-        assert dist.mean() == pytest.approx(1.5, rel=1e-15)
+        assert dist.implied_mean() == pytest.approx(1.5, rel=1e-15)
 
     def test_single_stage(self):
         model = hypergeometric_mixing(2, 2.0, 0.5)  # lambda_1 = 1
@@ -359,7 +358,8 @@ class TestHittingTimeDistribution:
         model = power_law(1.0, 1.0, 6)
         dist = hitting_time_distribution(model)
         mean, _ = quad(lambda t: t * dist.pdf(t), 0.0, np.inf)
-        assert mean == pytest.approx(dist.mean(), rel=1e-6)
+        assert mean == pytest.approx(
+            expected_absorption_time(model).exact_mean, rel=1e-6)
 
     def test_cdf_limits(self):
         dist = hitting_time_distribution(power_law(1.0, 2.0, 9))
@@ -376,7 +376,7 @@ class TestHittingTimeDistribution:
         assert law.cdf(0.0) == 1.0 and law.pdf(0.0) == 0.0
         assert law.cdf([0.5, 1e3]).tolist() == [1.0, 1.0]
         assert law.pdf([[0.5], [1e3]]).tolist() == [[0.0], [0.0]]
-        assert law.mean() == law.implied_mean() == 0.0
+        assert law.implied_mean() == 0.0
 
 
 class TestLawConditioning:
@@ -452,7 +452,8 @@ class TestLawEvaluation:
     def test_bitwise_equal_to_the_expressions(self, model):
         # the benchmark's grid: 200 points on [0, 4 E(T)]
         law = hitting_time_distribution(model)
-        t = np.linspace(0.0, 4.0 * law.mean(), 200)
+        t = np.linspace(0.0, 4.0 * expected_absorption_time(model).exact_mean,
+                        200)
         assert_bitwise_equal(law.cdf(t), reference_cdf(law, t))
         assert_bitwise_equal(law.pdf(t), reference_pdf(law, t))
         for scalar in (0.0, 0.37, float(t[117])):
@@ -512,7 +513,7 @@ class TestLawEvaluation:
         try:
             law = hitting_time_distribution(model)
             build_peak = tracemalloc.get_traced_memory()[1]
-            t = np.linspace(0.0, 4.0 * law.mean(), 200)
+            t = np.linspace(0.0, 4.0 * np.sum(1.0 / law.rates), 200)
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
             law.cdf(t)
@@ -523,86 +524,99 @@ class TestLawEvaluation:
         assert cdf_peak <= 3.5e6
 
 
+def powerlaw_time(c, exponent, n, start=1):
+    """The report of rates c k**exponent on states start..n."""
+    return expected_absorption_time(power_law(c, exponent, n + 1), start)
+
+
 class TestPowerLawExpectedTime:
+    """expected_absorption_time on the paper's c k^2 and c / k^2 models:
+    for c / k^2 the exact integer sum and its n^3/(3c) growth, for c k^2
+    the bound pi^2/(6c) as approx_mean."""
+
     def test_inverse_square_rates_cubic_sum(self):
-        report = powerlaw_expected_time(1.0, -2, 3)
-        assert report.value == 14.0
-        assert report.growth == pytest.approx(9.0, rel=1e-15)
+        report = powerlaw_time(1.0, -2, 3)
+        assert report.exact_mean == 14.0
+        assert report.approx_mean == pytest.approx(9.0, rel=1e-15)
 
     def test_quadratic_rates_first_term(self):
-        report = powerlaw_expected_time(1.0, 2, 1)
-        assert report.value == 1.0
-        assert report.limit == pytest.approx(math.pi ** 2 / 6.0, rel=1e-15)
-        assert report.tail_bound == 1.0
+        report = powerlaw_time(1.0, 2, 1)
+        assert report.exact_mean == 1.0
+        assert report.approx_mean == pytest.approx(math.pi ** 2 / 6.0,
+                                                   rel=1e-15)
 
     def test_single_inverse_square_term(self):
-        assert powerlaw_expected_time(2.0, -2, 1).value == 0.5
+        assert powerlaw_time(2.0, -2, 1).exact_mean == 0.5
 
     def test_partial_sum_below_limit(self):
         for n in (10, 100, 1000):
-            report = powerlaw_expected_time(1.5, 2, n)
-            assert report.value < report.limit
-            assert report.limit - report.value < report.tail_bound
+            report = powerlaw_time(1.5, 2, n)
+            assert report.exact_mean < report.approx_mean
+            # the tail past n is below 1/(c n)
+            assert report.approx_mean - report.exact_mean < 1.0 / (1.5 * n)
 
     def test_cubic_growth_ratio(self):
         n = 10 ** 4
-        big = powerlaw_expected_time(1.0, -2, 2 * n).value
-        small = powerlaw_expected_time(1.0, -2, n).value
+        big = powerlaw_time(1.0, -2, 2 * n).exact_mean
+        small = powerlaw_time(1.0, -2, n).exact_mean
         assert big / small == pytest.approx(8.0, rel=0.01)
 
     def test_coefficient_scales_inversely(self):
-        assert powerlaw_expected_time(2.0, -2, 20).value == \
-            powerlaw_expected_time(1.0, -2, 20).value / 2.0
-
-    def test_rejects_other_exponents(self):
-        with pytest.raises(OutOfRange):
-            powerlaw_expected_time(1.0, 1, 5)
-        with pytest.raises(OutOfRange):
-            powerlaw_expected_time(-1.0, 2, 5)
-        with pytest.raises(OutOfRange):
-            powerlaw_expected_time(1.0, 2, 0)
+        assert powerlaw_time(2.0, -2, 20).exact_mean == \
+            powerlaw_time(1.0, -2, 20).exact_mean / 2.0
 
     @pytest.mark.parametrize("exponent", [2, -2])
     @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf, "1", True])
     def test_rejects_non_finite_coefficient(self, c, exponent):
-        # nan used to give a nan value, and inf with exponent -2 gave 0.0
+        # the model refuses such a c before any sum is taken
         with pytest.raises(OutOfRange, match="finite"):
-            powerlaw_expected_time(c, exponent, 10)
+            powerlaw_time(c, exponent, 10)
 
     @pytest.mark.parametrize("c", [2, np.int64(2), np.float64(2.0),
                                    np.float32(2.0)])
     def test_coefficient_of_any_real_type_accepted(self, c):
-        assert powerlaw_expected_time(c, 2, 10).value == \
-            powerlaw_expected_time(2.0, 2, 10).value
+        assert powerlaw_time(c, 2, 10).exact_mean == \
+            powerlaw_time(2.0, 2, 10).exact_mean
 
     @pytest.mark.parametrize("exponent", [2, -2])
     @pytest.mark.parametrize("c, n", [(np.float32(3), 10 ** 6),
                                       (Fraction(1, 3), 10)])
     def test_coefficient_is_taken_as_a_float(self, c, n, exponent):
-        # float32 3 with -2 gave a numpy.float32 1.1111128e+17, and
-        # Fraction(1, 3) a Fraction(1155); coefficient kept the type
-        report = powerlaw_expected_time(c, exponent, n)
-        assert type(report.coefficient) is float
-        assert type(report.value) is float
-        assert report == powerlaw_expected_time(float(c), exponent, n)
+        report = powerlaw_time(c, exponent, n)
+        assert type(report.exact_mean) is float
+        assert type(report.approx_mean) is float
+        assert report == powerlaw_time(float(c), exponent, n)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 10, 1000, 10 ** 5])
     @pytest.mark.parametrize("c", [1.0, 0.3])
     def test_square_sum_identity(self, n, c):
         direct = sum(k * k for k in range(1, n + 1))
-        assert powerlaw_expected_time(c, -2, n).value == direct / c
+        assert powerlaw_time(c, -2, n).exact_mean == direct / c
+
+    @pytest.mark.parametrize("start", [2, 3, 500, 999, 1000, 1001])
+    @pytest.mark.parametrize("c", [1.0, 0.3, 3.0])
+    def test_square_sum_from_a_later_start(self, start, c):
+        # the sum of k^2 over start..n in integers, then one division by c
+        direct = sum(k * k for k in range(start, 1001))
+        report = powerlaw_time(c, -2, 1000, start)
+        assert report.exact_mean == direct / c
+        assert report.approx_mean == 1000 ** 3 / (3.0 * c)
+        assert powerlaw_time(c, -2, 1000, np.int64(start)) == report
 
     def test_quadratic_rates_match_fsum(self):
         oracle = math.fsum(1.0 / k ** 2 for k in range(1, 10 ** 5 + 1)) / 1.5
-        assert powerlaw_expected_time(1.5, 2, 10 ** 5).value == \
+        assert powerlaw_time(1.5, 2, 10 ** 5).exact_mean == \
             pytest.approx(oracle, rel=1e-12, abs=0)
 
     def test_matches_model_rate_sum(self):
-        # the standalone report agrees with summing 1/rate over the model
-        model = power_law(1.0, -2.0, 21)
-        exact = expected_absorption_time(model).exact_mean
-        assert powerlaw_expected_time(1.0, -2, 20).value == \
-            pytest.approx(exact, rel=1e-12)
+        # the integer sum agrees with summing 1/rate over the rate vector
+        rates = rate_vector(power_law(1.0, -2.0, 21))
+        assert powerlaw_time(1.0, -2, 20).exact_mean == \
+            pytest.approx(float(np.sum(1.0 / rates)), rel=1e-12)
+
+    def test_other_exponents_have_no_approximation(self):
+        for exponent in (1.0, 2.5, -1.0):
+            assert powerlaw_time(1.0, exponent, 10).approx_mean is None
 
 
 @pytest.mark.parametrize("t", [-1.0, math.nan, math.inf, [0.0, -1e-300],

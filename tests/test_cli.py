@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from purebirth import absorption_probability, hypergeometric_mixing, power_law
-from purebirth import cli
+from purebirth import cli, montecarlo
 from purebirth.cli import (_cells, _config_actions, _parser, _significand,
                            build_parser, fmt, main)
 from purebirth.forward import FORWARD_SCHEME, forward_grid
@@ -90,6 +90,21 @@ class TestExpectTime:
             row, = json.loads(out)["rows"]
         assert float(row["exact_mean"]) == pytest.approx(1.8333e200, rel=1e-4)
         assert row["variance"] == ("" if fmt_name == "csv" else None)
+
+    @pytest.mark.parametrize("exponent, approx", [
+        ("2", math.pi ** 2 / (6.0 * 0.5)),
+        ("-2", 10000 ** 3 / (3.0 * 0.5))], ids=["plus-2", "minus-2"])
+    def test_powerlaw_approximation_is_filled(self, capsys, exponent,
+                                              approx):
+        # approx_mean was blank for every power-law model
+        rows = run_csv(capsys, ["expect-time", "--family", "powerlaw",
+                                "--c", "0.5", "--exponent", exponent,
+                                "--cap", "10001"])
+        assert rows[0]["approx_mean"] == fmt(approx)
+        assert rows[0]["approx_mean_refined"] == ""
+        if exponent == "-2":
+            squares = sum(k * k for k in range(1, 10001))
+            assert rows[0]["exact_mean"] == fmt(squares / 0.5)
 
     def test_json_format(self, capsys):
         assert main(["expect-time", "--family", "yule", "--N", "100",
@@ -301,6 +316,47 @@ class TestSimulate:
         assert len(got) == len(want) == 1 + 1100 * 128
         for line, wanted in zip(got, want):
             assert line == wanted
+
+    def test_trajectory_dump_draws_each_block_once(self, tmp_path,
+                                                   monkeypatch, capsys):
+        # the summary drew every block, and the dump drew it again
+        argv = ["simulate", "--family", "yule", "--N", "12", "--mu", "1",
+                "--p", "0.5", "--replicates", "2100", "--seed", "3",
+                "--jobs", "2"]
+        summary = run_csv(capsys, argv)
+        calls = []
+        stream = montecarlo.replicate_stream
+
+        def counted(master_seed, block):
+            calls.append(block)
+            return stream(master_seed, block)
+        monkeypatch.setattr(montecarlo, "replicate_stream", counted)
+        dump = tmp_path / "paths.csv"
+        assert run_csv(capsys, argv + ["--trajectories", str(dump)]) == \
+            summary
+        assert sorted(calls) == [0, 1, 2]
+
+    @pytest.mark.parametrize("bad, message", [
+        ({"--replicates": "1"}, "replicates must be an integer >= 2, got 1"),
+        ({"--jobs": "0"}, "n_jobs must be an integer >= 1, got 0"),
+        ({"--start": "0"}, "start_state 0 is not an integer in [1, 12]"),
+        ({"--seed": "-1"}, "master_seed must be an integer >= 0, got -1"),
+        ({"--start": "0", "--seed": "-1"},
+         "start_state 0 is not an integer in [1, 12]")],
+        ids=["replicates", "jobs", "start", "seed", "start-and-seed"])
+    def test_trajectory_dump_refusals_create_no_file(self, tmp_path, capsys,
+                                                     bad, message):
+        # the same refusals, in the same order, as without the dump
+        flags = {"--replicates": "10", "--seed": "3", "--jobs": "1",
+                 "--start": "1", **bad}
+        argv = ["simulate", "--family", "yule", "--N", "12", "--mu", "1",
+                "--p", "0.5"] + [x for pair in flags.items() for x in pair]
+        dump = tmp_path / "paths.csv"
+        for extra in ([], ["--trajectories", str(dump)]):
+            assert main(argv + extra) == 1
+            assert capsys.readouterr() == ("",
+                                           f"purebirth: error: {message}\n")
+        assert not dump.exists()
 
     def test_rates_that_underflow_are_an_error(self, capsys, tmp_path):
         # 9 ** -400 underflows to 0: the mean used to come out inf
@@ -612,6 +668,27 @@ class TestConfigFile:
                                                str(cfg)])
         assert rows == run_csv(capsys, FORWARD_YULE + ["--t", "5"])
         assert {row["time"] for row in rows} == {"5"}
+
+    def test_repeated_key_is_refused(self, tmp_path, capsys):
+        # the first of the two lines won, where the last flag wins
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("family = yule\nN = 10\nmu = 1\np = 0.3\nN = 20\n")
+        out = tmp_path / "out.csv"
+        assert main(["expect-time", "--config", str(cfg), "--N", "30",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", (
+            f"purebirth: error: {cfg}:5: N sets the same input as N at "
+            f"{cfg}:2\n"))
+        assert not out.exists()
+
+    def test_t_and_t_grid_in_one_file_are_refused(self, tmp_path, capsys):
+        # both set the times, and the first line's times ran
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("t-grid = 1,2\n# one time\nt = 5\n")
+        assert main(FORWARD_YULE + ["--config", str(cfg)]) == 1
+        assert capsys.readouterr() == ("", (
+            f"purebirth: error: {cfg}:3: t sets the same input as t-grid at "
+            f"{cfg}:1\n"))
 
     @pytest.mark.parametrize("key", ["help", "config", "version", "lam"])
     def test_non_flag_keys_rejected(self, tmp_path, capsys, key):

@@ -13,8 +13,7 @@ from purebirth import (OutOfRange, StateOutOfRange, WrongFamily,
                        empirical_distribution_at, estimate_absorption_time,
                        expected_absorption_time, explosion_study,
                        forward_probabilities, hypergeometric_mixing,
-                       power_law, powerlaw_expected_time, simulate_path,
-                       yule_scaled)
+                       power_law, simulate_path, yule_scaled)
 from purebirth.montecarlo import (BLOCK, _simulate_ensemble,
                                   event_time_blocks, replicate_stream)
 from purebirth.rates import rate_vector
@@ -349,8 +348,8 @@ class TestExplosionStudy:
     def test_mean_matches_partial_sum(self):
         model = power_law(1.0, 2.0, 1000)
         report = explosion_study(model, 1, 10 ** 4, SEED)
-        assert report.analytic_mean == pytest.approx(
-            powerlaw_expected_time(1.0, 2, 999).value, rel=1e-12)
+        oracle = math.fsum(1.0 / k ** 2 for k in range(1, 1000))
+        assert report.analytic_mean == pytest.approx(oracle, rel=1e-12)
         assert abs(report.summary.mean - report.analytic_mean) < \
             3.0 * report.summary.std_error
         assert report.limit_bound == pytest.approx(math.pi ** 2 / 6.0)
@@ -389,6 +388,14 @@ class TestExplosionStudy:
         analytic = explosion_study(model, start, 2, SEED).analytic_mean
         assert analytic.hex() == own_sum.hex() == \
             expected_absorption_time(model, start).exact_mean.hex()
+
+    @pytest.mark.parametrize("c", [0.7, 1.0, 3.0])
+    def test_limit_bound_is_the_reports_approx_mean(self, c):
+        model = power_law(c, 2.0, 50)
+        bound = explosion_study(model, 17, 2, SEED).limit_bound
+        assert bound.hex() == \
+            expected_absorption_time(model, 17).approx_mean.hex() == \
+            (math.pi ** 2 / (6.0 * c)).hex()
 
     def test_order_of_refusals(self):
         # the family, then the start state, then the replicates and seed

@@ -15,9 +15,8 @@ from purebirth import (CapRequired, MissingParameter, OutOfRange,
                        expected_absorption_time, explosion_study,
                        absorption_probability, forward_grid,
                        forward_probabilities, hitting_time_distribution,
-                       hypergeometric_mixing, power_law,
-                       powerlaw_expected_time, rate_vector, simulate_path,
-                       yule_scaled)
+                       hypergeometric_mixing, power_law, rate_vector,
+                       simulate_path, yule_scaled)
 from purebirth.montecarlo import event_time_blocks
 from scalar_oracles import rate_list
 
@@ -431,15 +430,14 @@ def test_public_names():
     assert sorted(purebirth.__all__) == [
         "AbsorptionTimeReport", "CapRequired", "DistributionSnapshot",
         "ExplosionReport", "HittingTimeDistribution", "MissingParameter",
-        "MonteCarloSummary", "OutOfRange", "PowerLawTimeReport",
-        "PureBirthError", "RateModel", "SolverConfig",
-        "StateHistogram", "StateOutOfRange", "ToleranceNotMet",
-        "Trajectory", "WrongFamily", "absorption_probability",
-        "build_rate_model", "empirical_distribution_at",
-        "estimate_absorption_time", "expected_absorption_time",
-        "explosion_study", "forward_grid", "forward_probabilities",
-        "hitting_time_distribution", "hypergeometric_mixing",
-        "mean_state", "power_law", "powerlaw_expected_time", "rate_vector",
+        "MonteCarloSummary", "OutOfRange", "PureBirthError", "RateModel",
+        "SolverConfig", "StateHistogram", "StateOutOfRange",
+        "ToleranceNotMet", "Trajectory", "WrongFamily",
+        "absorption_probability", "build_rate_model",
+        "empirical_distribution_at", "estimate_absorption_time",
+        "expected_absorption_time", "explosion_study", "forward_grid",
+        "forward_probabilities", "hitting_time_distribution",
+        "hypergeometric_mixing", "mean_state", "power_law", "rate_vector",
         "simulate_path", "yule_scaled",
     ]
     assert all(hasattr(purebirth, name) for name in purebirth.__all__)
@@ -558,12 +556,12 @@ YULE_SPEC = {"family": "yule", "N": 10, "mu": 1.0, "p": 0.3}
     ("mu", lambda: build_rate_model({**YULE_SPEC, "mu": 10 ** 400})),
     ("N", lambda: build_rate_model({**YULE_SPEC, "N": 10 ** 400})),
     ("cap", lambda: power_law(1.0, 2.0, 10 ** 400)),
-    ("c", lambda: powerlaw_expected_time(10 ** 400, 2, 5)),
+    ("c", lambda: power_law(10 ** 400, 2.0, 5)),
     ("abs_tol", lambda: SolverConfig(10 ** 400)),
     # past Python's 4300-digit limit, printing the int is a ValueError
     ("mu", lambda: build_rate_model({**YULE_SPEC, "mu": 10 ** 5000})),
 ], ids=["RateModel-mu", "build-mu", "build-N", "power_law-cap",
-        "powerlaw_expected_time-c", "SolverConfig-abs_tol",
+        "power_law-c", "SolverConfig-abs_tol",
         "build-mu-5000-digits"])
 def test_an_int_too_large_for_a_float_names_its_parameter(key, build):
     # each let OverflowError out: "int too large to convert to float"; then
@@ -612,6 +610,7 @@ def test_a_fraction_model_runs_every_engine():
     ("yule", "N", 10.0),
     ("hypergeometric", "N", np.float64(10)),
     ("powerlaw", "cap", 10.0),
+    ("powerlaw", "cap", 2.5),
     ("hypergeometric", "lambda", "2"),
     ("powerlaw", "c", "1"),
     ("powerlaw", "exponent", "2"),
@@ -641,10 +640,8 @@ HUGE = 10 ** 5000
     (lambda m: forward_probabilities(m, 1, 1.0).probability_of(HUGE),
      StateOutOfRange, "state <integer of 5001 digits> is not an integer in "
                       "[1, 5]"),
-    (lambda m: powerlaw_expected_time(1.0, HUGE, 5), OutOfRange,
-     "exponent must be +2 or -2, got <integer of 5001 digits>"),
 ], ids=["forward-start", "simulate-seed", "estimate-replicates",
-        "probability_of", "powerlaw_expected_time-exponent"])
+        "probability_of"])
 def test_a_refused_huge_integer_is_named_by_its_digit_count(call, error,
                                                             message):
     # past Python's 4300-digit limit, printing the int was a bare ValueError
@@ -708,10 +705,3 @@ def test_a_float64_times_array_is_not_copied():
     t = np.linspace(0.0, 1.0, 5)
     assert errors.require_times("t", t) is t
     assert errors.require_times("times", t, ndim=1) is t
-
-
-@pytest.mark.parametrize("n", [2.5, 3.0])
-def test_powerlaw_expected_time_takes_only_integer_n(n):
-    # n = 2.5 with exponent -2 used to give 8.0
-    with pytest.raises(OutOfRange, match="n must be an integer"):
-        powerlaw_expected_time(1.0, -2, n)
