@@ -2,12 +2,17 @@
 
 The time T to full infection is a sum of independent exponential holding
 times, one per transient state, so its mean is the sum of reciprocal rates
-and its variance the sum of squared reciprocal rates.  Both are summed over
-the model's rate vector by numpy's pairwise summation, whose relative error
-for these positive terms is at most about log2(N) ulps.  For the yule family
-the mean has the closed form ((N-1)/(p mu N)) * H_{N-1} and the
-large-population approximation ln(N) / (p mu); the tests hold the sum to
-the closed form.  Under power-law rates c k^2 the mean stays below
+and its variance the sum of squared reciprocal rates.  Both are summed by
+numpy's pairwise summation, whose relative error for these positive terms
+is at most about log2(N) ulps.  The full rate vector is never built: the
+sums walk np.sum's own pairwise tree down to leaves of at most 2^15
+states, whose rates and sums fit in L2, and add the leaf sums back up the
+same tree, so both are np.sum over the rate vector to the bit (about
+1.1 ms at N = 2e5 and 5 ms at N = 1e6, with a traced peak under 1 MB).
+More than 2^30 transient states, about 5 s of sums, are refused.  For
+the yule family the mean has the closed form ((N-1)/(p mu N)) * H_{N-1}
+and the large-population approximation ln(N) / (p mu); the tests hold the
+sum to the closed form.  Under power-law rates c k^2 the mean stays below
 pi^2/(6c) however high the cap; under rates c / k^2 it is summed exactly,
 as the integer sum of k^2 over c, and grows like (cap-1)^3/(3c).  T is
 hypoexponential, with an explicit partial-fraction density wherever that
@@ -17,11 +22,12 @@ The partial-fraction coefficients are the one O(m^2) kernel here, for m
 transient states.  They are built in bands of 256 x 256 factors in one
 512 KB buffer, reduced down the columns in ascending row order, and a
 block of columns stops as soon as all its products have underflowed to 0.
-The law's cdf and pdf each fill one times x states array in place, and
-take exp only where it does not underflow to 0.  On power_law(1, 2, 2000),
-whose product is 73% exact zeros and whose exponentials on the benchmark's
-200 times are 98.5% zeros, the build peaks at about 0.7 MB and one call on
-200 times at about 3.4 MB.
+The law's cdf and pdf fill one buffer of 32 times x states in place, block
+by block of times, and take exp only where it does not underflow to 0.  On
+power_law(1, 2, 2000), whose product is 73% exact zeros and whose
+exponentials on the benchmark's 200 times are 98.5% zeros, the build peaks
+at about 0.7 MB and one call at about 0.6 MB on 200 times, 0.8 MB on
+20 000.
 """
 
 from __future__ import annotations
@@ -32,8 +38,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ToleranceNotMet, require_times
-from .rates import POWERLAW, YULE, RateModel, rate_vector
+from .errors import OutOfRange, ToleranceNotMet, require_times
+from .rates import POWERLAW, YULE, RateModel, _rates, check_start, rate_vector
 
 # Euler-Mascheroni constant, for the refined ln(N) + gamma diagnostic.
 EULER_GAMMA = 0.5772156649015329
@@ -41,10 +47,15 @@ EULER_GAMMA = 0.5772156649015329
 # largest roundoff kappa * 2^-52 allowed in the partial-fraction law, with
 # kappa = sum |C_k|: the forward solver's own mass-defect limit
 LAW_ROUNDOFF_TOL = 1e-8
+# most transient states that E(T) and Var(T) are summed over: about 5 s
+MAX_SUM_STATES = 1 << 30
+# most states of one leaf of the sums' tree: its three rows of 256 KB fit
+# in L2
+_LEAF = 1 << 15
 # rows of a band and columns of a block of the partial-fraction product
 _BAND = 256
-# entries of one chunk of the exponentials in cdf and pdf
-_EXP_CHUNK = 1 << 16
+# times of one block of cdf and pdf: 32 x 1999 floats are 512 KB
+_TIME_BLOCK = 32
 # exp(x) is exactly 0.0 for every x <= _EXP_ZERO
 _EXP_ZERO = -746.0
 
@@ -88,13 +99,25 @@ def expected_absorption_time(model: RateModel,
     overflows a float, as it can for a valid model whose smallest rate is
     below about 1e-154: E(T) is still finite and reported.  From the
     absorbing state both are 0.
+
+    Both sums are np.sum(1 / lambda) and np.sum(1 / lambda**2) over
+    rate_vector(model, start_state), to the bit.  More than MAX_SUM_STATES
+    transient states are refused with OutOfRange, before any sum.
     """
-    rates = rate_vector(model, start_state)
-    exact = float(np.sum(1.0 / rates))
+    absorbing = check_start(model, start_state)
+    count = absorbing - start_state
+    if count > MAX_SUM_STATES:
+        raise OutOfRange(
+            f"E(T) would sum over {count} transient states, more than "
+            f"the limit of {MAX_SUM_STATES}")
+    steps = np.arange(min(count, _LEAF), dtype=float)
+    work = np.empty((2, steps.size))
     # the square of a tiny rate can underflow to 0, or its reciprocal
     # overflow: Var(T) is then inf, reported as None
     with np.errstate(divide="ignore", over="ignore"):
-        variance = float(np.sum(1.0 / rates ** 2))
+        exact, variance = _reciprocal_sums(model, start_state, count,
+                                           steps, work)
+    exact, variance = float(exact), float(variance)
     if not math.isfinite(variance):
         variance = None
 
@@ -118,6 +141,34 @@ def expected_absorption_time(model: RateModel,
                                 approx_mean_refined=refined)
 
 
+def _reciprocal_sums(model, lo, n, steps, work):
+    """sum 1/lambda_k and sum 1/lambda_k^2 over the n states lo, ...,
+    lo + n - 1, with steps = 0, 1, 2, ... and work two rows, each of at
+    least min(n, _LEAF) floats.
+
+    numpy sums a contiguous float64 vector by pairwise_sum: a node of more
+    than 128 terms splits after n2 = n // 2 - (n // 2) % 8 terms.  These
+    nodes split there too, down to leaves of at most _LEAF states, so every
+    leaf is a node of np.sum's tree over the whole rate vector, and np.sum
+    over the leaf's own terms adds them the same way.  The leaf sums are
+    added back up the same tree, so both sums are those of np.sum over
+    rate_vector(model, lo), to the bit.
+    """
+    if n > _LEAF:
+        n2 = n // 2
+        n2 -= n2 % 8
+        left, left_sq = _reciprocal_sums(model, lo, n2, steps, work)
+        right, right_sq = _reciprocal_sums(model, lo + n2, n - n2, steps,
+                                           work)
+        return left + right, left_sq + right_sq
+    # lo + i is exact: these are np.arange(lo, lo + n, dtype=float)
+    k = np.add(steps[:n], lo, out=work[0, :n])
+    rates = _rates(model, k, out=work[1, :n])
+    total = np.sum(np.divide(1.0, rates, out=k))
+    rates **= 2  # dispatched as rates ** 2 is
+    return total, np.sum(np.divide(1.0, rates, out=rates))
+
+
 @dataclass(frozen=True)
 class HittingTimeDistribution:
     """Hypoexponential law of T in partial-fraction form.
@@ -127,8 +178,10 @@ class HittingTimeDistribution:
     each multiplied in ascending j order (see _partial_fractions).
 
     cdf and pdf take times (errors.require_times) of any shape, and return
-    that shape (a numpy float64 for a scalar t).  Each fills one t.shape +
-    (m,) array in place, exp and then the weights, and sums its last axis.
+    that shape (a numpy float64 for a scalar t).  Each fills one reused
+    buffer of _TIME_BLOCK times x m states in place, block by block of
+    times, exp and then the weights, and sums each row, as np.sum over
+    the row of the whole t.shape + (m,) array would.
     """
 
     rates: np.ndarray
@@ -141,18 +194,23 @@ class HittingTimeDistribution:
         return 1.0 - self._weighted_sum(t, self.coefficients)
 
     def _weighted_sum(self, t, weights):
-        """sum_k weights_k exp(-lambda_k t) over the last axis, in one
-        times x states array filled in place."""
-        terms = np.multiply.outer(-require_times("t", t), self.rates)
-        flat = terms.reshape(-1)
-        # exp is slowest on the arguments whose exp is 0: leave those out,
-        # then turn them to the +0.0 exp gives.  A chunk's mask is 64 KB.
-        for lo in range(0, flat.size, _EXP_CHUNK):
-            part = flat[lo:lo + _EXP_CHUNK]
-            np.exp(part, out=part, where=part > _EXP_ZERO)
-            np.maximum(part, 0.0, out=part)
-        terms *= weights
-        return terms.sum(axis=-1)
+        """sum_k weights_k exp(-lambda_k t) for each time, _TIME_BLOCK
+        times at a time in one times x states buffer filled in place."""
+        t = require_times("t", t)
+        times = t.reshape(-1)
+        sums = np.empty(times.size)
+        buf = np.empty((min(times.size, _TIME_BLOCK), self.rates.size))
+        for lo in range(0, times.size, _TIME_BLOCK):
+            block = times[lo:lo + _TIME_BLOCK]
+            terms = buf[:block.size]
+            np.multiply.outer(-block, self.rates, out=terms)
+            # exp is slowest on the arguments whose exp is 0: leave those
+            # out, then turn them to the +0.0 exp gives
+            np.exp(terms, out=terms, where=terms > _EXP_ZERO)
+            np.maximum(terms, 0.0, out=terms)
+            terms *= weights
+            terms.sum(axis=-1, out=sums[lo:lo + block.size])
+        return sums.reshape(t.shape)[()]
 
     def implied_mean(self) -> float:
         """Mean from the partial-fraction form, sum of C_k / lambda_k.

@@ -605,7 +605,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         if getattr(args, "config", None):
             _apply_config(args, args.config, _config_actions(parser))
         _COMMANDS[args.command](args)
-    except (PureBirthError, OSError, ValueError, ArithmeticError) as exc:
+    except (PureBirthError, OSError, ValueError, ArithmeticError,
+            MemoryError) as exc:
         print(f"purebirth: error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -27,9 +27,10 @@ Models are immutable; every operation here is a pure function of
 (model, state) and safe to call concurrently.  ``rate_vector`` gives the
 rates of the states from a start state on as one numpy array.  It takes
 only an integer start state in [1, absorbing] and raises StateOutOfRange
-otherwise; every engine takes its states through it.  The family formulas
-are evaluated in one place, by numpy, so the rule above checks the very
-numbers the engines divide by.
+otherwise, by ``check_start``; every engine takes its states through one
+of the two.  The family formulas are evaluated in one place, by numpy
+(``_rates``), so the rule above checks the very numbers the engines divide
+by.
 """
 
 from __future__ import annotations
@@ -193,24 +194,46 @@ def _check_rates(model):
                          f"rate is {smallest!r}")
 
 
-def _rates(model, k):
-    """Birth rates lambda_k at the states of the float array k."""
+def _rates(model, k, out=None):
+    """Birth rates lambda_k at the states of the float array k, written to
+    out, a new array when None.
+
+    Each rate is rounded as the family's expression is, to the bit: c k^e
+    as c * k ** e, and 2 k (N - k) lambda p / (N (N - 1)) as that product
+    taken left to right.  Doubling is exact, so (N - k), doubled, times k
+    rounds as 2k times (N - k), with no temporary beside out.
+    """
     if model.family == POWERLAW:
-        return model.coefficient * k ** model.exponent
+        rates = np.positive(k, out=out)
+        rates **= model.exponent  # dispatched as k ** exponent is
+        rates *= model.coefficient
+        return rates
     n = model.population
-    lam = model.effective_contact_rate
-    return 2.0 * k * (n - k) * lam * model.transmission_prob / (n * (n - 1.0))
+    rates = np.subtract(n, k, out=out)
+    rates *= 2.0
+    rates *= k
+    rates *= model.effective_contact_rate
+    rates *= model.transmission_prob
+    rates /= n * (n - 1.0)
+    return rates
 
 
-def rate_vector(model: RateModel, start: int = 1) -> np.ndarray:
-    """Rates lambda_k of the states start, ..., absorbing - 1, in numpy;
-    empty when start is the absorbing/cap state, whose rate is zero."""
+def check_start(model: RateModel, start) -> int:
+    """The model's absorbing/cap state, once start is an integer in
+    [1, absorbing]; StateOutOfRange otherwise."""
     absorbing = model.absorbing_state
     if not (is_integer(start) and 1 <= start <= absorbing):
         raise StateOutOfRange(
             f"start_state {describe(start)} is not an integer in "
             f"[1, {absorbing}]")
-    return _rates(model, np.arange(start, absorbing, dtype=float))
+    return absorbing
+
+
+def rate_vector(model: RateModel, start: int = 1) -> np.ndarray:
+    """Rates lambda_k of the states start, ..., absorbing - 1, in numpy;
+    empty when start is the absorbing/cap state, whose rate is zero."""
+    return _rates(model, np.arange(start, check_start(model, start),
+                                   dtype=float))
 
 
 # the helpers below check a field, named by its key in build_rate_model,

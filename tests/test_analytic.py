@@ -14,7 +14,8 @@ from purebirth import (OutOfRange, StateOutOfRange,
                        expected_absorption_time,
                        hitting_time_distribution, hypergeometric_mixing,
                        power_law, rate_vector, yule_scaled)
-from purebirth.analytic import (EULER_GAMMA, LAW_ROUNDOFF_TOL,
+from purebirth import analytic
+from purebirth.analytic import (EULER_GAMMA, LAW_ROUNDOFF_TOL, _LEAF,
                                  _partial_fractions)
 from scalar_oracles import harmonic, rate_at, rate_list
 
@@ -140,6 +141,78 @@ class TestVectorSumOracles:
         mean = math.fsum(1.0 / (c * k) for k in (1, 2, 3))
         assert math.isfinite(report.exact_mean)
         assert report.exact_mean == pytest.approx(mean, rel=1e-15, abs=0)
+
+
+# each builds a model whose absorbing state is `absorbing`
+LEAF_MODELS = {
+    "yule": lambda absorbing: yule_scaled(absorbing, 1.0, 0.31),
+    "hypergeometric": lambda absorbing: hypergeometric_mixing(absorbing, 2.0,
+                                                              0.7),
+    "powerlaw+1": lambda absorbing: power_law(1.5, 1.0, absorbing),
+    "powerlaw-1": lambda absorbing: power_law(1.5, -1.0, absorbing),
+    "powerlaw+2": lambda absorbing: power_law(1.5, 2.0, absorbing),
+    "powerlaw-2": lambda absorbing: power_law(0.5, -2.0, absorbing),
+}
+
+
+class TestLeafSums:
+    """E(T) and Var(T) are summed leaf by leaf along np.sum's pairwise
+    tree, and equal np.sum over the whole rate vector to the bit."""
+
+    @pytest.mark.parametrize("count", [
+        _LEAF - 1, _LEAF, _LEAF + 1, 2 * _LEAF + 9, 199_999, 10 ** 6 - 1])
+    @pytest.mark.parametrize("family", LEAF_MODELS)
+    @pytest.mark.parametrize("where", ["first", "middle"])
+    def test_bitwise_equal_to_np_sum(self, count, family, where):
+        # count transient states, from state 1 or from the middle state
+        start = 1 if where == "first" else count
+        model = LEAF_MODELS[family](start + count)
+        rates = rate_vector(model, start)
+        assert rates.size == count
+        report = expected_absorption_time(model, start)
+        if family != "powerlaw-2":  # its E(T) is an exact integer sum
+            assert report.exact_mean == float(np.sum(1.0 / rates))
+        assert report.variance == float(np.sum(1.0 / rates ** 2))
+
+    def test_variance_overflowing_in_a_later_leaf_is_none(self):
+        # 1/lambda_k^2 = (k / 4e-150)^2 overflows from k = 53 632 on, in
+        # a leaf after the first
+        model = power_law(4e-150, -1.0, 70_000)
+        rates = rate_vector(model)
+        with np.errstate(over="ignore"):
+            squares = 1.0 / rates ** 2
+        assert np.isfinite(squares[:_LEAF]).all()
+        assert not np.isfinite(squares).all()
+        report = expected_absorption_time(model)
+        assert report.variance is None
+        assert report.exact_mean == float(np.sum(1.0 / rates))
+
+    def test_too_many_states_are_refused_at_once(self):
+        # 2^52 - 1 states would take days of sums
+        model = yule_scaled(2 ** 52, 1.0, 0.31)
+        started = time.perf_counter()
+        with pytest.raises(OutOfRange, match="4503599627370495 transient"):
+            expected_absorption_time(model)
+        assert time.perf_counter() - started < 1.0
+
+    def test_the_bound_counts_transient_states(self, monkeypatch):
+        monkeypatch.setattr(analytic, "MAX_SUM_STATES", 100)
+        model = yule_scaled(201, 1.0, 0.31)
+        assert expected_absorption_time(model, 101).exact_mean > 0.0
+        with pytest.raises(OutOfRange, match="101 transient states"):
+            expected_absorption_time(model, 100)
+
+    def test_memory_at_a_million_states(self):
+        # one 256 KB row of steps and two of work: the whole rate vector
+        # alone would be 8 MB
+        model = yule_scaled(10 ** 6, 1.0, 0.31)
+        tracemalloc.start()
+        try:
+            expected_absorption_time(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1e6
 
 
 mixing_models = st.sampled_from([hypergeometric_mixing, yule_scaled])
@@ -505,23 +578,34 @@ class TestLawEvaluation:
         flat = getattr(law, method)(t.reshape(-1))
         assert_bitwise_equal(np.reshape(values, -1), flat)
 
-    def test_memory_of_the_bench_law(self):
-        # one 512 KB band buffer for the build; one 200 x 1999 array (3.2
-        # MB) for a call on 200 times, with a 64 KB mask per exp chunk
+    @staticmethod
+    def bench_law_peaks(points):
+        """Traced peaks of building the benchmark's law and of one cdf call
+        on points times."""
         model = power_law(1.0, 2.0, 2000)
         tracemalloc.start()
         try:
             law = hitting_time_distribution(model)
             build_peak = tracemalloc.get_traced_memory()[1]
-            t = np.linspace(0.0, 4.0 * np.sum(1.0 / law.rates), 200)
+            t = np.linspace(0.0, 4.0 * np.sum(1.0 / law.rates), points)
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
             law.cdf(t)
             cdf_peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
+        return build_peak, cdf_peak
+
+    def test_memory_of_the_bench_law(self):
+        # one 512 KB band buffer for the build; for a call, one block of 32
+        # x 1999 times (512 KB) with its 64 KB mask, and the values
+        build_peak, cdf_peak = self.bench_law_peaks(200)
         assert build_peak <= 2.5e6
-        assert cdf_peak <= 3.5e6
+        assert cdf_peak <= 1e6
+
+    def test_memory_on_many_times(self):
+        # the same block: the whole 20 000 x 1999 array would be 320 MB
+        assert self.bench_law_peaks(20_000)[1] <= 1e6
 
 
 def powerlaw_time(c, exponent, n, start=1):

@@ -62,6 +62,15 @@ class TestExpectTime:
                      "--exponent", "2000", "--cap", "10"]) == 1
         assert capsys.readouterr().err.startswith("purebirth: error: ")
 
+    def test_too_many_states_is_an_error_not_a_traceback(self, capsys):
+        # 10^11 states: a 745 GiB rate vector, or minutes of leaf sums
+        assert main(["expect-time", "--family", "yule", "--N", "100000000000",
+                     "--mu", "1", "--p", "0.31"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("purebirth: error: ")
+        assert "99999999999 transient states" in captured.err
+
     def test_invalid_population_exits_nonzero(self, capsys):
         assert main(["expect-time", "--family", "yule", "--N", "1",
                      "--mu", "1", "--p", "0.31"]) != 0
@@ -888,6 +897,24 @@ def test_start_zero_is_an_error(capsys, command):
     assert captured.out == ""
     assert captured.err.startswith("purebirth: error: ")
     assert "start_state 0 is not an integer" in captured.err
+
+
+@pytest.mark.parametrize("command, engine", [
+    ("simulate", "estimate_absorption_time"), ("forward", "forward_grid")])
+def test_memory_error_is_an_error_not_a_traceback(capsys, monkeypatch,
+                                                  command, engine):
+    # numpy's message when, say, --N 100000000000 asks for a state vector
+    message = ("Unable to allocate 745. GiB for an array with shape "
+               "(100000000000,) and data type float64")
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, engine, out_of_memory)
+    assert main([command] + START_ZERO[command]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"purebirth: error: {message}\n"
 
 
 @pytest.mark.parametrize("command", ["simulate", "explosion"])
