@@ -110,6 +110,7 @@ def expected_absorption_time(model: RateModel,
         raise OutOfRange(
             f"E(T) would sum over {count} transient states, more than "
             f"the limit of {MAX_SUM_STATES}")
+    # the rows of every leaf: a leaf allocates nothing
     steps = np.arange(min(count, _LEAF), dtype=float)
     work = np.empty((2, steps.size))
     # the square of a tiny rate can underflow to 0, or its reciprocal
