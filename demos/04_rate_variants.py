@@ -7,7 +7,8 @@ With suppressed rates lambda_k = c / k^2 the expected time grows like
 n^3/(3c), far exceeding the population size.
 """
 
-from purebirth import expected_absorption_time, explosion_study, power_law
+from purebirth import (estimate_absorption_time, expected_absorption_time,
+                       power_law)
 
 
 def expected_time(exponent, n):
@@ -22,10 +23,12 @@ for n in (10, 100, 1000, 100000):
     print(f"  n = {n:>6d}  E(T) = {report.exact_mean:.6f}  "
           f"(limit pi^2/6 = {report.approx_mean:.6f}, tail < {1.0 / n:.1e})")
 
-study = explosion_study(power_law(1.0, 2.0, 1000), 1, 10_000, master_seed=7)
+capped = power_law(1.0, 2.0, 1000)
+study = estimate_absorption_time(capped, 1, 10_000, master_seed=7)
 print(f"  simulated cap-1000 hitting time over 10,000 replicates: "
-      f"{study.summary.mean:.4f} +/- {study.summary.std_error:.4f}")
-print(f"  analytic partial sum: {study.analytic_mean:.4f}\n")
+      f"{study.mean:.4f} +/- {study.std_error:.4f}")
+print(f"  analytic partial sum: "
+      f"{expected_absorption_time(capped).exact_mean:.4f}\n")
 
 print("suppressed rates lambda_k = 1/k^2:")
 for n in (10, 100, 1000, 10000):

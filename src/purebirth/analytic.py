@@ -16,7 +16,8 @@ sum to the closed form.  Under power-law rates c k^2 the mean stays below
 pi^2/(6c) however high the cap; under rates c / k^2 it is summed exactly,
 as the integer sum of k^2 over c, and grows like (cap-1)^3/(3c).  T is
 hypoexponential, with an explicit partial-fraction density wherever that
-form is well conditioned.
+form is well conditioned; elsewhere P(T <= t) is the forward solution's
+mass at the absorbing state.
 
 The partial-fraction coefficients are the one O(m^2) kernel here, for m
 transient states.  They are built in bands of 256 x 256 factors in one
@@ -235,8 +236,8 @@ def hitting_time_distribution(model: RateModel,
     LAW_ROUNDOFF_TOL to roundoff (about kappa = sum |C_k| ulps of 1), as it
     does for close rates.  That is checked block by block of the product,
     and a block whose products overflow stops there, so a refusal costs at
-    most one block.  Callers should then use the forward solver, e.g.
-    absorption_probability for the cdf.
+    most one block.  Callers should then use the forward solver: the cdf
+    is forward_probabilities(model, start_state, t).probabilities[-1].
     """
     rates = rate_vector(model, start_state)
     return HittingTimeDistribution(rates=rates,
@@ -269,7 +270,8 @@ def _partial_fractions(rates):
     if (ordered[1:] == ordered[:-1]).any():
         raise ToleranceNotMet(
             "the partial-fraction law needs distinct rates, and these "
-            "repeat; use absorption_probability for P(T <= t)")
+            "repeat; use forward_probabilities(...).probabilities[-1] "
+            "for P(T <= t)")
     m = rates.size
     buf = np.empty(_BAND * _BAND)
     coeffs = np.empty(m)
@@ -306,6 +308,6 @@ def _partial_fractions(rates):
             if not kappa * 2.0 ** -52 <= LAW_ROUNDOFF_TOL:
                 raise ToleranceNotMet(
                     "the partial-fraction law is ill-conditioned (sum "
-                    f"|C_k| >= {kappa:.3e}); use absorption_probability "
-                    "for P(T <= t)")
+                    f"|C_k| >= {kappa:.3e}); use forward_probabilities"
+                    "(...).probabilities[-1] for P(T <= t)")
     return coeffs

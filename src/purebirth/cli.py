@@ -5,8 +5,8 @@ parameters come from flags (--family, --N, --lambda, --mu, --p, --c,
 --exponent, --cap, --unit), each stored under its build_rate_model key, or
 a flat key=value config file (--config) whose keys are the long flag names
 of any subcommand, and which may set each destination once; flags override
-the file.  --t is --t-grid with one time, and sweep refuses a --param that
-its family does not use.  Data goes to --out or stdout as CSV (RFC-4180
+the file.  --t is another name for --t-grid, and sweep refuses a --param
+that its family does not use.  Data goes to --out or stdout as CSV (RFC-4180
 style, 17 significant digits) or JSON (metadata header plus one object per
 row); diagnostics go to stderr and any failure exits nonzero.
 
@@ -38,12 +38,12 @@ import numpy as np
 
 from . import __version__
 from .analytic import expected_absorption_time
-from .errors import PureBirthError, require_integer
+from .errors import OutOfRange, PureBirthError, require_integer
 from .forward import SolverConfig, forward_grid
 from .montecarlo import (QUANTILE_LEVELS, RNG_SCHEME,
                          estimate_absorption_time, event_time_blocks,
-                         explosion_study, summarize_terminal_times)
-from .rates import _KEYS, build_rate_model
+                         summarize_terminal_times)
+from .rates import _KEYS, POWERLAW, build_rate_model
 
 PROB_FLOOR = 1e-12
 
@@ -101,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "Poisson weight uniformization leaves out, or "
                         "inversion's bound plus its estimate")
     p.add_argument("--t", dest="t_grid", metavar="T",
-                   help="one evaluation time, as --t-grid of one")
+                   help="another name for --t-grid")
     p.add_argument("--t-grid", dest="t_grid",
                    help="comma-separated strictly increasing times")
 
@@ -578,13 +578,19 @@ def _cmd_explosion(args):
     spec["family"] = spec["family"] or "powerlaw"
     spec["exponent"] = spec["exponent"] if spec["exponent"] is not None else 2.0
     model = build_rate_model(spec)
-    report = explosion_study(model, _start(args),
-                             _require_arg(args, "replicates"),
-                             _require_arg(args, "seed"),
-                             n_jobs=_jobs(args))
-    header, row = _summary_row(report.summary)
+    replicates = _require_arg(args, "replicates")
+    seed = _require_arg(args, "seed")
+    if model.family != POWERLAW or model.exponent != 2:
+        raise OutOfRange("explosion requires a powerlaw model with "
+                         "exponent +2")
+    start = _start(args)
+    # the start state is checked before the replicates, jobs and seed
+    analytic = expected_absorption_time(model, start)
+    summary = estimate_absorption_time(model, start, replicates, seed,
+                                       n_jobs=_jobs(args))
+    header, row = _summary_row(summary)
     header = ["cap", "analytic_mean", "limit_bound"] + header
-    row = [report.cap, report.analytic_mean, report.limit_bound] + row
+    row = [model.state_cap, analytic.exact_mean, analytic.approx_mean] + row
     _write_rows(args, header, [row],
                 _metadata(args, "explosion", rng_scheme=RNG_SCHEME))
 

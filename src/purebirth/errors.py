@@ -1,4 +1,7 @@
-"""Exception types shared across the package, and its input rules:
+"""Exception types shared across the package (a missing model value is
+MissingParameter, a cap-less power law's included; a value out of range
+OutOfRange; a bad state StateOutOfRange; a numerical result that misses
+its checks ToleranceNotMet), and its input rules:
 is_integer and require_integer for every state, index, count and seed (a
 Python or numpy integer), require_finite for every real parameter (a finite
 Python or numpy real number; an int too large for a float is not), and
@@ -26,24 +29,19 @@ class OutOfRange(PureBirthError, ValueError):
     """A parameter value is outside its admissible range."""
 
 
-class CapRequired(PureBirthError):
-    """A power-law model has an unbounded state space and needs a state cap."""
-
-
 class StateOutOfRange(PureBirthError):
     """A state is not an integer in [start, absorbing/cap]."""
 
 
-class WrongFamily(PureBirthError):
-    """The operation is defined only for a different rate family."""
-
-
 class ToleranceNotMet(PureBirthError):
-    """A numerical result failed its own checks: a forward solution's
-    probability mass is off by more than the mass-defect limit or a
-    probability is negative beyond roundoff, or the partial-fraction law
-    of the absorption time is too ill-conditioned to evaluate (its rates
-    repeat, or lie so close that its coefficients cancel)."""
+    """A numerical result failed its own checks, or could not meet them in
+    bounded time: a forward solution's probability mass is off by more
+    than the mass-defect limit or a probability is negative beyond
+    roundoff; a forward call that inversion cannot solve within abs_tol
+    would take uniformization more work than its budget; or the
+    partial-fraction law of the absorption time is too ill-conditioned to
+    evaluate (its rates repeat, or lie so close that its coefficients
+    cancel)."""
 
 
 def is_integer(value) -> bool:

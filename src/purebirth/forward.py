@@ -40,8 +40,13 @@ nonnegative terms) unless its estimated cost (steps times states, plus a
 fixed cost per step) is large and several times that of inversion, and
 abs_tol is at least inversion's discretization bound; a call whose
 inversion estimate misses abs_tol at any time is solved again by
-uniformization.  FORWARD_SCHEME and INVERSION_SCHEME name
-the schemes; each snapshot carries the one that produced it.
+uniformization.  A call left to uniformization whose estimated cost
+passes UNIFORMIZATION_BUDGET is refused with ToleranceNotMet, which names
+that cost and, when inversion ran, the abs_tol it reached: no call runs
+for hours.  P(T <= t) is the mass at the absorbing state,
+forward_probabilities(model, start, t).probabilities[-1].
+FORWARD_SCHEME and INVERSION_SCHEME name the schemes; each snapshot
+carries the one that produced it.
 """
 
 from __future__ import annotations
@@ -80,6 +85,8 @@ INVERSION_GAIN = 8
 # the fixed cost of one uniformization step, in state-steps: about 4 us
 # against 3 ns a state, measured at 3 and 2001 states
 STEP_OVERHEAD = 1300
+# uniformization is refused past this many state-steps, about 20-30 s
+UNIFORMIZATION_BUDGET = 1e10
 
 # Stirling-series remainders lgamma(n+1) - (n+1/2) ln n + n - ln(2 pi)/2
 # for n < 16; larger n use the asymptotic series in _stirling_error
@@ -98,7 +105,7 @@ class SolverConfig:
     terms the sum leaves out, and so every probability's error.  Under
     Euler inversion it bounds the discretization error INVERSION_BOUND
     plus the estimated truncation error of each probability; an abs_tol
-    below INVERSION_BOUND always selects uniformization.
+    below INVERSION_BOUND always selects uniformization, within its budget.
     """
 
     abs_tol: float = 1e-10
@@ -167,29 +174,36 @@ def forward_grid(model: RateModel, start_state: int, times: Sequence[float],
 
 def _solve(lam, times, counts, abs_tol):
     """(rows, scheme) at times > 0: Euler inversion when it pays and its
-    estimates meet abs_tol at every time, uniformization otherwise."""
-    if _inversion_pays(lam[:-1], counts, abs_tol):
+    estimates meet abs_tol at every time, uniformization otherwise, unless
+    that would pass UNIFORMIZATION_BUDGET."""
+    steps = _uniformization_steps(lam[:-1], counts, abs_tol)
+    work = steps * (lam.size + STEP_OVERHEAD)
+    reached = ""
+    if (abs_tol >= INVERSION_BOUND and work >= INVERSION_MIN_WORK
+            and steps >= INVERSION_GAIN * EULER_NODES * counts.size):
         rows, estimate = _invert(lam[:-1], times)
         if (estimate + INVERSION_BOUND <= abs_tol).all():
             return rows, INVERSION_SCHEME
+        reached = (", and inversion reached abs_tol "
+                   f"{estimate.max() + INVERSION_BOUND:.2e}")
+    if work > UNIFORMIZATION_BUDGET:
+        raise ToleranceNotMet(
+            f"uniformization would take about {work:.2e} state-steps, over "
+            f"the budget of {UNIFORMIZATION_BUDGET:.0e}{reached}")
     return _uniformize(lam / lam.max(), counts, abs_tol), FORWARD_SCHEME
 
 
-def _inversion_pays(rates, counts, abs_tol):
-    """True when Euler inversion of these transient rates at these
-    uniformized step counts (Lambda t, all > 0) beats uniformization by
-    the cost rule of the module docstring."""
-    if abs_tol < INVERSION_BOUND:
-        return False
+def _uniformization_steps(rates, counts, abs_tol):
+    """About how many steps uniformization takes on these transient rates
+    at these step counts (Lambda t, all > 0): the Poisson end of the
+    largest, or Lambda times a Chernoff bound on the time to drain."""
     # Chernoff: P(T > tau) <= e^{-theta tau} prod lambda / (lambda - theta)
     # = abs_tol at theta = lambda_min / 2, where each factor is <= 2
     theta = 0.5 * float(rates.min())
     log_mgf = float(np.sum(-np.log1p(-theta / rates)))
     drain = (-math.log(abs_tol) + log_mgf) / theta
-    steps = min(_poisson_end(float(counts.max()), abs_tol),
-                float(rates.max()) * drain)
-    return (steps * (rates.size + 1 + STEP_OVERHEAD) >= INVERSION_MIN_WORK
-            and steps >= INVERSION_GAIN * EULER_NODES * counts.size)
+    return min(_poisson_end(float(counts.max()), abs_tol),
+               float(rates.max()) * drain)
 
 
 def _poisson_end(a, abs_tol):
@@ -326,9 +340,3 @@ def mean_state(snapshot: DistributionSnapshot) -> float:
     """Expected number infected at the snapshot time."""
     return float(np.dot(snapshot.states, snapshot.probabilities))
 
-
-def absorption_probability(model: RateModel, start_state: int, t: float,
-                           config: Optional[SolverConfig] = None) -> float:
-    """P(T <= t): mass at the absorbing/cap state at time t."""
-    snap = forward_probabilities(model, start_state, t, config)
-    return float(snap.probabilities[-1])

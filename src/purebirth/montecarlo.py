@@ -3,8 +3,9 @@
 A path is named by (master seed, replicate index): replicate i of master
 seed s is one path, whether simulate_path(model, start, s, i) draws it
 alone or an ensemble of more than i replicates (estimate_absorption_time,
-empirical_distribution_at, explosion_study, the CLI's trajectory dump)
-draws it at index i.
+empirical_distribution_at, the CLI's trajectory dump) draws it at index i.
+The CLI's explosion subcommand is estimate_absorption_time on c k^2 rates,
+beside expected_absorption_time's exact mean and pi^2/(6c) bound.
 Replicates come in blocks of BLOCK, and block b of a master seed draws from
 its own stream, replicate_stream(master_seed, b) (numpy SeedSequence spawn
 key (b,)), the one place that checks the seed.  The stream yields the
@@ -33,9 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import expected_absorption_time
-from .errors import WrongFamily, require_integer, require_times
-from .rates import POWERLAW, RateModel, rate_vector
+from .errors import require_integer, require_times
+from .rates import RateModel, rate_vector
 
 QUANTILE_LEVELS = (0.05, 0.25, 0.50, 0.75, 0.95)
 BLOCK = 1024                  # replicates per seeded stream
@@ -78,16 +78,6 @@ class StateHistogram:
     states: np.ndarray
     counts: np.ndarray
     replicates: int
-
-
-@dataclass(frozen=True)
-class ExplosionReport:
-    """Cap-hitting times for quadratically accelerating rates."""
-
-    summary: MonteCarloSummary
-    cap: int
-    analytic_mean: float
-    limit_bound: float
 
 
 def _strips(stream: np.random.Generator, lam: np.ndarray):
@@ -238,23 +228,3 @@ def empirical_distribution_at(model: RateModel, start_state: int, t: float,
     return StateHistogram(time=t, states=support, counts=counts,
                           replicates=replicates)
 
-
-def explosion_study(model: RateModel, start_state: int, replicates: int,
-                    master_seed: int, n_jobs: int = 1) -> ExplosionReport:
-    """Distribution of the time to hit the model's state_cap under
-    lambda_k = c k^2.
-
-    The mean is reported against expected_absorption_time's report: its
-    exact_mean, the partial sum (1/c) sum_{k=start}^{cap-1} 1/k^2, and its
-    approx_mean, the limiting bound pi^2/(6c).
-    """
-    if model.family != POWERLAW or model.exponent != 2:
-        raise WrongFamily("explosion_study requires a powerlaw model "
-                          "with exponent +2")
-    # before the replicates and the seed, the start state is checked here
-    analytic = expected_absorption_time(model, start_state)
-    summary = estimate_absorption_time(model, start_state, replicates,
-                                       master_seed, n_jobs=n_jobs)
-    return ExplosionReport(summary=summary, cap=model.state_cap,
-                           analytic_mean=analytic.exact_mean,
-                           limit_bound=analytic.approx_mean)

@@ -10,7 +10,8 @@ Three families are supported:
 * ``yule``: the same mixing model with the contact rate scaled with the
   population, ``lambda = N mu``.
 * ``powerlaw``: rates ``c * k**exponent`` on an unbounded state space,
-  truncated at an explicit ``state_cap`` for computation.
+  truncated at an explicit ``state_cap`` for computation; a model without
+  one is refused as MissingParameter, like any other missing value.
 
 One rule, checked when a model is built, decides which rates every engine
 accepts: the largest rate is finite, and so is 37 m / lambda_min, with m
@@ -41,9 +42,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (CapRequired, MissingParameter, OutOfRange,
-                     StateOutOfRange, describe, is_integer, require_finite,
-                     require_integer)
+from .errors import (MissingParameter, OutOfRange, StateOutOfRange,
+                     describe, is_integer, require_finite, require_integer)
 
 HYPERGEOMETRIC = "hypergeometric"
 YULE = "yule"
@@ -64,8 +64,8 @@ class RateModel:
       hold (a numeric string or an integral float is not), a non-finite
       exponent, a time_unit that is not a str, or rates that break the
       rule of the module docstring;
-    * MissingParameter: a parameter required by the family is None;
-    * CapRequired: a powerlaw model without a state cap.
+    * MissingParameter: a parameter required by the family is None, the
+      cap of a powerlaw model (whose state space is unbounded) included.
 
     The messages name the parameters by their keys in build_rate_model.
     """
@@ -88,11 +88,7 @@ class RateModel:
         if family == POWERLAW:
             _positive(self, "coefficient", "c")
             _real(self, "exponent", "exponent")
-            if self.state_cap is None:
-                # every power-law state space is unbounded; computation
-                # needs a cap
-                raise CapRequired("powerlaw models require a state cap "
-                                  "(unbounded state space)")
+            # the state space is unbounded; computation needs the cap
             _count(self, "state_cap", "cap")
         elif family in (HYPERGEOMETRIC, YULE):
             _count(self, "population", "N")
@@ -165,9 +161,8 @@ def build_rate_model(spec: dict) -> RateModel:
 
     Raises:
         MissingParameter: no family, or a key required by the family is
-            absent.
+            absent (the cap too, for powerlaw).
         OutOfRange: an unknown family, or any check of RateModel.
-        CapRequired: powerlaw family without a state cap.
     """
     if spec.get("family") is None:
         raise MissingParameter("family is required")

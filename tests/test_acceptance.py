@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from purebirth import (expected_absorption_time, explosion_study,
+from purebirth import (estimate_absorption_time, expected_absorption_time,
                        forward_probabilities,
                        hypergeometric_mixing, power_law, yule_scaled)
 from purebirth.cli import main
@@ -115,16 +115,18 @@ def test_criterion_6_monte_carlo_vs_analytic_grid():
 
 def test_criterion_7_explosion_claim():
     reps = 10 ** 4
-    small = explosion_study(power_law(1.0, 2.0, 1000), 1, reps, SEED)
+    model = power_law(1.0, 2.0, 1000)
+    small = estimate_absorption_time(model, 1, reps, SEED)
     oracle = math.fsum(1.0 / k ** 2 for k in range(1, 1000))
-    assert small.analytic_mean == pytest.approx(oracle, rel=1e-12)
-    gap = abs(small.summary.mean - oracle)
-    assert gap < 3.0 * small.summary.std_error
-    large = explosion_study(power_law(1.0, 2.0, 2000), 1, reps, SEED)
-    shift = abs(large.summary.mean - small.summary.mean)
-    budget = 1e-3 + 3.0 * large.summary.std_error
+    assert expected_absorption_time(model).exact_mean == pytest.approx(
+        oracle, rel=1e-12)
+    gap = abs(small.mean - oracle)
+    assert gap < 3.0 * small.std_error
+    large = estimate_absorption_time(power_law(1.0, 2.0, 2000), 1, reps, SEED)
+    shift = abs(large.mean - small.mean)
+    budget = 1e-3 + 3.0 * large.std_error
     assert shift < budget
-    report(7, f"cap-1000 mean {small.summary.mean:.4f} vs partial sum "
+    report(7, f"cap-1000 mean {small.mean:.4f} vs partial sum "
               f"{oracle:.4f}; doubling the cap moved it {shift:.2e} "
               f"(< {budget:.2e})")
 

@@ -8,6 +8,7 @@ import shlex
 import subprocess
 import sys
 import threading
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,7 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from purebirth import absorption_probability, hypergeometric_mixing, power_law
+from purebirth import (estimate_absorption_time, expected_absorption_time,
+                       hypergeometric_mixing, power_law)
 from purebirth import cli, montecarlo
 from purebirth.cli import (_cells, _config_actions, _parser, _significand,
                            build_parser, fmt, main)
@@ -156,7 +158,7 @@ class TestForward:
             row = [r for r in rows
                    if r["state"] == "10" and float(r["time"]) == t]
             assert float(row[0]["probability"]) == pytest.approx(
-                absorption_probability(model, 1, t), abs=1e-9)
+                forward_grid(model, 1, [t])[0].probabilities[-1], abs=1e-9)
 
     def test_requires_a_time(self, capsys):
         assert main(["forward", "--family", "hypergeometric", "--N", "5",
@@ -224,6 +226,37 @@ class TestForward:
             run_csv(capsys, FORWARD_YULE + ["--t", "3"])
         assert run_csv(capsys, FORWARD_YULE + both[2:] + both[:2]) == \
             run_csv(capsys, FORWARD_YULE + ["--t-grid", "1,2"])
+
+    def test_t_is_another_name_for_t_grid(self, capsys):
+        # its help said "one evaluation time", but it always took a list
+        outputs = []
+        for flag in ("--t", "--t-grid"):
+            assert main(FORWARD_YULE + [flag, "0,1"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].count("\n0,") and outputs[0].count("\n1,")
+        assert "another name for --t-grid" in \
+            build_parser()._subparsers._group_actions[0].choices[
+                "forward"].format_help()
+
+    def test_powerlaw_without_cap_names_the_cap(self, capsys):
+        assert main(["forward", "--family", "powerlaw", "--c", "1",
+                     "--exponent", "2", "--t", "1"]) == 1
+        assert capsys.readouterr() == (
+            "", "purebirth: error: cap is required for the powerlaw family\n")
+
+    def test_a_call_past_the_uniformization_budget_is_refused(self, capsys):
+        # inversion misses abs_tol at t = 1e9, and uniformization would
+        # take about 1e9 steps: hours
+        began = time.perf_counter()
+        assert main(["forward", "--family", "powerlaw", "--c", "1",
+                     "--exponent", "-2", "--cap", "2000", "--t", "1e9"]) == 1
+        assert time.perf_counter() - began < 1.0
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("purebirth: error: uniformization would take "
+                              "about 3.30e+12 state-steps, over the budget "
+                              "of 1e+10, and inversion reached abs_tol ")
 
     def test_bad_t_is_refused_as_a_grid(self, capsys):
         # argparse used to exit 2 with its usage message
@@ -615,6 +648,9 @@ class TestSweep:
             for param in sweep.choices if param not in used.split(", ")}
 
 
+EXPLOSION = ["explosion", "--c", "1", "--cap", "50"]
+
+
 class TestExplosionCommand:
     def test_reports_analytic_mean_and_bound(self, capsys):
         rows = run_csv(capsys, ["explosion", "--c", "1", "--cap", "200",
@@ -628,6 +664,65 @@ class TestExplosionCommand:
         rows = run_csv(capsys, ["explosion", "--c", "2", "--cap", "100",
                                 "--replicates", "100", "--seed", "3"])
         assert rows[0]["cap"] == "100"
+
+    @pytest.mark.parametrize("start", [1, 17])
+    def test_columns_are_the_two_library_calls(self, capsys, start):
+        rows = run_csv(capsys, EXPLOSION + [
+            "--c", "0.7", "--start", str(start), "--replicates", "3000",
+            "--seed", "5", "--jobs", "2"])
+        model = power_law(0.7, 2.0, 50)
+        analytic = expected_absorption_time(model, start)
+        summary = estimate_absorption_time(model, start, 3000, 5)
+        assert rows == [{
+            "cap": "50", "analytic_mean": fmt(analytic.exact_mean),
+            "limit_bound": fmt(analytic.approx_mean),
+            "replicates": "3000", "master_seed": "5",
+            "mean": fmt(summary.mean), "std_error": fmt(summary.std_error),
+            **{f"q{round(100 * q):02d}": fmt(x)
+               for q, x in summary.quantiles.items()},
+            "time_unit": "time"}]
+
+    def test_from_the_cap_every_time_is_zero(self, capsys):
+        rows = run_csv(capsys, EXPLOSION + ["--start", "50",
+                                            "--replicates", "10",
+                                            "--seed", "1"])
+        times = {key: value for key, value in rows[0].items() if key not in (
+            "cap", "limit_bound", "replicates", "master_seed", "time_unit")}
+        assert set(times) == {"analytic_mean", "mean", "std_error", "q05",
+                              "q25", "q50", "q75", "q95"}
+        assert set(times.values()) == {"0"}
+        assert rows[0]["cap"] == "50"
+
+    # each case breaks its own input and every later one; the first
+    # refusal is the one printed
+    @pytest.mark.parametrize("flags, message", [
+        (["--seed", "1"], "--replicates is required"),
+        (["--replicates", "1"], "--seed is required"),
+        (["--exponent", "-2", "--start", "0", "--replicates", "1",
+          "--seed", "-1", "--jobs", "0"],
+         "explosion requires a powerlaw model with exponent +2"),
+        (["--family", "yule", "--N", "10", "--mu", "1", "--p", "0.3",
+          "--start", "0", "--replicates", "1", "--seed", "-1"],
+         "explosion requires a powerlaw model with exponent +2"),
+        (["--start", "0", "--replicates", "1", "--seed", "-1", "--jobs", "0"],
+         "start_state 0 is not an integer in [1, 50]"),
+        (["--replicates", "1", "--seed", "-1", "--jobs", "0"],
+         "replicates must be an integer >= 2, got 1"),
+        (["--replicates", "2", "--seed", "-1", "--jobs", "0"],
+         "n_jobs must be an integer >= 1, got 0"),
+        (["--replicates", "2", "--seed", "-1"],
+         "master_seed must be an integer >= 0, got -1"),
+    ], ids=["replicates", "seed", "exponent", "family", "start",
+            "replicate-count", "jobs", "seed-value"])
+    def test_order_of_refusals(self, capsys, flags, message):
+        assert main(EXPLOSION + flags) == 1
+        assert capsys.readouterr() == ("", f"purebirth: error: {message}\n")
+
+    def test_powerlaw_without_cap_names_the_cap(self, capsys):
+        assert main(["explosion", "--c", "1", "--replicates", "2",
+                     "--seed", "1"]) == 1
+        assert capsys.readouterr() == (
+            "", "purebirth: error: cap is required for the powerlaw family\n")
 
 
 class TestConfigFile:

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from purebirth import (SolverConfig, forward_grid,
-                       forward_probabilities, hitting_time_distribution,
+from purebirth import (SolverConfig, ToleranceNotMet, expected_absorption_time,
+                       forward_grid, forward_probabilities,
+                       hitting_time_distribution,
                        hypergeometric_mixing, power_law, rate_vector,
                        yule_scaled)
 from purebirth import forward
@@ -150,3 +151,77 @@ def test_working_set_no_larger_than_uniformization():
         tracemalloc.stop()
     assert peaks[0] <= peaks[1]
 
+
+
+TOURNAMENT = yule_scaled(2000, 1.0, 0.31)
+CRUISE = yule_scaled(6700, 3.0, 0.31)
+
+
+def uniformization_work(model, t, abs_tol=DEFAULT_TOL):
+    """forward._solve's estimate of a call's uniformization state-steps."""
+    lam = np.append(rate_vector(model), 0.0)
+    steps = forward._uniformization_steps(lam[:-1], np.array([lam.max() * t]),
+                                          abs_tol)
+    return steps * (lam.size + forward.STEP_OVERHEAD)
+
+
+@pytest.mark.parametrize("model, t, abs_tol, reached", [
+    # inversion misses (7.4e-7), and the parent ran about 1e9 steps: hours
+    (power_law(1.0, -2.0, 2000), 1e9, DEFAULT_TOL,
+     ", and inversion reached abs_tol 7.44e-07"),
+    # below INVERSION_BOUND only uniformization may run: about 1e9 steps
+    (power_law(1.0, -100.0, 3), 1e9, 1e-12, ""),
+], ids=["power_law-2-t1e9", "power_law-100-abs_tol1e-12"])
+def test_past_the_budget_is_refused_at_once(monkeypatch, model, t, abs_tol,
+                                            reached):
+    def never(*args):
+        raise AssertionError("uniformization ran")
+
+    monkeypatch.setattr(forward, "_uniformize", never)
+    work = uniformization_work(model, t, abs_tol)
+    assert work > 100 * forward.UNIFORMIZATION_BUDGET
+    began = time.perf_counter()
+    with pytest.raises(ToleranceNotMet) as refused:
+        forward_probabilities(model, 1, t, SolverConfig(abs_tol))
+    assert time.perf_counter() - began < 1.0
+    assert str(refused.value) == (
+        f"uniformization would take about {work:.2e} state-steps, over the "
+        f"budget of 1e+10{reached}")
+
+
+def test_the_budget_is_about_half_a_minute():
+    # 2-3 ns a state-step; the costliest call the tests and the benchmark
+    # leave to uniformization is about 2e7, and the cruise at 3 E(T) 7.7e8
+    assert forward.UNIFORMIZATION_BUDGET == 1e10
+    cruise_mean = expected_absorption_time(CRUISE).exact_mean
+    assert uniformization_work(CRUISE, 3.0 * cruise_mean) < \
+        0.1 * forward.UNIFORMIZATION_BUDGET
+
+
+def test_the_budget_refuses_only_past_it(monkeypatch):
+    model = power_law(1.0, -100.0, 3)
+    tight = SolverConfig(1e-12)
+    work = uniformization_work(model, 1e4, 1e-12)
+    monkeypatch.setattr(forward, "UNIFORMIZATION_BUDGET", work)
+    assert forward_probabilities(model, 1, 1e4, tight).scheme == \
+        FORWARD_SCHEME
+    monkeypatch.setattr(forward, "UNIFORMIZATION_BUDGET", 0.999 * work)
+    with pytest.raises(ToleranceNotMet, match="^uniformization "):
+        forward_probabilities(model, 1, 1e4, tight)
+
+
+@pytest.mark.parametrize("model, mean_times", [(TOURNAMENT, 2.0),
+                                               (CRUISE, 0.9)],
+                         ids=["tournament-2ET", "cruise-0.9ET"])
+def test_the_paper_scenarios_keep_their_uniformization(model, mean_times):
+    # inversion misses at 71 nodes here, and uniformization still runs,
+    # well within the budget, with the same rows as before it
+    t = mean_times * expected_absorption_time(model).exact_mean
+    assert uniformization_work(model, t) < 0.1 * forward.UNIFORMIZATION_BUDGET
+    snap = forward_probabilities(model, 1, t)
+    assert snap.scheme == FORWARD_SCHEME
+    rates = rate_vector(model)
+    jump = np.append(rates, 0.0) / rates.max()
+    row = forward._uniformize(jump, np.array([rates.max() * t]),
+                              DEFAULT_TOL)[0]
+    assert snap.probabilities.tobytes() == np.clip(row, 0.0, 1.0).tobytes()

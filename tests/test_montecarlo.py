@@ -9,16 +9,25 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from purebirth import montecarlo
-from purebirth import (OutOfRange, StateOutOfRange, WrongFamily,
+from purebirth import (OutOfRange, StateOutOfRange,
                        empirical_distribution_at, estimate_absorption_time,
-                       expected_absorption_time, explosion_study,
+                       expected_absorption_time,
                        forward_probabilities, hypergeometric_mixing,
                        power_law, simulate_path, yule_scaled)
+from purebirth.cli import main
 from purebirth.montecarlo import (BLOCK, _simulate_ensemble,
                                   event_time_blocks, replicate_stream)
 from purebirth.rates import rate_vector
 
 SEED = 123
+
+
+def explosion(model, start, replicates, seed, n_jobs=1):
+    """(E(T) report, Monte Carlo summary) of the time to hit the cap: the
+    explosion subcommand's two library calls, in its order."""
+    return (expected_absorption_time(model, start),
+            estimate_absorption_time(model, start, replicates, seed,
+                                     n_jobs=n_jobs))
 
 
 def check_trajectory(path, model, start):
@@ -253,7 +262,7 @@ class TestMasterSeed:
         "estimate_jobs2": lambda m, s: estimate_absorption_time(
             m, 1, 3 * BLOCK, s, n_jobs=2),
         "histogram": lambda m, s: empirical_distribution_at(m, 1, 1.0, 10, s),
-        "explosion": lambda m, s: explosion_study(m, 1, 10, s),
+        "explosion": lambda m, s: explosion(m, 1, 10, s)[1],
         "path": lambda m, s: simulate_path(m, 1, s),
     }
 
@@ -296,8 +305,8 @@ class TestCounts:
             m, 1, r, SEED, n_jobs=j),
         "histogram": lambda m, r, j: empirical_distribution_at(
             m, 1, 1.0, r, SEED, n_jobs=j),
-        "explosion": lambda m, r, j: explosion_study(
-            m, 1, r, SEED, n_jobs=j),
+        "explosion": lambda m, r, j: explosion(
+            m, 1, r, SEED, n_jobs=j)[1],
     }
 
     # 2.5 and 10.5 raised numpy's TypeError
@@ -345,20 +354,23 @@ class TestCounts:
 
 
 class TestExplosionStudy:
+    """Cap-hitting times under c k^2 rates, by the explosion subcommand's
+    two library calls."""
+
     def test_mean_matches_partial_sum(self):
         model = power_law(1.0, 2.0, 1000)
-        report = explosion_study(model, 1, 10 ** 4, SEED)
+        analytic, summary = explosion(model, 1, 10 ** 4, SEED)
         oracle = math.fsum(1.0 / k ** 2 for k in range(1, 1000))
-        assert report.analytic_mean == pytest.approx(oracle, rel=1e-12)
-        assert abs(report.summary.mean - report.analytic_mean) < \
-            3.0 * report.summary.std_error
-        assert report.limit_bound == pytest.approx(math.pi ** 2 / 6.0)
+        assert analytic.exact_mean == pytest.approx(oracle, rel=1e-12)
+        assert abs(summary.mean - analytic.exact_mean) < \
+            3.0 * summary.std_error
+        assert analytic.approx_mean == pytest.approx(math.pi ** 2 / 6.0)
 
     def test_cap_doubling_barely_moves_the_mean(self):
-        small = explosion_study(power_law(1.0, 2.0, 1000), 1, 10 ** 4, SEED)
-        large = explosion_study(power_law(1.0, 2.0, 2000), 1, 10 ** 4, SEED)
-        shift = large.summary.mean - small.summary.mean
-        assert 0.0 < shift < 1e-3 + 3.0 * large.summary.std_error
+        _, small = explosion(power_law(1.0, 2.0, 1000), 1, 10 ** 4, SEED)
+        _, large = explosion(power_law(1.0, 2.0, 2000), 1, 10 ** 4, SEED)
+        shift = large.mean - small.mean
+        assert 0.0 < shift < 1e-3 + 3.0 * large.std_error
 
     def test_coupled_seed_rate_scaling(self):
         # doubling c halves every holding time drawn from the same uniforms
@@ -368,43 +380,48 @@ class TestExplosionStudy:
         for (_, s1), (_, s2) in zip(slow.events, fast.events):
             assert s1 == s2
 
-    def test_requires_quadratic_powerlaw(self):
-        with pytest.raises(WrongFamily):
-            explosion_study(power_law(1.0, -2.0, 100), 1, 10, SEED)
-        with pytest.raises(WrongFamily):
-            explosion_study(hypergeometric_mixing(5, 1, 1), 1, 10, SEED)
+    def test_requires_quadratic_powerlaw(self, capsys):
+        for flags in (["--c", "1", "--exponent", "-2", "--cap", "100"],
+                      ["--family", "hypergeometric", "--N", "5",
+                       "--lambda", "1", "--p", "1"]):
+            assert main(["explosion", *flags, "--replicates", "10",
+                         "--seed", str(SEED)]) == 1
+            assert capsys.readouterr().err == (
+                "purebirth: error: explosion requires a powerlaw model "
+                "with exponent +2\n")
         # from the cap itself (refused before) the time to hit it is 0
-        report = explosion_study(power_law(1.0, 2.0, 5), 5, 10, SEED)
-        assert report.summary.mean == report.analytic_mean == 0.0
-        assert set(report.summary.quantiles.values()) == {0.0}
+        analytic, summary = explosion(power_law(1.0, 2.0, 5), 5, 10, SEED)
+        assert summary.mean == analytic.exact_mean == 0.0
+        assert set(summary.quantiles.values()) == {0.0}
 
     @pytest.mark.parametrize("cap, start", [(2, 1), (50, 1), (50, 17),
                                             (1000, 1), (2000, 999)])
     def test_analytic_mean_is_the_exact_mean_bit_for_bit(self, cap, start):
-        # it was summed here over the model's own rate vector; it is now
-        # expected_absorption_time's exact_mean, which is the same sum
+        # explosion_study once summed it over the model's own rate vector;
+        # expected_absorption_time's exact_mean is the same sum
         model = power_law(0.7, 2.0, cap)
         own_sum = float(np.sum(1.0 / rate_vector(model, start)))
-        analytic = explosion_study(model, start, 2, SEED).analytic_mean
-        assert analytic.hex() == own_sum.hex() == \
-            expected_absorption_time(model, start).exact_mean.hex()
+        analytic, _ = explosion(model, start, 2, SEED)
+        assert analytic.exact_mean.hex() == own_sum.hex()
 
     @pytest.mark.parametrize("c", [0.7, 1.0, 3.0])
     def test_limit_bound_is_the_reports_approx_mean(self, c):
-        model = power_law(c, 2.0, 50)
-        bound = explosion_study(model, 17, 2, SEED).limit_bound
-        assert bound.hex() == \
-            expected_absorption_time(model, 17).approx_mean.hex() == \
-            (math.pi ** 2 / (6.0 * c)).hex()
+        analytic, _ = explosion(power_law(c, 2.0, 50), 17, 2, SEED)
+        assert analytic.approx_mean.hex() == (math.pi ** 2 / (6.0 * c)).hex()
 
-    def test_order_of_refusals(self):
+    def test_order_of_refusals(self, capsys):
         # the family, then the start state, then the replicates and seed
-        with pytest.raises(WrongFamily):
-            explosion_study(power_law(1.0, -2.0, 5), 0, 1.5, -1)
-        with pytest.raises(StateOutOfRange):
-            explosion_study(power_law(1.0, 2.0, 5), 0, 1.5, -1)
-        with pytest.raises(OutOfRange, match="^replicates "):
-            explosion_study(power_law(1.0, 2.0, 5), 1, 1.5, -1)
+        flags = ["explosion", "--c", "1", "--cap", "5", "--start", "0",
+                 "--replicates", "1", "--seed", "-1"]
+        for fixed, error in [
+                (["--exponent", "-2"], "explosion requires a powerlaw model "
+                                       "with exponent +2"),
+                (["--exponent", "2"], "start_state 0 is not an integer in "
+                                      "[1, 5]"),
+                (["--exponent", "2", "--start", "1"],
+                 "replicates must be an integer >= 2, got 1")]:
+            assert main(flags + fixed) == 1
+            assert capsys.readouterr().err == f"purebirth: error: {error}\n"
 
 
 @pytest.mark.parametrize("n,p,lam", [(2, 1.0, 0.5), (3, 0.31, 1.0),

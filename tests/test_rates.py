@@ -8,12 +8,11 @@ import pytest
 
 import purebirth
 from purebirth import errors
-from purebirth import (CapRequired, MissingParameter, OutOfRange,
+from purebirth import (MissingParameter, OutOfRange,
                        RateModel, SolverConfig, StateOutOfRange,
                        build_rate_model,
                        empirical_distribution_at, estimate_absorption_time,
-                       expected_absorption_time, explosion_study,
-                       absorption_probability, forward_grid,
+                       expected_absorption_time, forward_grid,
                        forward_probabilities, hitting_time_distribution,
                        hypergeometric_mixing, power_law, rate_vector,
                        simulate_path, yule_scaled)
@@ -58,7 +57,8 @@ class TestBuildRateModel:
             hypergeometric_mixing(1, 1.0, 1.0)
 
     def test_powerlaw_without_cap_rejected(self):
-        with pytest.raises(CapRequired):
+        with pytest.raises(MissingParameter,
+                           match="^cap is required for the powerlaw family$"):
             power_law(1.0, 2.0)
 
     def test_missing_parameters(self):
@@ -219,7 +219,8 @@ class TestRateModelChecksItself:
 
     def test_powerlaw_without_cap_refused(self):
         # rate_vector raised a TypeError on it
-        with pytest.raises(CapRequired):
+        with pytest.raises(MissingParameter,
+                           match="^cap is required for the powerlaw family$"):
             RateModel(family="powerlaw", coefficient=1.0, exponent=2.0)
 
     @pytest.mark.parametrize("field, value, error", [
@@ -428,25 +429,38 @@ class TestRateVector:
 
 def test_public_names():
     assert sorted(purebirth.__all__) == [
-        "AbsorptionTimeReport", "CapRequired", "DistributionSnapshot",
-        "ExplosionReport", "HittingTimeDistribution", "MissingParameter",
-        "MonteCarloSummary", "OutOfRange", "PureBirthError", "RateModel",
-        "SolverConfig", "StateHistogram", "StateOutOfRange",
-        "ToleranceNotMet", "Trajectory", "WrongFamily",
-        "absorption_probability", "build_rate_model",
-        "empirical_distribution_at", "estimate_absorption_time",
-        "expected_absorption_time", "explosion_study", "forward_grid",
-        "forward_probabilities", "hitting_time_distribution",
+        "AbsorptionTimeReport", "DistributionSnapshot",
+        "HittingTimeDistribution", "MissingParameter", "MonteCarloSummary",
+        "OutOfRange", "PureBirthError", "RateModel", "SolverConfig",
+        "StateHistogram", "StateOutOfRange", "ToleranceNotMet", "Trajectory",
+        "build_rate_model", "empirical_distribution_at",
+        "estimate_absorption_time", "expected_absorption_time",
+        "forward_grid", "forward_probabilities", "hitting_time_distribution",
         "hypergeometric_mixing", "mean_state", "power_law", "rate_vector",
         "simulate_path", "yule_scaled",
     ]
+    assert len(purebirth.__all__) == 26
     assert all(hasattr(purebirth, name) for name in purebirth.__all__)
+
+
+def _absorbed(model, start, t):
+    """P(T <= t), the forward solution's mass at the absorbing state."""
+    return float(forward_probabilities(model, start, t).probabilities[-1])
+
+
+def _explosion(model, start, replicates, seed):
+    """(E(T) report, Monte Carlo summary): the explosion subcommand's two
+    library calls, in its order."""
+    return (expected_absorption_time(model, start),
+            estimate_absorption_time(model, start, replicates, seed))
 
 
 # every engine gets its states through rate_vector; a fractional state
 # used to give states 1.5, 2.5, ... or a mean from start_state=1.5, True
 # ran as state 1 and None raised a TypeError in explosion_study.
-# "rate_at" is one state's rate, as the removed scalar rate_at gave it.
+# "rate_at" is one state's rate, as the removed scalar rate_at gave it;
+# "absorption_probability" and "explosion_study" run the calls that
+# replaced those functions, _absorbed and _explosion.
 STATE_TAKERS = {
     "rate_at": lambda m, k: rate_vector(m, k)[0],
     "rate_vector": lambda m, k: rate_vector(m, k),
@@ -454,7 +468,7 @@ STATE_TAKERS = {
     "hitting_time_distribution":
         lambda m, k: hitting_time_distribution(m, k),
     "forward_probabilities": lambda m, k: forward_probabilities(m, k, 1.0),
-    "absorption_probability": lambda m, k: absorption_probability(m, k, 1.0),
+    "absorption_probability": lambda m, k: _absorbed(m, k, 1.0),
     "forward_grid_no_times": lambda m, k: forward_grid(m, k, []),
     "probability_of":
         lambda m, k: forward_probabilities(m, 1, 1.0).probability_of(k),
@@ -462,7 +476,7 @@ STATE_TAKERS = {
         lambda m, k: estimate_absorption_time(m, k, 10, 1),
     "empirical_distribution_at":
         lambda m, k: empirical_distribution_at(m, k, 1.0, 10, 1),
-    "explosion_study": lambda m, k: explosion_study(m, k, 10, 1),
+    "explosion_study": lambda m, k: _explosion(m, k, 10, 1),
     "simulate_path": lambda m, k: simulate_path(m, k, 1),
 }
 
@@ -504,8 +518,7 @@ FROM_ABSORBING = {
     "forward_probabilities": (
         lambda m, k: _snapshot(forward_probabilities(m, k, 1.0)),
         ([50], [1.0])),
-    "absorption_probability": (
-        lambda m, k: absorption_probability(m, k, 1.0), 1.0),
+    "absorption_probability": (lambda m, k: _absorbed(m, k, 1.0), 1.0),
     "forward_grid": (
         lambda m, k: [_snapshot(s) for s in forward_grid(m, k, [0.0, 1.0])],
         [([50], [1.0])] * 2),
@@ -516,10 +529,10 @@ FROM_ABSORBING = {
         lambda m, k: _histogram(empirical_distribution_at(m, k, 1.0, 10, 1)),
         ([50], [10])),
     "explosion_study": (
-        lambda m, k: _summary(explosion_study(m, k, 10, 1).summary),
+        lambda m, k: _summary(_explosion(m, k, 10, 1)[1]),
         (0.0, 0.0, {0.0})),
     "explosion_study_analytic_mean": (
-        lambda m, k: explosion_study(m, k, 10, 1).analytic_mean, 0.0),
+        lambda m, k: _explosion(m, k, 10, 1)[0].exact_mean, 0.0),
     "simulate_path": (
         lambda m, k: dataclasses.astuple(simulate_path(m, k, 1)),
         ([(0.0, 50)], 0.0)),
@@ -534,6 +547,18 @@ FROM_ABSORBING = {
 def test_every_engine_gives_t_zero_from_the_absorbing_state(engine):
     report, expected = FROM_ABSORBING[engine]
     assert report(power_law(1.0, 2.0, 50), 50) == expected
+
+
+@pytest.mark.parametrize("build", [
+    lambda: power_law(1, 2),
+    lambda: build_rate_model({"family": "powerlaw", "c": 1, "exponent": 2}),
+    lambda: RateModel(family="powerlaw", coefficient=1, exponent=2),
+], ids=["power_law", "build_rate_model", "RateModel"])
+def test_a_powerlaw_model_without_a_cap_misses_its_cap(build):
+    # the cap had an exception class of its own, CapRequired
+    with pytest.raises(MissingParameter,
+                       match="^cap is required for the powerlaw family$"):
+        build()
 
 
 @pytest.mark.parametrize("name", ["Yule", "mixing", "power-law"])
@@ -688,7 +713,7 @@ def test_family_constructors_take_no_bool(key, build):
 TIME_TAKERS = {
     "forward_grid": lambda m, t: forward_grid(m, 1, [t]),
     "forward_probabilities": lambda m, t: forward_probabilities(m, 1, t),
-    "absorption_probability": lambda m, t: absorption_probability(m, 1, t),
+    "absorption_probability": lambda m, t: _absorbed(m, 1, t),
 }
 
 
