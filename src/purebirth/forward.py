@@ -339,4 +339,3 @@ def _make_snapshot(t, states, y, config, scheme):
 def mean_state(snapshot: DistributionSnapshot) -> float:
     """Expected number infected at the snapshot time."""
     return float(np.dot(snapshot.states, snapshot.probabilities))
-

@@ -227,4 +227,3 @@ def empirical_distribution_at(model: RateModel, start_state: int, t: float,
                          minlength=len(support))
     return StateHistogram(time=t, states=support, counts=counts,
                           replicates=replicates)
-

@@ -8,7 +8,6 @@ import shlex
 import subprocess
 import sys
 import threading
-import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -220,6 +219,12 @@ class TestForward:
     def test_t_is_a_grid_of_one_time(self, capsys):
         assert run_csv(capsys, FORWARD_YULE + ["--t", "1,2"]) == \
             run_csv(capsys, FORWARD_YULE + ["--t-grid", "1,2"])
+        # --t is another name for --t-grid: the same bytes
+        outputs = []
+        for flag in ("--t", "--t-grid"):
+            assert main(FORWARD_YULE + [flag, "0,1"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
         # both flags: the last one wins, as for any repeated flag
         both = ["--t-grid", "1,2", "--t", "3"]
         assert run_csv(capsys, FORWARD_YULE + both) == \
@@ -227,36 +232,11 @@ class TestForward:
         assert run_csv(capsys, FORWARD_YULE + both[2:] + both[:2]) == \
             run_csv(capsys, FORWARD_YULE + ["--t-grid", "1,2"])
 
-    def test_t_is_another_name_for_t_grid(self, capsys):
-        # its help said "one evaluation time", but it always took a list
-        outputs = []
-        for flag in ("--t", "--t-grid"):
-            assert main(FORWARD_YULE + [flag, "0,1"]) == 0
-            outputs.append(capsys.readouterr().out)
-        assert outputs[0] == outputs[1]
-        assert outputs[0].count("\n0,") and outputs[0].count("\n1,")
-        assert "another name for --t-grid" in \
-            build_parser()._subparsers._group_actions[0].choices[
-                "forward"].format_help()
-
     def test_powerlaw_without_cap_names_the_cap(self, capsys):
         assert main(["forward", "--family", "powerlaw", "--c", "1",
                      "--exponent", "2", "--t", "1"]) == 1
         assert capsys.readouterr() == (
             "", "purebirth: error: cap is required for the powerlaw family\n")
-
-    def test_a_call_past_the_uniformization_budget_is_refused(self, capsys):
-        # inversion misses abs_tol at t = 1e9, and uniformization would
-        # take about 1e9 steps: hours
-        began = time.perf_counter()
-        assert main(["forward", "--family", "powerlaw", "--c", "1",
-                     "--exponent", "-2", "--cap", "2000", "--t", "1e9"]) == 1
-        assert time.perf_counter() - began < 1.0
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.startswith("purebirth: error: uniformization would take "
-                              "about 3.30e+12 state-steps, over the budget "
-                              "of 1e+10, and inversion reached abs_tol ")
 
     def test_bad_t_is_refused_as_a_grid(self, capsys):
         # argparse used to exit 2 with its usage message
@@ -694,35 +674,19 @@ class TestExplosionCommand:
         assert rows[0]["cap"] == "50"
 
     # each case breaks its own input and every later one; the first
-    # refusal is the one printed
+    # refusal is the one printed.  The family, the start state and the
+    # replicate count between them: TestExplosionStudy in test_montecarlo
     @pytest.mark.parametrize("flags, message", [
-        (["--seed", "1"], "--replicates is required"),
-        (["--replicates", "1"], "--seed is required"),
-        (["--exponent", "-2", "--start", "0", "--replicates", "1",
-          "--seed", "-1", "--jobs", "0"],
-         "explosion requires a powerlaw model with exponent +2"),
-        (["--family", "yule", "--N", "10", "--mu", "1", "--p", "0.3",
-          "--start", "0", "--replicates", "1", "--seed", "-1"],
-         "explosion requires a powerlaw model with exponent +2"),
-        (["--start", "0", "--replicates", "1", "--seed", "-1", "--jobs", "0"],
-         "start_state 0 is not an integer in [1, 50]"),
-        (["--replicates", "1", "--seed", "-1", "--jobs", "0"],
-         "replicates must be an integer >= 2, got 1"),
+        (["--exponent", "-2", "--seed", "1"], "--replicates is required"),
+        (["--exponent", "-2", "--replicates", "1"], "--seed is required"),
         (["--replicates", "2", "--seed", "-1", "--jobs", "0"],
          "n_jobs must be an integer >= 1, got 0"),
         (["--replicates", "2", "--seed", "-1"],
          "master_seed must be an integer >= 0, got -1"),
-    ], ids=["replicates", "seed", "exponent", "family", "start",
-            "replicate-count", "jobs", "seed-value"])
+    ], ids=["replicates", "seed", "jobs", "seed-value"])
     def test_order_of_refusals(self, capsys, flags, message):
         assert main(EXPLOSION + flags) == 1
         assert capsys.readouterr() == ("", f"purebirth: error: {message}\n")
-
-    def test_powerlaw_without_cap_names_the_cap(self, capsys):
-        assert main(["explosion", "--c", "1", "--replicates", "2",
-                     "--seed", "1"]) == 1
-        assert capsys.readouterr() == (
-            "", "purebirth: error: cap is required for the powerlaw family\n")
 
 
 class TestConfigFile:
