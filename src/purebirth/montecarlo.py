@@ -13,7 +13,7 @@ block's holding times state by state, BLOCK numbers per transient state,
 in strips of STRIP states.  So replicate i's holding time in its j-th
 transient state depends only on (master_seed, i, j): not on the replicate
 count, the strip size, the number of threads that --jobs runs the blocks
-on, or the cap.  A partial last block still draws BLOCK replicates.
+on (its thread pool is imported only for more than one), or the cap.  A partial last block still draws BLOCK replicates.
 Summaries take each strip's exit times, the times its replicates leave
 its last state, by one ordered reduction down the strip; only the
 trajectory dump, simulate_path and histograms add the strip up row by row
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,7 +154,9 @@ def _simulate_ensemble(model, start_state, replicates, master_seed,
     replicate order.  Each block is a pure function of (master_seed, block)
     written into its own rows, so up to min(n_jobs, cpu count, blocks)
     threads give the same arrays as one; numpy releases the GIL in the
-    draws, logs and sums."""
+    draws, logs and sums.  The thread pool is imported only when more than
+    one thread runs, so one thread never loads concurrent.futures (nor the
+    logging it imports)."""
     require_integer("n_jobs", n_jobs, 1)
     lam = rate_vector(model, start_state)
     terminal = np.empty(replicates)
@@ -176,6 +177,8 @@ def _simulate_ensemble(model, start_state, replicates, master_seed,
     firsts = range(0, replicates, BLOCK)
     workers = min(n_jobs, os.cpu_count() or 1, len(firsts))
     if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             # reading every result re-raises a worker's exception here
             list(pool.map(run_block, firsts))

@@ -15,23 +15,27 @@ BOUNDS = {"wall_ref_s": ("lower", 0.25), "setup_s": ("lower", 0.25),
           "peak_rss_mb": ("lower", 0.1)}
 
 
-def side(wall, setup, rss, law_s, expect_s):
+def side(wall, setup, rss, law_s, expect_s, probes=None):
     return {"metrics": {"wall_ref_s": {"value": wall},
                         "setup_s": {"value": setup},
                         "peak_rss_mb": {"value": rss}},
             "detail": {"law_of_t": law_s, "best_job_sum_s": law_s + expect_s},
             "job_s": {"000-law": law_s, "001-expect": expect_s},
+            "setup_probes_s": probes or [setup],
             "correct": True, "failed": 0}
 
 
 def two_pairs():
     return {"analytic_large_n": [
         {"seed": 1, "first": "parent",
-         "parent": side(0.040, 0.11, 80.0, 0.030, 0.004),
-         "change": side(0.030, 0.12, 90.0, 0.020, 0.004)},
+         "parent": side(0.040, 0.11, 80.0, 0.030, 0.004,
+                        [0.12, 0.11, 0.10]),
+         "change": side(0.030, 0.12, 90.0, 0.020, 0.004,
+                        [0.09, 0.12, 0.10])},
         {"seed": 2, "first": "change",
-         "parent": side(0.036, 0.11, 80.0, 0.026, 0.006),
-         "change": side(0.032, 0.11, 95.0, 0.022, 0.008)},
+         "parent": side(0.036, 0.11, 80.0, 0.026, 0.006,
+                        [0.11, 0.14, 0.11]),
+         "change": side(0.032, 0.11, 95.0, 0.022, 0.008, [0.08])},
     ], "forward_large_n": []}
 
 
@@ -76,6 +80,23 @@ def test_medians_per_kind_and_per_job(summary):
                    "001-expect": pytest.approx(0.005)},
         "change": {"000-law": pytest.approx(0.021),
                    "001-expect": pytest.approx(0.006)}}
+
+
+def test_setup_probes_pooled_over_runs(summary):
+    # every probe of every run, beside setup_s's median of run medians
+    probes = summary["analytic_large_n"]["setup_probes_s"]
+    assert probes["parent"] == {
+        "median": pytest.approx(0.11), "q1": pytest.approx(0.11),
+        "q3": pytest.approx(0.1175),
+        "probes": [0.12, 0.11, 0.10, 0.11, 0.14, 0.11]}
+    # four probes, 0.08 0.09 0.10 0.12: inclusive quartiles three quarters
+    # of the way from 0.08 to 0.09 and a quarter from 0.10 to 0.12
+    assert probes["change"]["median"] == pytest.approx(0.095)
+    assert probes["change"]["q1"] == pytest.approx(0.0875)
+    assert probes["change"]["q3"] == pytest.approx(0.105)
+    setup = summary["analytic_large_n"]["metrics"]["setup_s"]
+    assert setup["parent"]["runs"] == [0.11, 0.11]
+    assert setup["change"]["median"] == pytest.approx(0.115)
 
 
 def test_job_medians_of_one_run():

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import os
 import sys
@@ -498,7 +499,10 @@ class TestBlockStreams:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", InlinePool)
+        # _simulate_ensemble imports the pool from its module when it runs
+        # more than one worker
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                            InlinePool)
         model = hypergeometric_mixing(4, 1.0, 1.0)
         serial, _ = _simulate_ensemble(model, 1, 3000, SEED)
         for cpus, n_jobs, replicates, want in ((64, 10 ** 6, 3000, [3]),

@@ -24,7 +24,11 @@ is within the metric's bound.  Per workload it also holds, for each side:
   run's median over its passes (``passes[].job_s``), keyed ``NNN-name``
   by the job's index and name in the run's ``jobs``, as in
   ``output_hashes``.  A shift on a job that a change does not touch shows
-  up there by name.
+  up there by name;
+* ``setup_probes_s``: the median and quartiles of every start-up probe of
+  the side's runs pooled (each run record's ``setup_probes_s``, five a
+  run, so 50 over ten runs), beside ``setup_s``, which is the median over
+  the runs of each run's median of five.  ``setup_s`` alone is judged.
 
 A claim holds when at least ten pairs ran, the change won at least 9 in 10
 of them and its median beats the parent's by more than the parent's
@@ -111,11 +115,11 @@ def python_json(checkout, argv):
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
-def spread(runs):
+def spread(runs, key="runs"):
     q1, _, q3 = (statistics.quantiles(runs, n=4, method="inclusive")
                  if len(runs) > 1 else runs * 3)
     return {"median": statistics.median(runs), "q1": q1, "q3": q3,
-            "runs": runs}
+            key: runs}
 
 
 def job_medians(run):
@@ -130,7 +134,8 @@ def summarize(results, bounds):
     """Per workload and end-to-end metric: both sides' spreads, the change's
     wins, the relative change of the medians and the bound check (the
     change's spread alone for a change-only workload); per workload also
-    the medians of the runs' detail and job_s entries."""
+    the medians of the runs' detail and job_s entries, and the spread of
+    their start-up probes pooled."""
     out = {}
     for workload, pairs in results.items():
         if not pairs:
@@ -161,10 +166,15 @@ def summarize(results, bounds):
                                                for pair in pairs)
                         for job in pairs[0][side]["job_s"]}
                  for side in sides}
+        probes = {side: spread([probe for pair in pairs
+                                for probe in pair[side]["setup_probes_s"]],
+                               key="probes")
+                  for side in sides}
         out[workload] = {
             "seeds": [pair["seed"] for pair in pairs], "pairs": len(pairs),
             "change_only": "parent" not in sides,
             "metrics": metrics, "detail": detail, "job_s": job_s,
+            "setup_probes_s": probes,
             "all_runs_correct": all(pair[side]["correct"]
                                     and pair[side]["failed"] == 0
                                     for pair in pairs for side in sides)}
@@ -247,13 +257,14 @@ def main(argv=None):
                     "perfbench/run.py", "--workload", workload,
                     "--seed", str(seed), "--seconds", str(seconds),
                     "--trace", "0"])
-                # per-kind best job times and per-job medians, from the
-                # run's full record
+                # per-kind best job times, per-job medians and start-up
+                # probes, from the run's full record
                 with open(checkouts[side] / "perfbench" / "out"
                           / f"{workload}-seed{seed}-trace0.json") as handle:
                     run = json.load(handle)
                 pair[side]["detail"] = run["detail"]
                 pair[side]["job_s"] = job_medians(run)
+                pair[side]["setup_probes_s"] = run["setup_probes_s"]
             results[workload].append(pair)
         record["workloads"] = summarize(results, bounds)
         if args.claim:
