@@ -13,7 +13,8 @@ block's holding times state by state, BLOCK numbers per transient state,
 in strips of STRIP states.  So replicate i's holding time in its j-th
 transient state depends only on (master_seed, i, j): not on the replicate
 count, the strip size, the number of threads that --jobs runs the blocks
-on (its thread pool is imported only for more than one), or the cap.  A partial last block still draws BLOCK replicates.
+on (its thread pool is imported only for more than one), or the cap.
+A partial last block still draws BLOCK replicates.
 Summaries take each strip's exit times, the times its replicates leave
 its last state, by one ordered reduction down the strip; only the
 trajectory dump, simulate_path and histograms add the strip up row by row
