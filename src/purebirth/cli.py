@@ -1,14 +1,21 @@
 """Command-line front end.
 
-Subcommands: expect-time, forward, simulate, sweep, explosion.  Model
-parameters come from flags (--family, --N, --lambda, --mu, --p, --c,
---exponent, --cap, --unit), each stored under its build_rate_model key, or
-a flat key=value config file (--config) whose keys are the long flag names
-of any subcommand, and which may set each destination once; flags override
-the file.  --t is another name for --t-grid, and sweep refuses a --param
-that its family does not use.  Data goes to --out or stdout as CSV (RFC-4180
-style, 17 significant digits) or JSON (metadata header plus one object per
-row); diagnostics go to stderr and any failure exits nonzero.
+Subcommands: expect-time, forward, simulate, sweep, explosion.  Each flag
+is declared once, in one of four argparse parent parsers, and a subcommand
+lists the groups it reads: the flags every model takes (--c, --cap, --unit,
+--start), the family flags (--family, --N, --lambda, --mu, --p,
+--exponent), the output flags (--out, --format, --config) and the Monte
+Carlo run flags (--replicates, --seed, --jobs).  explosion's model is
+powerlaw with exponent 2, so it takes no family flag.  Model flags store
+under their build_rate_model keys.  A flat key=value config file
+(--config) may use the long flag names of any subcommand, and may set each
+destination once; a key the subcommand does not take is ignored, and flags
+override the file.  '#' starts a comment at the start of a line or after
+whitespace, and a UTF-8 byte-order mark is skipped.  --t is another name
+for --t-grid, and sweep refuses a --param that its family does not use.
+Data goes to --out or stdout as CSV (RFC-4180 style, 17 significant
+digits) or JSON (metadata header plus one object per row); diagnostics go
+to stderr and any failure exits nonzero.
 
 main() builds its argument parser once per process and parses every call
 with it: parsing reads the parser without changing it and returns a fresh
@@ -31,6 +38,7 @@ import csv
 import functools
 import io
 import json
+import re
 import sys
 from typing import Optional
 
@@ -38,7 +46,7 @@ import numpy as np
 
 from . import __version__
 from .analytic import expected_absorption_time
-from .errors import OutOfRange, PureBirthError, require_integer
+from .errors import PureBirthError, require_integer
 from .forward import SolverConfig, forward_grid
 from .montecarlo import (QUANTILE_LEVELS, RNG_SCHEME,
                          estimate_absorption_time, event_time_blocks,
@@ -57,26 +65,30 @@ def fmt(value) -> str:
     return str(value)
 
 
-def _add_model_flags(parser):
-    parser.add_argument("--family", help="hypergeometric, yule, or powerlaw")
-    parser.add_argument("--N", type=int, help="population size")
-    parser.add_argument("--lambda", type=float,
+def _flag_groups():
+    """The four flag groups of the module docstring, as argparse parents."""
+    model, family, output, runs = (argparse.ArgumentParser(add_help=False)
+                                   for _ in range(4))
+    model.add_argument("--c", type=float, help="powerlaw coefficient")
+    model.add_argument("--cap", type=int, help="powerlaw state cap")
+    model.add_argument("--unit", dest="time_unit", metavar="UNIT",
+                       help="time unit label")
+    model.add_argument("--start", type=int, help="initial state (default 1)")
+    family.add_argument("--family", help="hypergeometric, yule, or powerlaw")
+    family.add_argument("--N", type=int, help="population size")
+    family.add_argument("--lambda", type=float,
                         help="contact rate (hypergeometric)")
-    parser.add_argument("--mu", type=float, help="per-capita rate (yule)")
-    parser.add_argument("--p", type=float, help="transmission probability")
-    parser.add_argument("--c", type=float, help="powerlaw coefficient")
-    parser.add_argument("--exponent", type=float, help="powerlaw exponent")
-    parser.add_argument("--cap", type=int, help="powerlaw state cap")
-    parser.add_argument("--unit", dest="time_unit", metavar="UNIT",
-                        help="time unit label")
-    parser.add_argument("--start", type=int, help="initial state (default 1)")
-
-
-def _add_common_flags(parser):
-    parser.add_argument("--out", help="output path (default stdout)")
-    parser.add_argument("--format", choices=["csv", "json"],
+    family.add_argument("--mu", type=float, help="per-capita rate (yule)")
+    family.add_argument("--p", type=float, help="transmission probability")
+    family.add_argument("--exponent", type=float, help="powerlaw exponent")
+    output.add_argument("--out", help="output path (default stdout)")
+    output.add_argument("--format", choices=["csv", "json"],
                         help="output format (default csv)")
-    parser.add_argument("--config", help="flat key=value config file")
+    output.add_argument("--config", help="flat key=value config file")
+    runs.add_argument("--replicates", type=int)
+    runs.add_argument("--seed", type=int, help="master seed")
+    runs.add_argument("--jobs", type=int, help="parallel worker count")
+    return model, family, output, runs
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -86,16 +98,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"purebirth {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    model, family, output, runs = _flag_groups()
+    any_model = [family, model, output]
 
-    p = sub.add_parser("expect-time",
-                       help="exact and approximate expected absorption time")
-    _add_model_flags(p)
-    _add_common_flags(p)
+    sub.add_parser("expect-time", parents=any_model,
+                   help="exact and approximate expected absorption time")
 
-    p = sub.add_parser("forward",
+    p = sub.add_parser("forward", parents=any_model,
                        help="state distribution from the forward equations")
-    _add_model_flags(p)
-    _add_common_flags(p)
     p.add_argument("--abs-tol", dest="abs_tol", type=float,
                    help="error allowed per time (default 1e-10): the "
                         "Poisson weight uniformization leaves out, or "
@@ -105,29 +115,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-grid", dest="t_grid",
                    help="comma-separated strictly increasing times")
 
-    p = sub.add_parser("simulate", help="Monte Carlo absorption-time summary")
-    _add_model_flags(p)
-    _add_common_flags(p)
-    p.add_argument("--replicates", type=int)
-    p.add_argument("--seed", type=int, help="master seed")
-    p.add_argument("--jobs", type=int, help="parallel worker count")
+    p = sub.add_parser("simulate", parents=any_model + [runs],
+                       help="Monte Carlo absorption-time summary")
     p.add_argument("--trajectories",
                    help="also dump per-event CSV rows to this path")
 
-    p = sub.add_parser("sweep",
+    p = sub.add_parser("sweep", parents=any_model,
                        help="expected time across a parameter grid")
-    _add_model_flags(p)
-    _add_common_flags(p)
     p.add_argument("--param", choices=["N", "p", "mu", "lambda", "c"])
     p.add_argument("--values", help="comma-separated grid values")
 
-    p = sub.add_parser("explosion",
-                       help="cap-hitting times for lambda_k = c k^2")
-    _add_model_flags(p)
-    _add_common_flags(p)
-    p.add_argument("--replicates", type=int)
-    p.add_argument("--seed", type=int, help="master seed")
-    p.add_argument("--jobs", type=int, help="parallel worker count")
+    # the family is powerlaw and the exponent 2, so no family flag
+    sub.add_parser("explosion", parents=[model, output, runs],
+                   help="cap-hitting times for lambda_k = c k^2")
 
     return parser
 
@@ -155,9 +155,9 @@ def _apply_config(args: argparse.Namespace, path: str, actions: dict):
     another subcommand is ignored; a key of none is an error, and so are
     two lines that set one destination (t and t-grid share one)."""
     seen = {}  # destination -> (key, line number) that set it
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         for lineno, line in enumerate(handle, 1):
-            line = line.split("#", 1)[0].strip()
+            line = re.split(r"(?:^|\s)#", line, maxsplit=1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
@@ -201,7 +201,7 @@ MODEL_KEYS = ("family", "N", "lambda", "mu", "p", "c", "exponent", "cap",
 
 
 def _model_spec(args) -> dict:
-    return {key: getattr(args, key) for key in MODEL_KEYS}
+    return {key: getattr(args, key, None) for key in MODEL_KEYS}
 
 
 def _increasing(text: str, kind, flag: str, where: str) -> list:
@@ -574,15 +574,10 @@ def _cmd_sweep(args):
 
 
 def _cmd_explosion(args):
-    spec = _model_spec(args)
-    spec["family"] = spec["family"] or "powerlaw"
-    spec["exponent"] = spec["exponent"] if spec["exponent"] is not None else 2.0
-    model = build_rate_model(spec)
+    model = build_rate_model({**_model_spec(args), "family": POWERLAW,
+                              "exponent": 2.0})
     replicates = _require_arg(args, "replicates")
     seed = _require_arg(args, "seed")
-    if model.family != POWERLAW or model.exponent != 2:
-        raise OutOfRange("explosion requires a powerlaw model with "
-                         "exponent +2")
     start = _start(args)
     # the start state is checked before the replicates, jobs and seed
     analytic = expected_absorption_time(model, start)

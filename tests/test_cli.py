@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -255,6 +256,15 @@ class TestForward:
         assert 0.0 <= meta["max_mass_defect"] <= 1e-12
 
 
+# c k^2 rates to cap 20: explosion fixes the family and the exponent that
+# simulate takes as flags
+QUADRATIC = {
+    "simulate": ["--family", "powerlaw", "--c", "1", "--exponent", "2",
+                 "--cap", "20"],
+    "explosion": ["--c", "1", "--cap", "20"],
+}
+
+
 class TestSimulate:
     def test_seeded_runs_byte_identical(self, tmp_path, capsys):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -393,15 +403,13 @@ class TestSimulate:
 
     @pytest.mark.parametrize("command", ["simulate", "explosion"])
     def test_jobs_below_one_rejected(self, capsys, command):
-        assert main([command, "--family", "powerlaw", "--c", "1",
-                     "--exponent", "2", "--cap", "20", "--replicates", "10",
+        assert main([command, *QUADRATIC[command], "--replicates", "10",
                      "--seed", "1", "--jobs", "0"]) == 1
         assert "n_jobs must be an integer >= 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["simulate", "explosion"])
     def test_json_metadata_names_rng_scheme(self, capsys, command):
-        assert main([command, "--family", "powerlaw", "--c", "1",
-                     "--exponent", "2", "--cap", "20", "--replicates", "10",
+        assert main([command, *QUADRATIC[command], "--replicates", "10",
                      "--seed", "1", "--format", "json"]) == 0
         meta = json.loads(capsys.readouterr().out)["metadata"]
         assert meta["rng_scheme"] == RNG_SCHEME
@@ -677,8 +685,8 @@ class TestExplosionCommand:
     # refusal is the one printed.  The family, the start state and the
     # replicate count between them: TestExplosionStudy in test_montecarlo
     @pytest.mark.parametrize("flags, message", [
-        (["--exponent", "-2", "--seed", "1"], "--replicates is required"),
-        (["--exponent", "-2", "--replicates", "1"], "--seed is required"),
+        (["--seed", "1"], "--replicates is required"),
+        (["--replicates", "1"], "--seed is required"),
         (["--replicates", "2", "--seed", "-1", "--jobs", "0"],
          "n_jobs must be an integer >= 1, got 0"),
         (["--replicates", "2", "--seed", "-1"],
@@ -773,6 +781,49 @@ class TestConfigFile:
         assert run_csv(capsys, argv + ["--config", str(cfg)]) == \
             run_csv(capsys, argv)
 
+    # explosion refused an exponent line, but the family keys are now
+    # those of the other subcommands, as replicates is for forward
+    @pytest.mark.parametrize("key, value, flags", [
+        ("exponent", "-2", ["--family", "powerlaw", "--c", "1",
+                            "--cap", "50"]),
+        ("family", "yule", ["--N", "50", "--mu", "1", "--p", "0.5"])])
+    def test_explosion_ignores_family_keys(self, tmp_path, capsys, key,
+                                           value, flags):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        run = EXPLOSION + ["--replicates", "10", "--seed", "1"]
+        assert run_csv(capsys, run + ["--config", str(cfg)]) == \
+            run_csv(capsys, run)
+        # expect-time still reads the same file
+        expect = ["expect-time", *flags]
+        assert run_csv(capsys, expect + ["--config", str(cfg)]) == \
+            run_csv(capsys, expect + [f"--{key}", value])
+
+    def test_hash_inside_a_value_is_kept(self, tmp_path, capsys):
+        # "out = run#3.csv" used to write to "run"
+        out = tmp_path / "run#3.csv"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# whole-line comment\nout = {out}\n"
+                       "unit = wk#2  # a comment after whitespace\n"
+                       "family = yule\nN = 50\nmu = 1\np = 0.5\t# tab\n")
+        assert main(["expect-time", "--config", str(cfg)]) == 0
+        assert set(os.listdir(tmp_path)) == {"run.cfg", "run#3.csv"}
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert rows == run_csv(capsys, ["expect-time", "--family", "yule",
+                                        "--N", "50", "--mu", "1", "--p",
+                                        "0.5", "--unit", "wk#2"])
+        assert rows[0]["time_unit"] == "wk#2"
+
+    def test_byte_order_mark_is_skipped(self, tmp_path, capsys):
+        # a file saved with a BOM was refused as unknown key '\ufefffamily'
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("family = yule\nN = 50\nmu = 1\np = 0.5\n",
+                       encoding="utf-8-sig")
+        assert cfg.read_bytes().startswith(b"\xef\xbb\xbffamily")
+        assert run_csv(capsys, ["expect-time", "--config", str(cfg)]) == \
+            run_csv(capsys, ["expect-time", "--family", "yule", "--N", "50",
+                             "--mu", "1", "--p", "0.5"])
+
     @pytest.mark.parametrize("command, line", [
         ("expect-time", "format = xml"), ("sweep", "param = q")])
     def test_choices_apply_to_config_values(self, tmp_path, capsys, command,
@@ -825,6 +876,41 @@ EQUIVALENT_RUNS = [
     ("explosion", [("c", "2"), ("cap", "60"), ("replicates", "200"),
                    ("seed", "5"), ("jobs", "1")], ()),
 ]
+
+
+# each subcommand's long flags but --help, in help order
+SUBCOMMAND_FLAGS = {
+    "expect-time": "--family --N --lambda --mu --p --exponent --c --cap "
+                   "--unit --start --out --format --config",
+    "forward": "--family --N --lambda --mu --p --exponent --c --cap --unit "
+               "--start --out --format --config --abs-tol --t --t-grid",
+    "simulate": "--family --N --lambda --mu --p --exponent --c --cap --unit "
+                "--start --out --format --config --replicates --seed --jobs "
+                "--trajectories",
+    "sweep": "--family --N --lambda --mu --p --exponent --c --cap --unit "
+             "--start --out --format --config --param --values",
+    "explosion": "--c --cap --unit --start --out --format --config "
+                 "--replicates --seed --jobs",
+}
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads():
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    flags = {name: " ".join(flag for action in subparser._actions
+                            for flag in action.option_strings
+                            if flag.startswith("--") and flag != "--help")
+             for name, subparser in subparsers.choices.items()}
+    assert flags == SUBCOMMAND_FLAGS
+    # each flag is declared once: the subcommands that take it share its
+    # argparse action
+    declared = {}
+    for subparser in subparsers.choices.values():
+        for action in subparser._actions:
+            for flag in action.option_strings:
+                declared.setdefault(flag, set()).add(id(action))
+    assert {flag for flag, ids in declared.items() if len(ids) > 1} == \
+        {"-h", "--help"}
 
 
 def test_config_keys_are_the_long_flags_of_every_subcommand():

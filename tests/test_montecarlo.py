@@ -381,15 +381,22 @@ class TestExplosionStudy:
         for (_, s1), (_, s2) in zip(slow.events, fast.events):
             assert s1 == s2
 
-    def test_requires_quadratic_powerlaw(self, capsys):
-        for flags in (["--c", "1", "--exponent", "-2", "--cap", "100"],
-                      ["--family", "hypergeometric", "--N", "5",
-                       "--lambda", "1", "--p", "1"]):
-            assert main(["explosion", *flags, "--replicates", "10",
-                         "--seed", str(SEED)]) == 1
-            assert capsys.readouterr().err == (
-                "purebirth: error: explosion requires a powerlaw model "
-                "with exponent +2\n")
+    def test_requires_quadratic_powerlaw(self, capsys, tmp_path):
+        # the family is powerlaw and the exponent 2: a flag that would set
+        # either, or a parameter of another family, is not explosion's
+        out = tmp_path / "explosion.csv"
+        for flag, value in [("--family", "hypergeometric"), ("--N", "5"),
+                            ("--lambda", "1"), ("--mu", "1"), ("--p", "1"),
+                            ("--exponent", "-2"), ("--family", "powerlaw"),
+                            ("--exponent", "2")]:
+            with pytest.raises(SystemExit) as exit_info:
+                main(["explosion", "--c", "1", "--cap", "100", flag, value,
+                      "--replicates", "10", "--seed", str(SEED),
+                      "--out", str(out)])
+            assert exit_info.value.code == 2
+            assert capsys.readouterr().err.endswith(
+                f"purebirth: error: unrecognized arguments: {flag} {value}\n")
+            assert not out.exists()
         # from the cap itself (refused before) the time to hit it is 0
         analytic, summary = explosion(power_law(1.0, 2.0, 5), 5, 10, SEED)
         assert summary.mean == analytic.exact_mean == 0.0
@@ -410,19 +417,26 @@ class TestExplosionStudy:
         analytic, _ = explosion(power_law(c, 2.0, 50), 17, 2, SEED)
         assert analytic.approx_mean.hex() == (math.pi ** 2 / (6.0 * c)).hex()
 
-    def test_order_of_refusals(self, capsys):
-        # the family, then the start state, then the replicates and seed
+    def test_order_of_refusals(self, capsys, tmp_path):
+        # a family flag (argparse, exit 2), then the start state, then the
+        # replicates and seed
+        out = tmp_path / "explosion.csv"
         flags = ["explosion", "--c", "1", "--cap", "5", "--start", "0",
-                 "--replicates", "1", "--seed", "-1"]
+                 "--replicates", "1", "--seed", "-1", "--out", str(out)]
+        with pytest.raises(SystemExit) as exit_info:
+            main(flags + ["--exponent", "-2"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --exponent -2" in \
+            capsys.readouterr().err
         for fixed, error in [
-                (["--exponent", "-2"], "explosion requires a powerlaw model "
-                                       "with exponent +2"),
-                (["--exponent", "2"], "start_state 0 is not an integer in "
-                                      "[1, 5]"),
-                (["--exponent", "2", "--start", "1"],
-                 "replicates must be an integer >= 2, got 1")]:
+                ([], "start_state 0 is not an integer in [1, 5]"),
+                (["--start", "1"], "replicates must be an integer >= 2, "
+                                   "got 1"),
+                (["--start", "1", "--replicates", "2"],
+                 "master_seed must be an integer >= 0, got -1")]:
             assert main(flags + fixed) == 1
             assert capsys.readouterr().err == f"purebirth: error: {error}\n"
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("n,p,lam", [(2, 1.0, 0.5), (3, 0.31, 1.0),
