@@ -15,7 +15,9 @@ whitespace, and a UTF-8 byte-order mark is skipped.  --t is another name
 for --t-grid, and sweep refuses a --param that its family does not use.
 Data goes to --out or stdout as CSV (RFC-4180 style, 17 significant
 digits) or JSON (metadata header plus one object per row); diagnostics go
-to stderr and any failure exits nonzero.
+to stderr and any failure exits nonzero.  An empty path, from --out,
+--trajectories or --config or from a config line, is refused before any
+work.
 
 main() builds its argument parser once per process and parses every call
 with it: parsing reads the parser without changing it and returns a fresh
@@ -138,6 +140,11 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+# the destinations that name files; an empty one is refused, not taken as
+# no file
+PATHS = ("out", "trajectories", "config")
+
+
 def _config_actions(parser: argparse.ArgumentParser) -> dict:
     """Config-file key -> argparse action: every subcommand's long flags
     but --help and --config, named without the leading dashes."""
@@ -174,6 +181,9 @@ def _apply_config(args: argparse.Namespace, path: str, actions: dict):
                                      f"input as {first} at {path}:{at}")
             seen[action.dest] = key, lineno
             if getattr(args, action.dest, False) is None:
+                if action.dest in PATHS and not value:
+                    raise PureBirthError(
+                        f"{path}:{lineno}: {key} is an empty path")
                 if action.type is not None:
                     value = _convert(action.type, value,
                                      f"{path}:{lineno}: {key}")
@@ -276,7 +286,7 @@ def _write_rows(args, header, rows, metadata):
             "rows": [dict(zip(header, row)) for row in rows],
         }
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if args.out:
+    if args.out is not None:
         with open(args.out, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
     else:
@@ -526,7 +536,7 @@ def _cmd_simulate(args):
     start = _start(args)
     replicates = _require_arg(args, "replicates")
     seed = _require_arg(args, "seed")
-    if args.trajectories:
+    if args.trajectories is not None:
         # the summary takes the dumped blocks' terminal times, so each block
         # is drawn once; estimate_absorption_time's checks, in its order,
         # come before the file is opened
@@ -603,7 +613,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "config", None):
+        for dest in PATHS:
+            if getattr(args, dest, None) == "":
+                raise PureBirthError(f"--{dest} is an empty path")
+        if args.config is not None:
             _apply_config(args, args.config, _config_actions(parser))
         _COMMANDS[args.command](args)
     except (PureBirthError, OSError, ValueError, ArithmeticError,

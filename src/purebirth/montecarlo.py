@@ -24,6 +24,11 @@ kernel, bit for bit.
 Holding times are -ln(U)/lambda_k with U = 1 - V in (0, 1] for numpy's
 double V, so terminal times scale exactly when every rate is scaled under a
 common seed.  RNG_SCHEME names this scheme in the CLI's JSON metadata.
+summarize_terminal_times sorts the terminal times once and takes the top
+time and the QUANTILE_LEVELS quantiles from that sort: numpy's default
+linear method (Hyndman & Fan's type 7), interpolated as np.quantile does,
+bit for bit.  np.quantile's NaN handling is not needed, since the 37 rule
+of the rates module keeps every terminal time finite.
 """
 
 from __future__ import annotations
@@ -176,7 +181,9 @@ def _simulate_ensemble(model, start_state, replicates, master_seed,
         terminal[rows] = exit[:n]
 
     firsts = range(0, replicates, BLOCK)
-    workers = min(n_jobs, os.cpu_count() or 1, len(firsts))
+    workers = min(n_jobs, len(firsts))
+    if workers > 1:  # only then is the core count asked for
+        workers = min(workers, os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 
@@ -201,20 +208,33 @@ def estimate_absorption_time(model: RateModel, start_state: int,
 
 def summarize_terminal_times(terminal: np.ndarray, master_seed: int,
                              time_unit: str) -> MonteCarloSummary:
+    """Mean, standard error and QUANTILE_LEVELS quantiles of the terminal
+    times, which are left as they are.  The quantiles are numpy's default
+    linear method (Hyndman & Fan's type 7) taken from one sort, each
+    interpolated as numpy's _lerp does, so they are np.quantile's bit for
+    bit.  np.quantile's NaN handling is left out: the rates module's 37
+    rule keeps every sampled time finite, so no NaN can sort last."""
     replicates = len(terminal)
+    ordered = np.sort(terminal)
     # times past 2**500 are scaled by a power of two, exactly, so that the
     # mean's sum and the std's squares cannot overflow; others by 1
-    top = float(np.max(terminal))
+    top = ordered.item(-1)
     shift = math.frexp(top)[1] if top > 2.0 ** 500 else 0
     scaled = np.ldexp(terminal, -shift)
     mean = math.ldexp(float(np.mean(scaled)), shift)
     std_error = math.ldexp(
         float(np.std(scaled, ddof=1) / math.sqrt(replicates)), shift)
-    qs = np.quantile(terminal, QUANTILE_LEVELS)
+    last = replicates - 1
+    quantiles = {}
+    for q in QUANTILE_LEVELS:
+        v = last * q
+        lo = math.floor(v)
+        g = v - lo
+        a, b = ordered.item(lo), ordered.item(min(lo + 1, last))
+        quantiles[q] = b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g
     return MonteCarloSummary(replicates=replicates, master_seed=master_seed,
                              mean=mean, std_error=std_error,
-                             quantiles=dict(zip(QUANTILE_LEVELS, map(float, qs))),
-                             time_unit=time_unit)
+                             quantiles=quantiles, time_unit=time_unit)
 
 
 def empirical_distribution_at(model: RateModel, start_state: int, t: float,

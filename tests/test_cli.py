@@ -848,6 +848,50 @@ class TestConfigFile:
             f"purebirth: error: {cfg}:3: N must be an integer, got '2.5'\n")
 
 
+# simulate takes all three path flags; --out and --config are on every
+# subcommand
+EMPTY_PATH_RUN = ["simulate", "--family", "yule", "--N", "12", "--mu", "1",
+                  "--p", "0.5", "--replicates", "10", "--seed", "3"]
+
+
+class TestEmptyPaths:
+    """An empty path is refused before any work, not taken as no path:
+    --out '' used to print to stdout, --trajectories '' to skip the dump
+    and --config '' to read no file, each exiting 0."""
+
+    @pytest.mark.parametrize("flag", ["--out", "--trajectories", "--config"])
+    def test_empty_flag_is_refused(self, tmp_path, monkeypatch, capsys,
+                                   flag):
+        monkeypatch.chdir(tmp_path)
+        assert main(EMPTY_PATH_RUN + [flag, ""]) == 1
+        assert capsys.readouterr() == (
+            "", f"purebirth: error: {flag} is an empty path\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("key", ["out", "trajectories"])
+    @pytest.mark.parametrize("value", ["", "   ", "  # no path"])
+    def test_empty_config_line_is_refused(self, tmp_path, monkeypatch,
+                                          capsys, key, value):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} ={value}\n")
+        assert main(EMPTY_PATH_RUN + ["--config", "run.cfg"]) == 1
+        assert capsys.readouterr() == (
+            "", f"purebirth: error: run.cfg:1: {key} is an empty path\n")
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize("command", ["expect-time", "forward", "sweep",
+                                         "explosion"])
+    def test_every_subcommand_refuses_an_empty_out(self, tmp_path,
+                                                   monkeypatch, capsys,
+                                                   command):
+        monkeypatch.chdir(tmp_path)
+        assert main([command, "--out", ""]) == 1
+        assert capsys.readouterr() == (
+            "", "purebirth: error: --out is an empty path\n")
+        assert list(tmp_path.iterdir()) == []
+
+
 CONFIG_KEYS = {
     "family", "N", "lambda", "mu", "p", "c", "exponent", "cap", "unit",
     "start", "seed", "replicates", "t", "t-grid", "out", "format", "param",

@@ -16,8 +16,9 @@ from purebirth import (OutOfRange, StateOutOfRange,
                        forward_probabilities, hypergeometric_mixing,
                        power_law, simulate_path, yule_scaled)
 from purebirth.cli import main
-from purebirth.montecarlo import (BLOCK, _simulate_ensemble,
-                                  event_time_blocks, replicate_stream)
+from purebirth.montecarlo import (BLOCK, QUANTILE_LEVELS, _simulate_ensemble,
+                                  event_time_blocks, replicate_stream,
+                                  summarize_terminal_times)
 from purebirth.rates import rate_vector
 
 SEED = 123
@@ -532,6 +533,19 @@ class TestBlockStreams:
             assert seen == want
             assert (terminal == serial[:replicates]).all()
 
+    @pytest.mark.parametrize("n_jobs, replicates", [(1, 3000), (8, 1000)])
+    def test_one_thread_never_asks_for_the_core_count(self, monkeypatch,
+                                                      n_jobs, replicates):
+        def cpu_count():
+            raise AssertionError("cpu_count called")
+
+        model = hypergeometric_mixing(4, 1.0, 1.0)
+        serial, _ = _simulate_ensemble(model, 1, replicates, SEED)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", cpu_count)
+        terminal, _ = _simulate_ensemble(model, 1, replicates, SEED,
+                                         n_jobs=n_jobs)
+        assert same_bits(terminal, serial)
+
     def test_jobs_draw_each_block_once_in_this_process(self, monkeypatch):
         seen = []
         stream = montecarlo.replicate_stream
@@ -670,6 +684,58 @@ class TestSummaryOfHugeTimes:
         # reports, is not
         exact = float(np.sum(1.0 / rate_vector(model)))
         assert abs(summary.mean - exact) < 6.0 * summary.std_error
+
+
+def np_summary(terminal):
+    """(mean, std_error, quantiles) by the formulas the summary had before
+    it took its quantiles from one sort: np.max's power of two, and
+    np.quantile."""
+    top = float(np.max(terminal))
+    shift = math.frexp(top)[1] if top > 2.0 ** 500 else 0
+    scaled = np.ldexp(terminal, -shift)
+    mean = math.ldexp(float(np.mean(scaled)), shift)
+    std_error = math.ldexp(float(np.std(scaled, ddof=1)
+                                 / math.sqrt(len(terminal))), shift)
+    return mean, std_error, np.quantile(terminal, QUANTILE_LEVELS).tolist()
+
+
+# terminal times: any finite time >= 0, times past 2**500 (the scaled
+# path), and a few values that repeat, for ties
+SUMMARY_TIMES = st.lists(
+    st.one_of(st.floats(0.0, 1e6), st.floats(2.0 ** 500, 1e308),
+              st.sampled_from([0.0, 1.0, 2.5, 2.0 ** 600])),
+    min_size=2, max_size=300)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(times=SUMMARY_TIMES)
+@example(times=[1.0, 2.0])
+@example(times=[3.0, 0.5, 1.0])
+@example(times=[7.25] * 5)
+@example(times=[0.0, 0.0])
+@example(times=[0.0, 0.0, 4.0])
+@example(times=[2.0 ** 600, 2.0 ** 700, 3.0 * 2.0 ** 600])
+@example(times=[1e308, 1e-300, 0.0])
+def test_property_summary_is_numpys_bit_for_bit(times):
+    terminal = np.array(times)
+    summary = summarize_terminal_times(terminal, 1, "t")
+    mean, std_error, quantiles = np_summary(np.array(times))
+    assert same_bits(np.array(list(summary.quantiles.values())),
+                     np.array(quantiles))
+    assert list(summary.quantiles) == list(QUANTILE_LEVELS)
+    assert same_bits(np.array([summary.mean, summary.std_error]),
+                     np.array([mean, std_error]))
+    # the --trajectories path reuses its terminal times
+    assert same_bits(terminal, np.array(times))
+
+
+def test_summary_leaves_its_input_in_order():
+    terminal, _ = _simulate_ensemble(hypergeometric_mixing(6, 1.0, 0.5), 1,
+                                     1500, SEED)
+    assert not (np.diff(terminal) >= 0).all()
+    before = terminal.copy()
+    summarize_terminal_times(terminal, SEED, "t")
+    assert same_bits(terminal, before)
 
 
 class TestRatesThatUnderflow:
