@@ -40,8 +40,10 @@ import csv
 import functools
 import io
 import json
+import os
 import re
 import sys
+from contextlib import closing
 from typing import Optional
 
 import numpy as np
@@ -143,6 +145,21 @@ def _parser() -> argparse.ArgumentParser:
 # the destinations that name files; an empty one is refused, not taken as
 # no file
 PATHS = ("out", "trajectories", "config")
+
+
+def _require_distinct_paths(args):
+    """Refuse two of the PATHS that name one file, so that no output
+    overwrites the other or the config file: the same real path, or, when
+    both exist, the same file by os.path.samefile."""
+    named = [(dest, getattr(args, dest, None)) for dest in PATHS]
+    named = [(dest, path) for dest, path in named if path is not None]
+    for i, (first, a) in enumerate(named):
+        for second, b in named[i + 1:]:
+            if os.path.realpath(a) == os.path.realpath(b) or (
+                    os.path.exists(a) and os.path.exists(b)
+                    and os.path.samefile(a, b)):
+                raise PureBirthError(
+                    f"--{first} and --{second} name the same file")
 
 
 def _config_actions(parser: argparse.ArgumentParser) -> dict:
@@ -541,10 +558,11 @@ def _cmd_simulate(args):
         # is drawn once; estimate_absorption_time's checks, in its order,
         # come before the file is opened
         require_integer("replicates", replicates, 2)
-        require_integer("n_jobs", _jobs(args), 1)
-        blocks = event_time_blocks(model, start, replicates, seed)
+        blocks = event_time_blocks(model, start, replicates, seed,
+                                   n_jobs=_jobs(args))
         terminal = np.empty(replicates)
-        with open(args.trajectories, "wb") as handle:
+        # closing the blocks, on an error too, joins their threads
+        with open(args.trajectories, "wb") as handle, closing(blocks):
             handle.write(b"replicate,time,state\n")
             for first, times in blocks:
                 handle.writelines(_trajectory_lines(first, times, start))
@@ -618,6 +636,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                 raise PureBirthError(f"--{dest} is an empty path")
         if args.config is not None:
             _apply_config(args, args.config, _config_actions(parser))
+        _require_distinct_paths(args)
         _COMMANDS[args.command](args)
     except (PureBirthError, OSError, ValueError, ArithmeticError,
             MemoryError) as exc:

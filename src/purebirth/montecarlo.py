@@ -13,8 +13,10 @@ block's holding times state by state, BLOCK numbers per transient state,
 in strips of STRIP states.  So replicate i's holding time in its j-th
 transient state depends only on (master_seed, i, j): not on the replicate
 count, the strip size, the number of threads that --jobs runs the blocks
-on (its thread pool is imported only for more than one), or the cap.
-A partial last block still draws BLOCK replicates.
+on, or the cap.  A partial last block still draws BLOCK replicates.
+Every sampler walks the blocks in one loop, _blocks, and reads each
+block's strips in its own draw function; for --jobs above one the loop
+keeps a window of --jobs blocks in flight on a thread pool.
 Summaries take each strip's exit times, the times its replicates leave
 its last state, by one ordered reduction down the strip; only the
 trajectory dump, simulate_path and histograms add the strip up row by row
@@ -115,26 +117,61 @@ def _running_sum(strip: np.ndarray) -> np.ndarray:
     return strip
 
 
+def _blocks(lam, replicates, master_seed, n_jobs, draw, first=0):
+    """(first replicate, draw(strips, n)) for each block from replicate
+    ``first`` on, in block order: strips are the block's _strips, n its
+    used replicates.
+    A block is a pure function of (master_seed, block), so up to
+    min(n_jobs, cpu count, blocks) threads, which numpy's draws, logs and
+    sums let run, give one thread's results.  They keep that many blocks
+    in flight, the window moving on as the caller takes each result, so no
+    worker writes a shared array and only those blocks and the caller's
+    are held.  The pool is imported only for more than one thread, so one
+    thread never loads concurrent.futures (nor the logging it imports)."""
+    def run(start):
+        stream = replicate_stream(master_seed, start // BLOCK)
+        strips = _strips(stream, lam)
+        return start, draw(strips, min(BLOCK, replicates - start))
+
+    starts = range(first, replicates, BLOCK)
+    workers = min(n_jobs, len(starts))
+    if workers > 1:  # only then is the core count asked for
+        workers = min(workers, os.cpu_count() or 1)
+    if workers <= 1:
+        yield from map(run, starts)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        window = [pool.submit(run, start) for start in starts[:workers]]
+        for start in starts[workers:]:
+            # result() re-raises a worker's exception here
+            yield window.pop(0).result()
+            window.append(pool.submit(run, start))
+        while window:
+            yield window.pop(0).result()
+
+
 def event_time_blocks(model: RateModel, start_state: int, replicates: int,
-                      master_seed: int):
-    """An iterator of (first replicate, times), block by block; row r of
+                      master_seed: int, n_jobs: int = 1):
+    """A generator of (first replicate, times), block by block; row r of
     ``times`` holds the times at which replicate first + r enters each
-    state from start_state (0) on.  A block takes 8 KB per transient state.
-    The start state, replicate count and seed are checked at the call."""
+    state from start_state (0) on.  A block takes 8 KB per transient state,
+    and up to n_jobs threads draw the blocks ahead of the caller, until
+    the generator ends or is closed.  The replicate count, n_jobs, start
+    state and seed are checked at the call, in that order."""
     require_integer("replicates", replicates, 1)
+    require_integer("n_jobs", n_jobs, 1)
     lam = rate_vector(model, start_state)
     require_integer("master_seed", master_seed, 0)
 
-    def blocks():
-        for first in range(0, replicates, BLOCK):
-            stream = replicate_stream(master_seed, first // BLOCK)
-            # filled strip by strip, so a block is held once
-            times = np.zeros((lam.size + 1, BLOCK))
-            for k, (strip, _) in zip(range(1, lam.size + 1, STRIP),
-                                     _strips(stream, lam)):
-                times[k:k + len(strip)] = _running_sum(strip)
-            yield first, times[:, :replicates - first].T
-    return blocks()
+    def draw(strips, n):
+        # filled strip by strip, so a block is held once
+        times = np.zeros((lam.size + 1, BLOCK))
+        for k, (strip, _) in zip(range(1, lam.size + 1, STRIP), strips):
+            times[k:k + len(strip)] = _running_sum(strip)
+        return times[:, :n].T
+    return _blocks(lam, replicates, master_seed, n_jobs, draw)
 
 
 def simulate_path(model: RateModel, start_state: int, master_seed: int,
@@ -146,54 +183,37 @@ def simulate_path(model: RateModel, start_state: int, master_seed: int,
     whole block."""
     require_integer("replicate", replicate, 0)
     lam = rate_vector(model, start_state)
-    block, column = divmod(replicate, BLOCK)
-    stream = replicate_stream(master_seed, block)
-    times = [0.0] + [x for strip, _ in _strips(stream, lam)
-                     for x in _running_sum(strip)[:, column]]
-    events = [(float(t), k) for k, t in enumerate(times, start_state)]
+    column = replicate % BLOCK
+
+    def draw(strips, n):
+        return [x for strip, _ in strips
+                for x in _running_sum(strip)[:, column]]
+    (_, times), = _blocks(lam, replicate + 1, master_seed, 1, draw,
+                          first=replicate - column)
+    events = [(float(t), k) for k, t in enumerate([0.0] + times, start_state)]
     return Trajectory(events=events, terminal_time=events[-1][0])
 
 
 def _simulate_ensemble(model, start_state, replicates, master_seed,
                        t=None, n_jobs=1):
     """Terminal times (and states at time t) for every replicate, in
-    replicate order.  Each block is a pure function of (master_seed, block)
-    written into its own rows, so up to min(n_jobs, cpu count, blocks)
-    threads give the same arrays as one; numpy releases the GIL in the
-    draws, logs and sums.  The thread pool is imported only when more than
-    one thread runs, so one thread never loads concurrent.futures (nor the
-    logging it imports)."""
+    replicate order, from the blocks of _blocks on up to n_jobs threads."""
     require_integer("n_jobs", n_jobs, 1)
     lam = rate_vector(model, start_state)
-    terminal = np.empty(replicates)
-    states = None if t is None else np.full(replicates, start_state, np.int64)
 
-    def run_block(first):
+    def draw(strips, n):
         # holds at most two strips at a time
-        n = min(BLOCK, replicates - first)
-        rows = slice(first, first + n)
         exit = np.zeros(BLOCK)  # no transient state: absorbed at 0
-        for strip, exit in _strips(
-                replicate_stream(master_seed, first // BLOCK), lam):
+        states = None if t is None else np.full(n, start_state, np.int64)
+        for strip, exit in strips:
             if states is not None:
-                states[rows] += np.count_nonzero(
-                    _running_sum(strip)[:, :n] <= t, axis=0)
-        terminal[rows] = exit[:n]
+                states += np.count_nonzero(_running_sum(strip)[:, :n] <= t,
+                                           axis=0)
+        return exit[:n], states
 
-    firsts = range(0, replicates, BLOCK)
-    workers = min(n_jobs, len(firsts))
-    if workers > 1:  # only then is the core count asked for
-        workers = min(workers, os.cpu_count() or 1)
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            # reading every result re-raises a worker's exception here
-            list(pool.map(run_block, firsts))
-    else:
-        for first in firsts:
-            run_block(first)
-    return terminal, states
+    _, blocks = zip(*_blocks(lam, replicates, master_seed, n_jobs, draw))
+    exits, states = zip(*blocks)
+    return np.concatenate(exits), None if t is None else np.concatenate(states)
 
 
 def estimate_absorption_time(model: RateModel, start_state: int,

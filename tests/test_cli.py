@@ -368,6 +368,27 @@ class TestSimulate:
             summary
         assert sorted(calls) == [0, 1, 2]
 
+    def test_failed_dump_leaves_no_thread_behind(self, tmp_path,
+                                                 monkeypatch, capsys):
+        lines = cli._trajectory_lines
+
+        def failing(first, times, start):
+            if first == montecarlo.BLOCK:
+                raise OSError("the second block failed")
+            return lines(first, times, start)
+
+        monkeypatch.setattr(cli, "_trajectory_lines", failing)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        threads = threading.active_count()
+        assert main(["simulate", "--family", "yule", "--N", "12", "--mu",
+                     "1", "--p", "0.5", "--replicates",
+                     str(3 * montecarlo.BLOCK), "--seed", "3", "--jobs", "2",
+                     "--trajectories", str(tmp_path / "paths.csv"),
+                     "--out", str(tmp_path / "s.csv")]) == 1
+        assert capsys.readouterr() == (
+            "", "purebirth: error: the second block failed\n")
+        assert threading.active_count() == threads
+
     @pytest.mark.parametrize("bad, message", [
         ({"--replicates": "1"}, "replicates must be an integer >= 2, got 1"),
         ({"--jobs": "0"}, "n_jobs must be an integer >= 1, got 0"),
@@ -890,6 +911,50 @@ class TestEmptyPaths:
         assert capsys.readouterr() == (
             "", "purebirth: error: --out is an empty path\n")
         assert list(tmp_path.iterdir()) == []
+
+
+class TestPathsNameDistinctFiles:
+    """Two of --out, --trajectories and --config that name one file are
+    refused before any work.  Each used to exit 0: the summary overwrote
+    the dump, or the output overwrote the config file."""
+
+    RUN = ["simulate", "--family", "yule", "--N", "20", "--mu", "1",
+           "--p", "0.5", "--replicates", "10", "--seed", "1"]
+
+    @pytest.mark.parametrize("first, second", [("out", "trajectories"),
+                                               ("out", "config"),
+                                               ("trajectories", "config")])
+    @pytest.mark.parametrize("source", ["flag", "config line"])
+    @pytest.mark.parametrize("spelling", ["same", "dot", "symlink",
+                                          "hard link"])
+    def test_refused_leaving_every_file_unchanged(self, tmp_path,
+                                                  monkeypatch, capsys,
+                                                  first, second, source,
+                                                  spelling):
+        monkeypatch.chdir(tmp_path)
+        # first names the shared file plainly, second by the spelling
+        shared = "run.cfg" if second == "config" else "x.csv"
+        lines = [f"{first} = {shared}\n"] if source == "config line" else []
+        Path("run.cfg").write_text("# the config file\n" + "".join(lines))
+        Path("x.csv").write_text("kept\n")
+        alias = {"same": shared, "dot": "./" + shared, "symlink": "link",
+                 "hard link": "hard"}[spelling]
+        if spelling == "symlink":
+            os.symlink(shared, "link")
+        elif spelling == "hard link":
+            os.link(shared, "hard")
+        argv = self.RUN + [f"--{second}", alias]
+        if source == "flag":
+            argv += [f"--{first}", shared]
+        if second != "config":
+            argv += ["--config", "run.cfg"]
+        before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+        assert main(argv) == 1
+        assert capsys.readouterr() == (
+            "", f"purebirth: error: --{first} and --{second} name the same "
+                "file\n")
+        assert {path: path.read_bytes()
+                for path in tmp_path.iterdir()} == before
 
 
 CONFIG_KEYS = {

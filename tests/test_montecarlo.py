@@ -258,6 +258,23 @@ def test_event_time_block_is_held_once():
     assert peak < 1.25 * times.nbytes
 
 
+def test_threads_hold_a_window_of_blocks(monkeypatch):
+    # two threads: the caller's block, the next one and, while the caller
+    # takes that, the one after it
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+    tracemalloc.start()
+    try:
+        taken = 0
+        for _, times in event_time_blocks(yule_scaled(2000, 1.0, 0.31), 1,
+                                          6 * BLOCK, SEED, n_jobs=2):
+            taken += 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert taken == 6 and times.shape == (BLOCK, 2000)
+    assert peak < 3.5 * times.nbytes
+
+
 class TestMasterSeed:
     SAMPLERS = {
         "estimate": lambda m, s: estimate_absorption_time(m, 1, 10, s),
@@ -498,7 +515,8 @@ class TestBlockStreams:
             path = simulate_path(model, 1, SEED, block * BLOCK)
             assert path.terminal_time == terminal[block * montecarlo.BLOCK]
 
-    def test_workers_clamped_to_jobs_cpus_and_blocks(self, monkeypatch):
+    def test_workers_clamped_to_jobs_cpus_and_blocks(self, monkeypatch,
+                                                      tmp_path):
         seen = []
 
         class InlinePool:
@@ -511,15 +529,29 @@ class TestBlockStreams:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
 
-        # _simulate_ensemble imports the pool from its module when it runs
-        # more than one worker
+        # _blocks imports the pool from its module when it runs more than
+        # one worker
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
                             InlinePool)
         model = hypergeometric_mixing(4, 1.0, 1.0)
         serial, _ = _simulate_ensemble(model, 1, 3000, SEED)
+        dump = tmp_path / "paths.csv"
+
+        def dumped(replicates, n_jobs):
+            # the CLI's trajectory dump of the same model
+            assert main(["simulate", "--family", "hypergeometric", "--N",
+                         "4", "--lambda", "1", "--p", "1", "--replicates",
+                         str(replicates), "--seed", str(SEED), "--jobs",
+                         str(n_jobs), "--trajectories", str(dump),
+                         "--out", str(tmp_path / "summary.csv")]) == 0
+            return np.array([float(row.split(",")[1]) for row in
+                             dump.read_text().splitlines()[4::4]])
+
         for cpus, n_jobs, replicates, want in ((64, 10 ** 6, 3000, [3]),
                                                (64, 2, 3000, [2]),
                                                (2, 8, 3000, [2]),
@@ -527,11 +559,13 @@ class TestBlockStreams:
                                                (64, 1, 3000, [])):
             monkeypatch.setattr(montecarlo.os, "cpu_count",
                                 lambda cpus=cpus: cpus)
-            seen.clear()
-            terminal, _ = _simulate_ensemble(model, 1, replicates, SEED,
-                                             n_jobs=n_jobs)
-            assert seen == want
-            assert (terminal == serial[:replicates]).all()
+            for run in (lambda: _simulate_ensemble(
+                            model, 1, replicates, SEED, n_jobs=n_jobs)[0],
+                        lambda: dumped(replicates, n_jobs)):
+                seen.clear()
+                terminal = run()
+                assert seen == want
+                assert (terminal == serial[:replicates]).all()
 
     @pytest.mark.parametrize("n_jobs, replicates", [(1, 3000), (8, 1000)])
     def test_one_thread_never_asks_for_the_core_count(self, monkeypatch,
