@@ -17,7 +17,7 @@ Data goes to --out or stdout as CSV (RFC-4180 style, 17 significant
 digits) or JSON (metadata header plus one object per row); diagnostics go
 to stderr and any failure exits nonzero.  An empty path, from --out,
 --trajectories or --config or from a config line, is refused before any
-work.
+work, and so are two of them that name one file.
 
 main() builds its argument parser once per process and parses every call
 with it: parsing reads the parser without changing it and returns a fresh
@@ -25,12 +25,12 @@ namespace, so repeated in-process calls stay independent of each other
 and skip the parser build, about 2 ms; a one-shot process builds it once.
 build_parser() still returns a new parser on every call.
 
-simulate --trajectories draws each block once: the summary is taken from
-the dumped blocks.  The dump has the same bytes as fmt would write, one row
-per event, but renders them in numpy, a chunk of cells at a time: a time in
-[1e-4, 1e16) gets the 17-digit significand "%.17g" rounds to, computed
-exactly in float64 by Dekker's two-product, and any other time (0.0, the
-tiny and the huge) goes through fmt itself.
+simulate --trajectories draws each block once, on up to --jobs threads:
+the summary is taken from the dumped blocks.  The dump has the same bytes
+as fmt would write, one row per event, but renders them in numpy, a chunk
+of cells at a time: a time in [1e-4, 1e16) gets the 17-digit significand
+"%.17g" rounds to, computed exactly in float64 by Dekker's two-product,
+and any other time (0.0, the tiny and the huge) goes through fmt itself.
 """
 
 from __future__ import annotations

@@ -15,8 +15,9 @@ transient state depends only on (master_seed, i, j): not on the replicate
 count, the strip size, the number of threads that --jobs runs the blocks
 on, or the cap.  A partial last block still draws BLOCK replicates.
 Every sampler walks the blocks in one loop, _blocks, and reads each
-block's strips in its own draw function; for --jobs above one the loop
-keeps a window of --jobs blocks in flight on a thread pool.
+block's strips in its own draw function.  For --jobs above one the loop
+runs on a thread pool: the dump keeps one block in flight per thread, and
+the ensembles, whose results are small, every block.
 Summaries take each strip's exit times, the times its replicates leave
 its last state, by one ordered reduction down the strip; only the
 trajectory dump, simulate_path and histograms add the strip up row by row
@@ -117,17 +118,20 @@ def _running_sum(strip: np.ndarray) -> np.ndarray:
     return strip
 
 
-def _blocks(lam, replicates, master_seed, n_jobs, draw, first=0):
+def _blocks(lam, replicates, master_seed, n_jobs, draw, first=0,
+            window=None):
     """(first replicate, draw(strips, n)) for each block from replicate
     ``first`` on, in block order: strips are the block's _strips, n its
-    used replicates.
-    A block is a pure function of (master_seed, block), so up to
-    min(n_jobs, cpu count, blocks) threads, which numpy's draws, logs and
-    sums let run, give one thread's results.  They keep that many blocks
-    in flight, the window moving on as the caller takes each result, so no
-    worker writes a shared array and only those blocks and the caller's
-    are held.  The pool is imported only for more than one thread, so one
-    thread never loads concurrent.futures (nor the logging it imports)."""
+    used replicates.  A block is a pure function of (master_seed, block),
+    so up to min(n_jobs, cpu count, blocks) threads give one thread's
+    results; numpy releases the GIL in the draws, logs and sums.  The
+    threads keep ``window`` blocks in flight, by default one per thread,
+    and start the next as the caller takes each result, so no worker
+    writes a shared array and only those blocks and the caller's are held.
+    With one per thread, a thread that finishes early waits for the
+    caller; a draw with small results can afford a wider window.  The pool
+    is imported only for more than one thread, so one thread never loads
+    concurrent.futures (nor the logging it imports)."""
     def run(start):
         stream = replicate_stream(master_seed, start // BLOCK)
         strips = _strips(stream, lam)
@@ -142,14 +146,15 @@ def _blocks(lam, replicates, master_seed, n_jobs, draw, first=0):
         return
     from concurrent.futures import ThreadPoolExecutor
 
+    window = window or workers
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        window = [pool.submit(run, start) for start in starts[:workers]]
-        for start in starts[workers:]:
+        flight = [pool.submit(run, start) for start in starts[:window]]
+        for start in starts[window:]:
             # result() re-raises a worker's exception here
-            yield window.pop(0).result()
-            window.append(pool.submit(run, start))
-        while window:
-            yield window.pop(0).result()
+            yield flight.pop(0).result()
+            flight.append(pool.submit(run, start))
+        while flight:
+            yield flight.pop(0).result()
 
 
 def event_time_blocks(model: RateModel, start_state: int, replicates: int,
@@ -211,7 +216,10 @@ def _simulate_ensemble(model, start_state, replicates, master_seed,
                                            axis=0)
         return exit[:n], states
 
-    _, blocks = zip(*_blocks(lam, replicates, master_seed, n_jobs, draw))
+    # the results are small, so every block is in flight at once and
+    # no thread waits for the caller
+    _, blocks = zip(*_blocks(lam, replicates, master_seed, n_jobs, draw,
+                             window=replicates))
     exits, states = zip(*blocks)
     return np.concatenate(exits), None if t is None else np.concatenate(states)
 
