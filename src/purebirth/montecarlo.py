@@ -133,8 +133,7 @@ def _blocks(lam, replicates, master_seed, n_jobs, draw, first=0,
     is imported only for more than one thread, so one thread never loads
     concurrent.futures (nor the logging it imports)."""
     def run(start):
-        stream = replicate_stream(master_seed, start // BLOCK)
-        strips = _strips(stream, lam)
+        strips = _strips(replicate_stream(master_seed, start // BLOCK), lam)
         return start, draw(strips, min(BLOCK, replicates - start))
 
     starts = range(first, replicates, BLOCK)
