@@ -25,8 +25,8 @@ namespace, so repeated in-process calls stay independent of each other
 and skip the parser build, about 2 ms; a one-shot process builds it once.
 build_parser() still returns a new parser on every call.
 
-simulate --trajectories draws each block once, on up to --jobs threads:
-the summary is taken from the dumped blocks.  The dump has the same bytes
+simulate --trajectories draws each block once, one block at a time: the
+summary is taken from the dumped blocks.  The dump has the same bytes
 as fmt would write, one row per event, but renders them in numpy, a chunk
 of cells at a time: a time in [1e-4, 1e16) gets the 17-digit significand
 "%.17g" rounds to, computed exactly in float64 by Dekker's two-product,
@@ -43,7 +43,6 @@ import json
 import os
 import re
 import sys
-from contextlib import closing
 from typing import Optional
 
 import numpy as np
@@ -558,15 +557,15 @@ def _cmd_simulate(args):
         # is drawn once; estimate_absorption_time's checks, in its order,
         # come before the file is opened
         require_integer("replicates", replicates, 2)
-        blocks = event_time_blocks(model, start, replicates, seed,
-                                   n_jobs=_jobs(args))
+        require_integer("n_jobs", _jobs(args), 1)
+        blocks = event_time_blocks(model, start, replicates, seed)
         terminal = np.empty(replicates)
-        # closing the blocks, on an error too, joins their threads
-        with open(args.trajectories, "wb") as handle, closing(blocks):
+        with open(args.trajectories, "wb") as handle:
             handle.write(b"replicate,time,state\n")
             for first, times in blocks:
                 handle.writelines(_trajectory_lines(first, times, start))
                 terminal[first:first + len(times)] = times[:, -1]
+                del times  # so that one block is held while the next is drawn
         summary = summarize_terminal_times(terminal, seed, model.time_unit)
     else:
         summary = estimate_absorption_time(model, start, replicates, seed,
@@ -602,8 +601,8 @@ def _cmd_sweep(args):
 
 
 def _cmd_explosion(args):
-    model = build_rate_model({**_model_spec(args), "family": POWERLAW,
-                              "exponent": 2.0})
+    args.family, args.exponent = POWERLAW, 2.0
+    model = build_rate_model(_model_spec(args))
     replicates = _require_arg(args, "replicates")
     seed = _require_arg(args, "seed")
     start = _start(args)
@@ -615,7 +614,8 @@ def _cmd_explosion(args):
     header = ["cap", "analytic_mean", "limit_bound"] + header
     row = [model.state_cap, analytic.exact_mean, analytic.approx_mean] + row
     _write_rows(args, header, [row],
-                _metadata(args, "explosion", rng_scheme=RNG_SCHEME))
+                _metadata(args, "explosion", seed=seed, replicates=replicates,
+                          rng_scheme=RNG_SCHEME))
 
 
 _COMMANDS = {

@@ -15,9 +15,9 @@ transient state depends only on (master_seed, i, j): not on the replicate
 count, the strip size, the number of threads that --jobs runs the blocks
 on, or the cap.  A partial last block still draws BLOCK replicates.
 Every sampler walks the blocks in one loop, _blocks, and reads each
-block's strips in its own draw function.  For --jobs above one the loop
-runs on a thread pool: the dump keeps one block in flight per thread, and
-the ensembles, whose results are small, every block.
+block's strips in its own draw function.  For --jobs above one the
+ensembles run that loop on a thread pool with every block in flight;
+the trajectory dump and simulate_path draw on the calling thread.
 Summaries take each strip's exit times, the times its replicates leave
 its last state, by one ordered reduction down the strip; only the
 trajectory dump, simulate_path and histograms add the strip up row by row
@@ -118,20 +118,17 @@ def _running_sum(strip: np.ndarray) -> np.ndarray:
     return strip
 
 
-def _blocks(lam, replicates, master_seed, n_jobs, draw, first=0,
-            window=None):
+def _blocks(lam, replicates, master_seed, n_jobs, draw, first=0):
     """(first replicate, draw(strips, n)) for each block from replicate
     ``first`` on, in block order: strips are the block's _strips, n its
     used replicates.  A block is a pure function of (master_seed, block),
     so up to min(n_jobs, cpu count, blocks) threads give one thread's
     results; numpy releases the GIL in the draws, logs and sums.  The
-    threads keep ``window`` blocks in flight, by default one per thread,
-    and start the next as the caller takes each result, so no worker
-    writes a shared array and only those blocks and the caller's are held.
-    With one per thread, a thread that finishes early waits for the
-    caller; a draw with small results can afford a wider window.  The pool
-    is imported only for more than one thread, so one thread never loads
-    concurrent.futures (nor the logging it imports)."""
+    threads take every block at once and no worker writes a shared array,
+    so the caller holds every result it has not yet taken: the draws that
+    run on threads return small results.  The pool is imported only for
+    more than one thread, so one thread never loads concurrent.futures
+    (nor the logging it imports)."""
     def run(start):
         strips = _strips(replicate_stream(master_seed, start // BLOCK), lam)
         return start, draw(strips, min(BLOCK, replicates - start))
@@ -145,27 +142,20 @@ def _blocks(lam, replicates, master_seed, n_jobs, draw, first=0,
         return
     from concurrent.futures import ThreadPoolExecutor
 
-    window = window or workers
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        flight = [pool.submit(run, start) for start in starts[:window]]
-        for start in starts[window:]:
-            # result() re-raises a worker's exception here
-            yield flight.pop(0).result()
-            flight.append(pool.submit(run, start))
-        while flight:
-            yield flight.pop(0).result()
+        # map re-raises a worker's exception here
+        yield from pool.map(run, starts)
 
 
 def event_time_blocks(model: RateModel, start_state: int, replicates: int,
-                      master_seed: int, n_jobs: int = 1):
-    """A generator of (first replicate, times), block by block; row r of
-    ``times`` holds the times at which replicate first + r enters each
-    state from start_state (0) on.  A block takes 8 KB per transient state,
-    and up to n_jobs threads draw the blocks ahead of the caller, until
-    the generator ends or is closed.  The replicate count, n_jobs, start
-    state and seed are checked at the call, in that order."""
+                      master_seed: int):
+    """A generator of (first replicate, times), block by block, drawn on
+    the calling thread as the caller asks for each; row r of ``times``
+    holds the times at which replicate first + r enters each state from
+    start_state (0) on.  A block takes 8 KB per transient state.  The
+    replicate count, start state and seed are checked at the call, in
+    that order."""
     require_integer("replicates", replicates, 1)
-    require_integer("n_jobs", n_jobs, 1)
     lam = rate_vector(model, start_state)
     require_integer("master_seed", master_seed, 0)
 
@@ -175,7 +165,7 @@ def event_time_blocks(model: RateModel, start_state: int, replicates: int,
         for k, (strip, _) in zip(range(1, lam.size + 1, STRIP), strips):
             times[k:k + len(strip)] = _running_sum(strip)
         return times[:, :n].T
-    return _blocks(lam, replicates, master_seed, n_jobs, draw)
+    return _blocks(lam, replicates, master_seed, 1, draw)
 
 
 def simulate_path(model: RateModel, start_state: int, master_seed: int,
@@ -215,10 +205,7 @@ def _simulate_ensemble(model, start_state, replicates, master_seed,
                                            axis=0)
         return exit[:n], states
 
-    # the results are small, so every block is in flight at once and
-    # no thread waits for the caller
-    _, blocks = zip(*_blocks(lam, replicates, master_seed, n_jobs, draw,
-                             window=replicates))
+    _, blocks = zip(*_blocks(lam, replicates, master_seed, n_jobs, draw))
     exits, states = zip(*blocks)
     return np.concatenate(exits), None if t is None else np.concatenate(states)
 

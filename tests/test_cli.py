@@ -9,6 +9,7 @@ import shlex
 import subprocess
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -368,6 +369,26 @@ class TestSimulate:
             summary
         assert sorted(calls) == [0, 1, 2]
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_trajectory_dump_holds_one_block(self, tmp_path, monkeypatch,
+                                             jobs):
+        # the finished block stayed alive while the next was drawn, 2.13x,
+        # and two threads drew ahead of the caller, 3.18x
+        monkeypatch.setattr(cli, "_trajectory_lines",
+                            lambda first, times, start: iter(()))
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        tracemalloc.start()
+        try:
+            assert main(["simulate", "--family", "yule", "--N", "2000",
+                         "--mu", "1", "--p", "0.31", "--replicates",
+                         str(4 * montecarlo.BLOCK), "--seed", "3", "--jobs",
+                         jobs, "--trajectories", str(tmp_path / "paths.csv"),
+                         "--out", str(tmp_path / "s.csv")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 2000 * montecarlo.BLOCK * 8
+
     def test_failed_dump_leaves_no_thread_behind(self, tmp_path,
                                                  monkeypatch, capsys):
         lines = cli._trajectory_lines
@@ -428,12 +449,17 @@ class TestSimulate:
                      "--seed", "1", "--jobs", "0"]) == 1
         assert "n_jobs must be an integer >= 1" in capsys.readouterr().err
 
+    # explosion's model read {"c": 1.0, "cap": 20}, without its seed and
+    # replicates
     @pytest.mark.parametrize("command", ["simulate", "explosion"])
     def test_json_metadata_names_rng_scheme(self, capsys, command):
         assert main([command, *QUADRATIC[command], "--replicates", "10",
                      "--seed", "1", "--format", "json"]) == 0
         meta = json.loads(capsys.readouterr().out)["metadata"]
         assert meta["rng_scheme"] == RNG_SCHEME
+        assert meta["model"] == {"family": "powerlaw", "c": 1.0,
+                                 "exponent": 2.0, "cap": 20}
+        assert (meta["seed"], meta["replicates"]) == (1, 10)
 
     def test_missing_seed_fails(self, capsys):
         assert main(["simulate", "--family", "hypergeometric", "--N", "3",

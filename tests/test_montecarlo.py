@@ -258,23 +258,6 @@ def test_event_time_block_is_held_once():
     assert peak < 1.25 * times.nbytes
 
 
-def test_threads_hold_a_window_of_blocks(monkeypatch):
-    # two threads: the caller's block, the next one and, while the caller
-    # takes that, the one after it
-    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
-    tracemalloc.start()
-    try:
-        taken = 0
-        for _, times in event_time_blocks(yule_scaled(2000, 1.0, 0.31), 1,
-                                          6 * BLOCK, SEED, n_jobs=2):
-            taken += 1
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert taken == 6 and times.shape == (BLOCK, 2000)
-    assert peak < 3.5 * times.nbytes
-
-
 class TestMasterSeed:
     SAMPLERS = {
         "estimate": lambda m, s: estimate_absorption_time(m, 1, 10, s),
@@ -529,10 +512,8 @@ class TestBlockStreams:
             def __exit__(self, *exc):
                 return False
 
-            def submit(self, fn, *args):
-                future = concurrent.futures.Future()
-                future.set_result(fn(*args))
-                return future
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
 
         # _blocks imports the pool from its module when it runs more than
         # one worker
@@ -552,6 +533,7 @@ class TestBlockStreams:
             return np.array([float(row.split(",")[1]) for row in
                              dump.read_text().splitlines()[4::4]])
 
+        # the dump draws on the calling thread whatever --jobs is
         for cpus, n_jobs, replicates, want in ((64, 10 ** 6, 3000, [3]),
                                                (64, 2, 3000, [2]),
                                                (2, 8, 3000, [2]),
@@ -559,13 +541,14 @@ class TestBlockStreams:
                                                (64, 1, 3000, [])):
             monkeypatch.setattr(montecarlo.os, "cpu_count",
                                 lambda cpus=cpus: cpus)
-            for run in (lambda: _simulate_ensemble(
-                            model, 1, replicates, SEED, n_jobs=n_jobs)[0],
-                        lambda: dumped(replicates, n_jobs)):
-                seen.clear()
-                terminal = run()
-                assert seen == want
-                assert (terminal == serial[:replicates]).all()
+            seen.clear()
+            terminal, _ = _simulate_ensemble(model, 1, replicates, SEED,
+                                             n_jobs=n_jobs)
+            assert seen == want
+            assert (terminal == serial[:replicates]).all()
+            seen.clear()
+            assert (dumped(replicates, n_jobs) == serial[:replicates]).all()
+            assert seen == []
 
     @pytest.mark.parametrize("n_jobs, replicates", [(1, 3000), (8, 1000)])
     def test_one_thread_never_asks_for_the_core_count(self, monkeypatch,
