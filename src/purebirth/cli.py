@@ -14,8 +14,10 @@ override the file.  '#' starts a comment at the start of a line or after
 whitespace, and a UTF-8 byte-order mark is skipped.  --t is another name
 for --t-grid, and sweep refuses a --param that its family does not use.
 Data goes to --out or stdout as CSV (RFC-4180 style, 17 significant
-digits) or JSON (metadata header plus one object per row); diagnostics go
-to stderr and any failure exits nonzero.  An empty path, from --out,
+digits) or JSON (metadata header plus one object per row), written as it
+is formatted once the work is done: a refused call creates no file, but a
+write that fails part way can leave a partial one.  Diagnostics go to
+stderr and any failure exits nonzero.  An empty path, from --out,
 --trajectories or --config or from a config line, is refused before any
 work, and so are two of them that name one file.
 
@@ -36,9 +38,9 @@ and any other time (0.0, the tiny and the huge) goes through fmt itself.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
-import io
 import json
 import os
 import re
@@ -243,30 +245,38 @@ def _increasing(text: str, kind, flag: str, where: str) -> list:
 
 
 class _SnapshotRows:
-    """Rows (time, state, probability) held per snapshot as (time, states,
-    probabilities) with int states and finite float probabilities, so
-    that each snapshot is written by one %-template; len() counts rows.
-    Every snapshot has a row, since its mass is 1 within MASS_DEFECT_TOL."""
+    """The rows (time, state, probability) of forward_grid's snapshots
+    whose probability is above PROB_FLOOR, formatted one snapshot at a
+    time: its kept states and probabilities become int and float lists
+    that fill one %-template.  len() counts the rows.  Every snapshot has
+    a row, since its mass is 1 within MASS_DEFECT_TOL."""
 
-    def __init__(self, blocks):
-        self.blocks = blocks
-        self.size = sum(len(states) for _, states, _ in blocks)
+    def __init__(self, snapshots):
+        self.snapshots = snapshots
 
     def __len__(self):
-        return self.size
+        return sum(int(np.count_nonzero(snap.probabilities > PROB_FLOOR))
+                   for snap in self.snapshots)
+
+    def _kept(self):
+        for snap in self.snapshots:
+            keep = snap.probabilities > PROB_FLOOR
+            yield (snap.time, snap.states[keep].tolist(),
+                   snap.probabilities[keep].tolist())
 
     def csv_lines(self):
         # "%d" % k == str(k) and "%.17g" % x == fmt(x); no cell needs quoting
-        for t, states, probs in self.blocks:
+        for t, states, probs in self._kept():
             yield _fill(f"{fmt(t)},%d,%.17g\n", "", states, probs)
 
     def json_rows(self):
-        # the row objects json.dumps(..., indent=2, sort_keys=True) writes;
-        # "%r" % x == json.dumps(x) for a finite float
-        for t, states, probs in self.blocks:
+        # the list of row objects json.dumps(..., indent=2, sort_keys=True)
+        # writes, up to its closing "]"; "%r" % x == json.dumps(x) for a
+        # finite float
+        for i, (t, states, probs) in enumerate(self._kept()):
             row = ('    {\n      "probability": %r,\n      "state": %d,\n'
                    f'      "time": {json.dumps(t)}\n    }}')
-            yield _fill(row, ",\n", probs, states)
+            yield (",\n" if i else "[\n") + _fill(row, ",\n", probs, states)
 
 
 def _fill(row, sep, first, second):
@@ -279,34 +289,28 @@ def _fill(row, sep, first, second):
 
 
 def _write_rows(args, header, rows, metadata):
-    fmt_name = args.format or "csv"
-    if fmt_name == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        if isinstance(rows, _SnapshotRows):
-            buf.writelines(rows.csv_lines())
+    """Write rows to --out or stdout, each chunk as it is formatted."""
+    with (open(args.out, "w", encoding="utf-8", newline="")
+          if args.out is not None
+          else contextlib.nullcontext(sys.stdout)) as handle:
+        if (args.format or "csv") == "csv":
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(header)
+            if isinstance(rows, _SnapshotRows):
+                handle.writelines(rows.csv_lines())
+            else:
+                writer.writerows([fmt(cell) for cell in row] for row in rows)
+        elif isinstance(rows, _SnapshotRows):
+            # the rows go into the empty list that ends the document
+            head = json.dumps({"metadata": metadata, "rows": []}, indent=2,
+                              sort_keys=True)
+            handle.write(head[:-len("[]\n}")])
+            handle.writelines(rows.json_rows())
+            handle.write("\n  ]\n}\n")
         else:
-            for row in rows:
-                writer.writerow([fmt(cell) for cell in row])
-        text = buf.getvalue()
-    elif isinstance(rows, _SnapshotRows):
-        # the rows go into the empty list that ends the document
-        text = json.dumps({"metadata": metadata, "rows": []}, indent=2,
-                          sort_keys=True)
-        text = (text[:-len("[]\n}")] + "[\n" + ",\n".join(rows.json_rows())
-                + "\n  ]\n}\n")
-    else:
-        payload = {
-            "metadata": metadata,
-            "rows": [dict(zip(header, row)) for row in rows],
-        }
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if args.out is not None:
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+            rows = [dict(zip(header, row)) for row in rows]
+            handle.write(json.dumps({"metadata": metadata, "rows": rows},
+                                    indent=2, sort_keys=True) + "\n")
 
 
 def _metadata(args, command, **extra):
@@ -335,12 +339,8 @@ def _cmd_forward(args):
     config = (SolverConfig() if args.abs_tol is None
               else SolverConfig(abs_tol=args.abs_tol))
     snapshots = forward_grid(model, _start(args), grid, config)
-    blocks = []
-    for snap in snapshots:
-        keep = snap.probabilities > PROB_FLOOR
-        blocks.append((snap.time, snap.states[keep].tolist(),
-                       snap.probabilities[keep].tolist()))
-    _write_rows(args, ["time", "state", "probability"], _SnapshotRows(blocks),
+    _write_rows(args, ["time", "state", "probability"],
+                _SnapshotRows(snapshots),
                 _metadata(args, "forward", times=grid,
                           forward_scheme=snapshots[0].scheme,
                           max_mass_defect=max(s.mass_defect

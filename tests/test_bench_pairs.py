@@ -82,6 +82,20 @@ def test_medians_per_kind_and_per_job(summary):
                    "001-expect": pytest.approx(0.006)}}
 
 
+def test_job_spreads_and_wins(summary):
+    # job_s keeps its medians; the quartiles and pair wins sit beside it
+    entry = summary["analytic_large_n"]
+    assert entry["job_spread_s"]["parent"]["000-law"] == {
+        "median": pytest.approx(0.028), "q1": pytest.approx(0.027),
+        "q3": pytest.approx(0.029), "runs": [0.030, 0.026]}
+    assert entry["job_spread_s"]["change"]["001-expect"] == {
+        "median": pytest.approx(0.006), "q1": pytest.approx(0.005),
+        "q3": pytest.approx(0.007), "runs": [0.004, 0.008]}
+    # law ran faster on the change in both pairs; expect tied in the first
+    # and ran slower in the second
+    assert entry["job_change_wins"] == {"000-law": 2, "001-expect": 0}
+
+
 def test_setup_probes_pooled_over_runs(summary):
     # every probe of every run, beside setup_s's median of run medians
     probes = summary["analytic_large_n"]["setup_probes_s"]
@@ -168,6 +182,8 @@ def test_a_workload_the_parent_lacks_is_change_only():
         "median": pytest.approx(0.012), "q1": pytest.approx(0.011),
         "q3": pytest.approx(0.013), "runs": [0.010, 0.014]}}
     assert list(entry["detail"]) == list(entry["job_s"]) == ["change"]
+    assert list(entry["job_spread_s"]) == ["change"]
+    assert "job_change_wins" not in entry
     assert bench_pairs.claim(summary, "law_only:wall_ref_s") is None
 
 
@@ -176,3 +192,16 @@ def test_output_hashes_of_jobs_on_one_side():
     change = {"a/000-x": "1", "a/001-y": "9", "b/000-w": "4"}
     assert bench_pairs.compare_hashes(parent, change) == {
         "differing": ["a/001-y", "a/002-z"], "change_only": ["b/000-w"]}
+
+
+def test_workdir_with_an_earlier_export_is_refused(tmp_path, capsys):
+    # export's mkdir used to die with a bare FileExistsError traceback
+    (tmp_path / "parent").mkdir()
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main(["--parent", "HEAD", "--out",
+                          str(tmp_path / "bench.json"),
+                          "--workdir", str(tmp_path)])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert str(tmp_path / "parent") in err and "Traceback" not in err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["parent"]

@@ -6,9 +6,10 @@ Usage, from the root of a git checkout:
         [--first-seed 51001] [--claim WORKLOAD:METRIC]
 
 Each revision is exported with ``git archive`` into a fresh directory under
-``--workdir``, so each side runs its committed files only.  For every seed
-and every workload of the change's BENCHMARK.json the unmodified
-``perfbench/run.py --trace 0`` runs once on each side, for the
+``--workdir``, so each side runs its committed files only; a ``parent/``
+or ``change/`` left there by an earlier series is refused, not reused.
+For every seed and every workload of the change's BENCHMARK.json the
+unmodified ``perfbench/run.py --trace 0`` runs once on each side, for the
 ``run_seconds`` of the change's BENCHMARK.json, over ten seeds; the side
 that runs first alternates from seed to seed.  A workload that the
 parent's BENCHMARK.json does not list runs on the change alone, and is
@@ -25,6 +26,10 @@ is within the metric's bound.  Per workload it also holds, for each side:
   by the job's index and name in the run's ``jobs``, as in
   ``output_hashes``.  A shift on a job that a change does not touch shows
   up there by name;
+* ``job_spread_s``: the same per-run job seconds as a median, quartiles
+  and runs, and, with a parent, ``job_change_wins``: per job the pairs in
+  which it ran faster on the change, so a job's shift can be read against
+  its spread;
 * ``setup_probes_s``: the median and quartiles of every start-up probe of
   the side's runs pooled (each run record's ``setup_probes_s``, five a
   run, so 50 over ten runs), beside ``setup_s``, which is the median over
@@ -134,8 +139,9 @@ def summarize(results, bounds):
     """Per workload and end-to-end metric: both sides' spreads, the change's
     wins, the relative change of the medians and the bound check (the
     change's spread alone for a change-only workload); per workload also
-    the medians of the runs' detail and job_s entries, and the spread of
-    their start-up probes pooled."""
+    the medians of the runs' detail entries, the spread of each job's
+    seconds and, with a parent, the change's wins per job, and the spread
+    of their start-up probes pooled."""
     out = {}
     for workload, pairs in results.items():
         if not pairs:
@@ -162,9 +168,12 @@ def summarize(results, bounds):
                                                 for pair in pairs)
                          for key in pairs[0][side]["detail"]}
                   for side in sides}
-        job_s = {side: {job: statistics.median(pair[side]["job_s"][job]
-                                               for pair in pairs)
-                        for job in pairs[0][side]["job_s"]}
+        job_spread_s = {side: {job: spread([pair[side]["job_s"][job]
+                                            for pair in pairs])
+                               for job in pairs[0][side]["job_s"]}
+                        for side in sides}
+        job_s = {side: {job: entry["median"]
+                        for job, entry in job_spread_s[side].items()}
                  for side in sides}
         probes = {side: spread([probe for pair in pairs
                                 for probe in pair[side]["setup_probes_s"]],
@@ -174,10 +183,18 @@ def summarize(results, bounds):
             "seeds": [pair["seed"] for pair in pairs], "pairs": len(pairs),
             "change_only": "parent" not in sides,
             "metrics": metrics, "detail": detail, "job_s": job_s,
-            "setup_probes_s": probes,
+            "job_spread_s": job_spread_s, "setup_probes_s": probes,
             "all_runs_correct": all(pair[side]["correct"]
                                     and pair[side]["failed"] == 0
                                     for pair in pairs for side in sides)}
+        if "parent" in sides:
+            # pairs whose job ran faster on the change; ties count for
+            # neither side, and a job the change lacks has no entry
+            parent, change = (job_spread_s[side] for side in SIDES)
+            out[workload]["job_change_wins"] = {
+                job: sum(c < p for p, c in zip(parent[job]["runs"],
+                                               change[job]["runs"]))
+                for job in parent if job in change}
     return out
 
 
@@ -211,6 +228,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     workdir = Path(args.workdir or tempfile.mkdtemp(prefix="bench-pairs-"))
     checkouts = {side: workdir / side for side in SIDES}
+    for checkout in checkouts.values():
+        if checkout.exists():
+            parser.error(f"--workdir: {checkout} already exists; name a "
+                         "new directory or remove it")
     revs = {side: export(getattr(args, side), checkouts[side])
             for side in SIDES}
     with open(checkouts["change"] / "BENCHMARK.json") as handle:
