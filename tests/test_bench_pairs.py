@@ -195,7 +195,7 @@ def test_output_hashes_of_jobs_on_one_side():
 
 
 def test_workdir_with_an_earlier_export_is_refused(tmp_path, capsys):
-    # export's mkdir used to die with a bare FileExistsError traceback
+    # an earlier series' export is refused by name before any export
     (tmp_path / "parent").mkdir()
     with pytest.raises(SystemExit) as exit_info:
         bench_pairs.main(["--parent", "HEAD", "--out",

@@ -1155,8 +1155,8 @@ def _traced_peak(call):
 
 @pytest.mark.parametrize("fmt_name", ["csv", "json"])
 def test_forward_writes_rows_as_they_are_formatted(tmp_path, fmt_name):
-    # every row was held as Python lists and the whole document in a
-    # StringIO first: 1.57x (CSV) and 2.93x (JSON) the solve's own peak
+    # the CLI holds no row table and no whole document beside
+    # forward_grid's snapshots, so its peak stays near the solve's own
     times = [12.0, 13.0, 14.0, 15.0, 16.0]
     solve = _traced_peak(
         lambda: forward_grid(yule_scaled(20000, 1.0, 0.31), 1, times))
