@@ -15,11 +15,11 @@ whitespace, and a UTF-8 byte-order mark is skipped.  --t is another name
 for --t-grid, and sweep refuses a --param that its family does not use.
 Data goes to --out or stdout as CSV (RFC-4180 style, 17 significant
 digits) or JSON (metadata header plus one object per row), written as it
-is formatted once the work is done: a refused call creates no file, but a
-write that fails part way can leave a partial one.  Diagnostics go to
-stderr and any failure exits nonzero.  An empty path, from --out,
---trajectories or --config or from a config line, is refused before any
-work, and so are two of them that name one file.
+is formatted once the work is done.  An existing regular file is replaced,
+with its permission bits, not truncated; a symlink is written through, and
+a refused or failed call leaves no new file.  Diagnostics go to stderr and
+any failure exits nonzero.  An empty path, from a flag or a config line,
+is refused before any work, and so are two paths that name one file.
 
 main() builds its argument parser once per process and parses every call
 with it: parsing reads the parser without changing it and returns a fresh
@@ -44,6 +44,7 @@ import functools
 import json
 import os
 import re
+import stat
 import sys
 from typing import Optional
 
@@ -288,9 +289,34 @@ def _fill(row, sep, first, second):
     return sep.join([row] * len(first)) % tuple(cells)
 
 
+@contextlib.contextmanager
+def _output(path, mode, **kwargs):
+    """open(path, mode, **kwargs), but a regular file at path is unlinked
+    and made anew with its permission bits (ext4 truncates slowly), and an
+    error while open removes a file made here; anything else opens as is."""
+    try:
+        old = os.lstat(path).st_mode
+    except OSError:
+        old = None
+    made, opener = old is None or stat.S_ISREG(old), None
+    if old is not None and made:
+        with contextlib.suppress(OSError):
+            os.unlink(path)
+            opener = lambda p, flags: os.open(p, flags, stat.S_IMODE(old))
+    handle = open(path, mode, opener=opener, **kwargs)
+    try:
+        with handle:
+            yield handle
+    except BaseException:
+        if made:
+            with contextlib.suppress(OSError):
+                os.unlink(path)
+        raise
+
+
 def _write_rows(args, header, rows, metadata):
     """Write rows to --out or stdout, each chunk as it is formatted."""
-    with (open(args.out, "w", encoding="utf-8", newline="")
+    with (_output(args.out, "w", encoding="utf-8", newline="")
           if args.out is not None
           else contextlib.nullcontext(sys.stdout)) as handle:
         if (args.format or "csv") == "csv":
@@ -560,7 +586,7 @@ def _cmd_simulate(args):
         require_integer("n_jobs", _jobs(args), 1)
         blocks = event_time_blocks(model, start, replicates, seed)
         terminal = np.empty(replicates)
-        with open(args.trajectories, "wb") as handle:
+        with _output(args.trajectories, "wb") as handle:
             handle.write(b"replicate,time,state\n")
             for first, times in blocks:
                 handle.writelines(_trajectory_lines(first, times, start))
