@@ -291,15 +291,15 @@ def _fill(row, sep, first, second):
 
 @contextlib.contextmanager
 def _output(path, mode, **kwargs):
-    """open(path, mode, **kwargs), but a regular file at path is unlinked
-    and made anew with its permission bits (ext4 truncates slowly), and an
-    error while open removes a file made here; anything else opens as is."""
+    """open(path, mode, **kwargs), but a writable regular file at path is
+    unlinked and made anew with its permission bits (ext4 truncates slowly),
+    and an error while open removes a file made here; the rest open as is."""
     try:
         old = os.lstat(path).st_mode
     except OSError:
         old = None
     made, opener = old is None or stat.S_ISREG(old), None
-    if old is not None and made:
+    if old is not None and made and os.access(path, os.W_OK):
         with contextlib.suppress(OSError):
             os.unlink(path)
             opener = lambda p, flags: os.open(p, flags, stat.S_IMODE(old))
