@@ -15,7 +15,7 @@ whitespace, and a UTF-8 byte-order mark is skipped.  --t is another name
 for --t-grid, and sweep refuses a --param that its family does not use.
 Data goes to --out or stdout as CSV (RFC-4180 style, 17 significant
 digits) or JSON (metadata header plus one object per row), written as it
-is formatted once the work is done.  An existing regular file is replaced,
+is formatted once the work is done.  A writable regular file is replaced,
 with its permission bits, not truncated; a symlink is written through, and
 a refused or failed call leaves no new file.  Diagnostics go to stderr and
 any failure exits nonzero.  An empty path, from a flag or a config line,
@@ -295,15 +295,15 @@ def _output(path, mode, **kwargs):
     unlinked and made anew with its permission bits (ext4 truncates slowly),
     and an error while open removes a file made here; the rest open as is."""
     try:
+        handle, made = open(path, mode.replace("w", "x"), **kwargs), True
+    except FileExistsError:
         old = os.lstat(path).st_mode
-    except OSError:
-        old = None
-    made, opener = old is None or stat.S_ISREG(old), None
-    if old is not None and made and os.access(path, os.W_OK):
-        with contextlib.suppress(OSError):
-            os.unlink(path)
-            opener = lambda p, flags: os.open(p, flags, stat.S_IMODE(old))
-    handle = open(path, mode, opener=opener, **kwargs)
+        made, opener = stat.S_ISREG(old), None
+        if made and os.access(path, os.W_OK):
+            with contextlib.suppress(OSError):
+                os.unlink(path)
+                opener = lambda p, flags: os.open(p, flags, stat.S_IMODE(old))
+        handle = open(path, mode, opener=opener, **kwargs)
     try:
         with handle:
             yield handle
