@@ -6,6 +6,7 @@ import math
 import os
 import re
 import shlex
+import stat
 import subprocess
 import sys
 import threading
@@ -1189,6 +1190,144 @@ def test_refusals_create_no_output_file(tmp_path, capsys, argv, message,
     assert captured.err.startswith(f"purebirth: error: {message}")
     assert captured.err.count("\n") == 1
     assert not out.exists()
+
+
+# two runs whose outputs differ; the second is the rerun
+FIRST_RUN = ["expect-time", "--family", "yule", "--N", "200", "--mu", "1",
+             "--p", "0.31"]
+RERUN = ["expect-time", "--family", "yule", "--N", "300", "--mu", "1",
+         "--p", "0.31"]
+DUMP_RUN = ["simulate", "--family", "yule", "--N", "12", "--mu", "1", "--p",
+            "0.5", "--replicates", "10", "--seed", "3"]
+
+
+def _fresh(tmp_path, argv):
+    """The bytes argv writes to --out in a directory of its own."""
+    fresh = tmp_path / "fresh" / "out"
+    fresh.parent.mkdir()
+    assert main(argv + ["--out", str(fresh)]) == 0
+    return fresh.read_bytes()
+
+
+class TestOutputIsReplaced:
+    """An existing regular output file is unlinked and made again with its
+    permission bits; any other path is opened as before."""
+
+    def test_a_hard_link_keeps_the_old_bytes(self, tmp_path):
+        out, old = tmp_path / "r.csv", tmp_path / "old.csv"
+        assert main(FIRST_RUN + ["--out", str(out)]) == 0
+        first = out.read_bytes()
+        os.link(out, old)
+        assert main(RERUN + ["--out", str(out)]) == 0
+        assert old.read_bytes() == first
+        assert out.read_bytes() == _fresh(tmp_path, RERUN) != first
+
+    @pytest.mark.parametrize("flag", ["--out", "--trajectories"])
+    def test_permission_bits_are_kept(self, tmp_path, flag):
+        path = tmp_path / "r.csv"
+        assert main(DUMP_RUN + [flag, str(path)]) == 0
+        path.chmod(0o600)
+        assert main(DUMP_RUN + ["--seed", "4", flag, str(path)]) == 0
+        assert stat.S_IMODE(path.stat().st_mode) == 0o600
+
+    def test_a_symlink_is_written_through(self, tmp_path):
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_text("old\n")
+        link.symlink_to(target)
+        assert main(RERUN + ["--out", str(link)]) == 0
+        assert link.is_symlink()
+        assert target.read_bytes() == _fresh(tmp_path, RERUN)
+
+    @pytest.mark.parametrize("flag", ["--out", "--trajectories"])
+    def test_dev_null_stays_a_device(self, flag):
+        # a device is written, never unlinked: the tests may run as root
+        assert main(DUMP_RUN + [flag, os.devnull]) == 0
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+    def test_a_refused_unlink_truncates(self, tmp_path, monkeypatch):
+        out = tmp_path / "r.csv"
+        out.write_text("x" * 10000)
+
+        def refused(path):
+            raise PermissionError(13, "Permission denied", path)
+
+        monkeypatch.setattr(cli.os, "unlink", refused)
+        assert main(RERUN + ["--out", str(out)]) == 0
+        monkeypatch.undo()
+        assert out.read_bytes() == _fresh(tmp_path, RERUN)
+
+    def test_a_file_the_caller_may_not_write_is_not_replaced(
+            self, tmp_path, monkeypatch):
+        # such a file is opened as before: refused, or, where the caller
+        # may write it after all (root), truncated in place
+        out, old = tmp_path / "r.csv", tmp_path / "old.csv"
+        out.write_text("x" * 10000)
+        os.link(out, old)
+        monkeypatch.setattr(cli.os, "access", lambda path, how: False)
+        assert main(RERUN + ["--out", str(out)]) == 0
+        monkeypatch.undo()
+        assert old.read_bytes() == out.read_bytes() == _fresh(tmp_path, RERUN)
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["forward", "--family", "powerlaw", "--c", "1", "--exponent", "-2",
+          "--cap", "2000", "--t", "1e9"], "--out"),
+        (DUMP_RUN[:-4] + ["--replicates", "1", "--seed", "3"],
+         "--trajectories")], ids=["forward", "simulate"])
+    def test_a_refused_call_keeps_the_old_output(self, tmp_path, capsys,
+                                                argv, flag):
+        path = tmp_path / "old.csv"
+        path.write_bytes(b"old bytes\n")
+        assert main(argv + [flag, str(path)]) == 1
+        assert capsys.readouterr().err.startswith("purebirth: error: ")
+        assert path.read_bytes() == b"old bytes\n"
+
+
+def _one_chunk_then(error, lines):
+    """A stand-in for a chunk generator: its first chunk, then error."""
+    def failing(*args):
+        yield next(iter(lines(*args)))
+        raise error
+    return failing
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["absent", "existing"])
+class TestFailedWriteLeavesNoFile:
+    def test_forward_rows(self, tmp_path, monkeypatch, capsys, existing):
+        out = tmp_path / "forward.csv"
+        if existing:
+            out.write_text("old\n")
+        monkeypatch.setattr(cli._SnapshotRows, "csv_lines", _one_chunk_then(
+            OSError("disk full"), cli._SnapshotRows.csv_lines))
+        assert main(["forward", "--family", "yule", "--N", "2000", "--mu",
+                     "1", "--p", "0.31", "--t-grid", "10,20", "--out",
+                     str(out)]) == 1
+        assert capsys.readouterr() == ("", "purebirth: error: disk full\n")
+        assert not out.exists()
+
+    def test_trajectory_dump(self, tmp_path, monkeypatch, capsys, existing):
+        dump, out = tmp_path / "paths.csv", tmp_path / "s.csv"
+        if existing:
+            dump.write_text("old\n")
+            out.write_text("old\n")
+        monkeypatch.setattr(cli, "_trajectory_lines", _one_chunk_then(
+            OSError("disk full"), cli._trajectory_lines))
+        assert main(DUMP_RUN + ["--trajectories", str(dump),
+                                "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", "purebirth: error: disk full\n")
+        assert not dump.exists()
+        # --out is opened after the dump, so an old one is left as it was
+        assert out.exists() == existing
+
+    def test_an_interrupt_removes_the_file(self, tmp_path, monkeypatch,
+                                           existing):
+        out = tmp_path / "forward.csv"
+        if existing:
+            out.write_text("old\n")
+        monkeypatch.setattr(cli._SnapshotRows, "csv_lines", _one_chunk_then(
+            KeyboardInterrupt(), cli._SnapshotRows.csv_lines))
+        with pytest.raises(KeyboardInterrupt):
+            main(FORWARD_YULE + ["--t-grid", "1,2", "--out", str(out)])
+        assert not out.exists()
 
 
 def test_json_metadata_names_inversion_scheme(capsys):
