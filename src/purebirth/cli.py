@@ -28,11 +28,11 @@ and skip the parser build, about 2 ms; a one-shot process builds it once.
 build_parser() still returns a new parser on every call.
 
 simulate --trajectories draws each block once, one block at a time: the
-summary is taken from the dumped blocks.  The dump has the same bytes
-as fmt would write, one row per event, but renders them in numpy, a chunk
-of cells at a time: a time in [1e-4, 1e16) gets the 17-digit significand
-"%.17g" rounds to, computed exactly in float64 by Dekker's two-product,
-and any other time (0.0, the tiny and the huge) goes through fmt itself.
+summary is taken from the dumped blocks.  The dump has the same bytes as
+fmt would write, one row per event, rendered in numpy by whole rows, up
+to 8192 cells or one row at a time: a time in [1e-4, 1e16) gets the
+17-digit significand "%.17g" rounds to, exact in float64 by Dekker's
+two-product, and any other time (0.0, the tiny and the huge) is fmt's.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ import numpy as np
 from . import __version__
 from .analytic import expected_absorption_time
 from .errors import PureBirthError, require_integer
-from .forward import SolverConfig, forward_grid
+from .forward import INVERSION_SCHEME, SolverConfig, forward_grid
 from .montecarlo import (QUANTILE_LEVELS, RNG_SCHEME,
                          estimate_absorption_time, event_time_blocks,
                          summarize_terminal_times)
@@ -247,21 +247,25 @@ def _increasing(text: str, kind, flag: str, where: str) -> list:
 
 class _SnapshotRows:
     """The rows (time, state, probability) of forward_grid's snapshots
-    whose probability is above PROB_FLOOR, formatted one snapshot at a
-    time: its kept states and probabilities become int and float lists
-    that fill one %-template.  len() counts the rows.  Every snapshot has
-    a row, since its mass is 1 within MASS_DEFECT_TOL."""
+    whose probability is above PROB_FLOOR, and under inversion above its
+    error_bound, at or below which it carries no digits; formatted one
+    snapshot at a time into one %-template.  len() counts the rows.  Every
+    snapshot has a row, since its mass is 1 within MASS_DEFECT_TOL."""
 
     def __init__(self, snapshots):
         self.snapshots = snapshots
 
     def __len__(self):
-        return sum(int(np.count_nonzero(snap.probabilities > PROB_FLOOR))
-                   for snap in self.snapshots)
+        return sum(int(np.count_nonzero(keep)) for keep in self._keep())
+
+    def _keep(self):
+        for snap in self.snapshots:
+            floor = (max(PROB_FLOOR, snap.error_bound)
+                     if snap.scheme == INVERSION_SCHEME else PROB_FLOOR)
+            yield snap.probabilities > floor
 
     def _kept(self):
-        for snap in self.snapshots:
-            keep = snap.probabilities > PROB_FLOOR
+        for snap, keep in zip(self.snapshots, self._keep()):
             yield (snap.time, snap.states[keep].tolist(),
                    snap.probabilities[keep].tolist())
 
@@ -365,12 +369,12 @@ def _cmd_forward(args):
     config = (SolverConfig() if args.abs_tol is None
               else SolverConfig(abs_tol=args.abs_tol))
     snapshots = forward_grid(model, _start(args), grid, config)
+    meta = _metadata(args, "forward", times=grid,
+                     forward_scheme=snapshots[0].scheme,
+                     max_mass_defect=max(s.mass_defect for s in snapshots),
+                     max_error_bound=max(s.error_bound for s in snapshots))
     _write_rows(args, ["time", "state", "probability"],
-                _SnapshotRows(snapshots),
-                _metadata(args, "forward", times=grid,
-                          forward_scheme=snapshots[0].scheme,
-                          max_mass_defect=max(s.mass_defect
-                                              for s in snapshots)))
+                _SnapshotRows(snapshots), meta)
 
 
 def _require_arg(args, name):
@@ -392,7 +396,7 @@ def _start(args):
 # cells of [1e-4, 1e16) in numpy: there "%.17g" is the 17-digit significand
 # D of x, rounded half to even, written in fixed point with its trailing
 # zeros (and a bare point) dropped.
-DUMP_CELLS = 2 ** 13        # cells per chunk, which bounds the working set
+DUMP_CELLS = 2 ** 13        # a chunk: whole rows of up to this many cells
 _SPLIT = 134217729.0        # 2**27 + 1, Veltkamp's splitting constant
 _POW = np.array([float(10 ** q) for q in range(22)])  # exact: 5**21 < 2**53
 _POW_HI = _SPLIT * _POW - (_SPLIT * _POW - _POW)
@@ -543,34 +547,34 @@ def _cells(x):
 
 def _trajectory_lines(first, times, start):
     """The dump's rows "replicate,time,state\\n" of one block of
-    event_time_blocks, as bytes, DUMP_CELLS cells at a time: each chunk is
-    laid out NUL-padded in uint64 words and its NULs deleted."""
+    event_time_blocks, as bytes, whole rows of up to DUMP_CELLS cells (or
+    one row) at a time: each chunk is laid out NUL-padded in uint64 words
+    and its NULs deleted."""
     rows, states = times.shape
     prefix = _words([b"%d," % i for i in range(first, first + rows)])
     suffix = _words([b",%d\n" % k for k in range(start, start + states)])
-    width = min(states, DUMP_CELLS)
     height = max(1, DUMP_CELLS // states)
     for r in range(0, rows, height):
-        for s in range(0, states, width):
-            tile = times[r:r + height, s:s + width]
-            h, w = tile.shape
-            line = np.concatenate(
-                [np.broadcast_to(prefix[r:r + h, None],
-                                 (h, w, prefix.shape[1])),
-                 _cells(tile.ravel()).reshape(h, w, 3),
-                 np.broadcast_to(suffix[s:s + w], (h, w, suffix.shape[1]))],
-                axis=2)
-            yield line.astype("<u8", copy=False).tobytes().translate(
-                None, b"\0")
+        chunk = times[r:r + height]
+        h = len(chunk)
+        line = np.concatenate(
+            [np.broadcast_to(prefix[r:r + h, None],
+                             (h, states, prefix.shape[1])),
+             _cells(chunk.ravel()).reshape(h, states, 3),
+             np.broadcast_to(suffix, (h, states, suffix.shape[1]))], axis=2)
+        yield line.astype("<u8", copy=False).tobytes().translate(None, b"\0")
 
 
-def _summary_row(summary):
-    header = ["replicates", "master_seed", "mean", "std_error"] + [
-        f"q{round(100 * q):02d}" for q in QUANTILE_LEVELS] + ["time_unit"]
-    row = [summary.replicates, summary.master_seed, summary.mean,
-           summary.std_error] + [summary.quantiles[q] for q in
-                                 QUANTILE_LEVELS] + [summary.time_unit]
-    return header, row
+def _write_summary(args, command, summary, header=(), row=()):
+    """Write one Monte Carlo summary row, after the given leading columns."""
+    header = [*header, "replicates", "master_seed", "mean", "std_error", *(
+        f"q{round(100 * q):02d}" for q in QUANTILE_LEVELS), "time_unit"]
+    row = [*row, summary.replicates, summary.master_seed, summary.mean,
+           summary.std_error, *(summary.quantiles[q] for q in QUANTILE_LEVELS),
+           summary.time_unit]
+    _write_rows(args, header, [row], _metadata(
+        args, command, seed=summary.master_seed,
+        replicates=summary.replicates, rng_scheme=RNG_SCHEME))
 
 
 def _cmd_simulate(args):
@@ -596,10 +600,7 @@ def _cmd_simulate(args):
     else:
         summary = estimate_absorption_time(model, start, replicates, seed,
                                            n_jobs=_jobs(args))
-    header, row = _summary_row(summary)
-    _write_rows(args, header, [row],
-                _metadata(args, "simulate", seed=seed, replicates=replicates,
-                          rng_scheme=RNG_SCHEME))
+    _write_summary(args, "simulate", summary)
 
 
 def _cmd_sweep(args):
@@ -636,12 +637,10 @@ def _cmd_explosion(args):
     analytic = expected_absorption_time(model, start)
     summary = estimate_absorption_time(model, start, replicates, seed,
                                        n_jobs=_jobs(args))
-    header, row = _summary_row(summary)
-    header = ["cap", "analytic_mean", "limit_bound"] + header
-    row = [model.state_cap, analytic.exact_mean, analytic.approx_mean] + row
-    _write_rows(args, header, [row],
-                _metadata(args, "explosion", seed=seed, replicates=replicates,
-                          rng_scheme=RNG_SCHEME))
+    _write_summary(args, "explosion", summary,
+                   ["cap", "analytic_mean", "limit_bound"],
+                   [model.state_cap, analytic.exact_mean,
+                    analytic.approx_mean])
 
 
 _COMMANDS = {

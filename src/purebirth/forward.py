@@ -46,7 +46,7 @@ that cost and, when inversion ran, the abs_tol it reached: no call runs
 for hours.  P(T <= t) is the mass at the absorbing state,
 forward_probabilities(model, start, t).probabilities[-1].
 FORWARD_SCHEME and INVERSION_SCHEME name the schemes; each snapshot
-carries the one that produced it.
+carries the one that produced it, and its error_bound.
 """
 
 from __future__ import annotations
@@ -125,6 +125,7 @@ class DistributionSnapshot:
     probabilities: np.ndarray
     mass_defect: float
     scheme: str = FORWARD_SCHEME
+    error_bound: float = 0.0  # each probability's, as SolverConfig says
 
     def probability_of(self, state: int) -> float:
         lo, hi = self.states[0], self.states[-1]
@@ -163,34 +164,36 @@ def forward_grid(model: RateModel, start_state: int, times: Sequence[float],
     moving = counts > config.abs_tol
     solutions = np.zeros((times.size, len(states)))
     solutions[~moving, 0] = 1.0
+    bounds = np.full(times.size, config.abs_tol)
     scheme = FORWARD_SCHEME
     if moving.any():
-        solved, scheme = _solve(lam, times[moving], counts[moving],
-                                config.abs_tol)
+        solved, scheme, bounds[moving] = _solve(
+            lam, times[moving], counts[moving], config.abs_tol)
         solutions[moving] = solved
-    return [_make_snapshot(float(t), states, y, config, scheme)
-            for t, y in zip(times, solutions)]
+    return [_make_snapshot(float(t), states, y, config, scheme, bound)
+            for t, y, bound in zip(times, solutions, bounds.tolist())]
 
 
 def _solve(lam, times, counts, abs_tol):
-    """(rows, scheme) at times > 0: Euler inversion when it pays and its
-    estimates meet abs_tol at every time, uniformization otherwise, unless
-    that would pass UNIFORMIZATION_BUDGET."""
+    """(rows, scheme, error bounds) at times > 0: Euler inversion when it
+    pays and its estimates meet abs_tol at every time, uniformization
+    otherwise, unless that would pass UNIFORMIZATION_BUDGET."""
     steps = _uniformization_steps(lam[:-1], counts, abs_tol)
     work = steps * (lam.size + STEP_OVERHEAD)
     reached = ""
     if (abs_tol >= INVERSION_BOUND and work >= INVERSION_MIN_WORK
             and steps >= INVERSION_GAIN * EULER_NODES * counts.size):
         rows, estimate = _invert(lam[:-1], times)
-        if (estimate + INVERSION_BOUND <= abs_tol).all():
-            return rows, INVERSION_SCHEME
-        reached = (", and inversion reached abs_tol "
-                   f"{estimate.max() + INVERSION_BOUND:.2e}")
+        bounds = estimate + INVERSION_BOUND
+        if (bounds <= abs_tol).all():
+            return rows, INVERSION_SCHEME, bounds
+        reached = f", and inversion reached abs_tol {bounds.max():.2e}"
     if work > UNIFORMIZATION_BUDGET:
         raise ToleranceNotMet(
             f"uniformization would take about {work:.2e} state-steps, over "
             f"the budget of {UNIFORMIZATION_BUDGET:.0e}{reached}")
-    return _uniformize(lam / lam.max(), counts, abs_tol), FORWARD_SCHEME
+    return (_uniformize(lam / lam.max(), counts, abs_tol), FORWARD_SCHEME,
+            abs_tol)
 
 
 def _uniformization_steps(rates, counts, abs_tol):
@@ -319,7 +322,7 @@ def _stirling_error(n):
     return np.where(small, _STIRLING_ERROR[np.where(small, n, 0)], series)
 
 
-def _make_snapshot(t, states, y, config, scheme):
+def _make_snapshot(t, states, y, config, scheme, error_bound):
     mass_defect = abs(1.0 - math.fsum(y))
     if mass_defect > MASS_DEFECT_TOL:
         raise ToleranceNotMet(
@@ -333,7 +336,8 @@ def _make_snapshot(t, states, y, config, scheme):
             f"negative probability {worst:.3e} at t={t} exceeds roundoff floor")
     clipped = np.clip(y, 0.0, 1.0)
     return DistributionSnapshot(time=t, states=states, probabilities=clipped,
-                                mass_defect=mass_defect, scheme=scheme)
+                                mass_defect=mass_defect, scheme=scheme,
+                                error_bound=error_bound)
 
 
 def mean_state(snapshot: DistributionSnapshot) -> float:

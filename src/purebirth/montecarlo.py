@@ -8,15 +8,16 @@ The CLI's explosion subcommand is estimate_absorption_time on c k^2 rates,
 beside expected_absorption_time's exact mean and pi^2/(6c) bound.
 Replicates come in blocks of BLOCK, and block b of a master seed draws from
 its own stream, replicate_stream(master_seed, b) (numpy SeedSequence spawn
-key (b,)), the one place that checks the seed.  The stream yields the
-block's holding times state by state, BLOCK numbers per transient state,
-in strips of STRIP states.  So replicate i's holding time in its j-th
-transient state depends only on (master_seed, i, j): not on the replicate
-count, the strip size, the number of threads that --jobs runs the blocks
-on, or the cap.  A partial last block still draws BLOCK replicates.
-Every sampler walks the blocks in one loop, _blocks, and reads each
-block's strips in its own draw function.  For --jobs above one the
-ensembles run that loop on a thread pool with every block in flight;
+key (b,)), which checks the seed, as event_time_blocks does up front.  The
+stream yields the block's holding times state by state, BLOCK numbers per
+transient state, in strips of STRIP states.  So replicate i's holding time
+in its j-th transient state depends only on (master_seed, i, j): not on
+the replicate count, the strip size, the number of threads that --jobs
+runs the blocks on, or the cap.  A partial last block still draws BLOCK
+replicates.  The ensembles and the trajectory dump walk the blocks in one
+loop, _blocks, and read each block's strips in their own draw functions;
+simulate_path reads its one block's strips itself.  For --jobs above one
+the ensembles run that loop on a thread pool with every block in flight;
 the trajectory dump and simulate_path draw on the calling thread.
 Summaries take each strip's exit times, the times its replicates leave
 its last state, by one ordered reduction down the strip; only the
@@ -118,22 +119,21 @@ def _running_sum(strip: np.ndarray) -> np.ndarray:
     return strip
 
 
-def _blocks(lam, replicates, master_seed, n_jobs, draw, first=0):
-    """(first replicate, draw(strips, n)) for each block from replicate
-    ``first`` on, in block order: strips are the block's _strips, n its
-    used replicates.  A block is a pure function of (master_seed, block),
-    so up to min(n_jobs, cpu count, blocks) threads give one thread's
-    results; numpy releases the GIL in the draws, logs and sums.  The
-    threads take every block at once and no worker writes a shared array,
-    so the caller holds every result it has not yet taken: the draws that
-    run on threads return small results.  The pool is imported only for
-    more than one thread, so one thread never loads concurrent.futures
-    (nor the logging it imports)."""
+def _blocks(lam, replicates, master_seed, n_jobs, draw):
+    """(first replicate, draw(strips, n)) for each block, in block order:
+    strips are the block's _strips, n its used replicates.  A block is a
+    pure function of (master_seed, block), so up to min(n_jobs, cpu count,
+    blocks) threads give one thread's results; numpy releases the GIL in
+    the draws, logs and sums.  The threads take every block at once and no
+    worker writes a shared array, so the caller holds every result it has
+    not yet taken: the draws that run on threads return small results.
+    The pool is imported only for more than one thread, so one thread never
+    loads concurrent.futures (nor the logging it imports)."""
     def run(start):
         strips = _strips(replicate_stream(master_seed, start // BLOCK), lam)
         return start, draw(strips, min(BLOCK, replicates - start))
 
-    starts = range(first, replicates, BLOCK)
+    starts = range(0, replicates, BLOCK)
     workers = min(n_jobs, len(starts))
     if workers > 1:  # only then is the core count asked for
         workers = min(workers, os.cpu_count() or 1)
@@ -177,13 +177,9 @@ def simulate_path(model: RateModel, start_state: int, master_seed: int,
     whole block."""
     require_integer("replicate", replicate, 0)
     lam = rate_vector(model, start_state)
+    strips = _strips(replicate_stream(master_seed, replicate // BLOCK), lam)
     column = replicate % BLOCK
-
-    def draw(strips, n):
-        return [x for strip, _ in strips
-                for x in _running_sum(strip)[:, column]]
-    (_, times), = _blocks(lam, replicate + 1, master_seed, 1, draw,
-                          first=replicate - column)
+    times = [x for strip, _ in strips for x in _running_sum(strip)[:, column]]
     events = [(float(t), k) for k, t in enumerate([0.0] + times, start_state)]
     return Trajectory(events=events, terminal_time=events[-1][0])
 

@@ -22,13 +22,13 @@ from hypothesis import strategies as st
 from purebirth import (estimate_absorption_time, expected_absorption_time,
                        hypergeometric_mixing, power_law)
 from purebirth import cli, montecarlo
-from purebirth.cli import (_cells, _config_actions, _parser, _significand,
-                           build_parser, fmt, main)
+from purebirth.cli import (PROB_FLOOR, _cells, _config_actions, _parser,
+                           _significand, build_parser, fmt, main)
 from purebirth.forward import FORWARD_SCHEME, forward_grid
 from purebirth.montecarlo import (RNG_SCHEME, _simulate_ensemble,
                                   event_time_blocks)
 from purebirth import yule_scaled
-from purebirth.forward import INVERSION_SCHEME
+from purebirth.forward import INVERSION_BOUND, INVERSION_SCHEME
 
 
 def run_csv(capsys, argv):
@@ -256,6 +256,8 @@ class TestForward:
         snaps = forward_grid(power_law(1.0, 2.0, 30), 1, [0.0, 0.5, 2.0])
         assert meta["max_mass_defect"] == max(s.mass_defect for s in snaps)
         assert 0.0 <= meta["max_mass_defect"] <= 1e-12
+        # uniformization's bound is its abs_tol, at every time
+        assert meta["max_error_bound"] == 1e-10
 
 
 # c k^2 rates to cap 20: explosion fixes the family and the exponent that
@@ -1086,7 +1088,8 @@ def test_csv_has_no_trailing_whitespace(capsys):
 # forward output against renderings by csv.writer + fmt and json.dumps
 # (the writer the template path replaced); each case has rows below
 # PROB_FLOOR that must be left out.  The first case is solved by
-# uniformization, the second by inversion.
+# uniformization, the second by inversion, which also leaves out rows above
+# PROB_FLOOR but at or below their snapshot's error bound.
 WRITER_CASES = [
     (["--family", "hypergeometric", "--N", "50", "--lambda", "1",
       "--p", "0.31", "--t-grid", "0,10,50,100"],
@@ -1097,16 +1100,30 @@ WRITER_CASES = [
 ]
 
 
+def _written(snap):
+    """The (state, probability) pairs of a snapshot that forward writes:
+    above PROB_FLOOR and, under inversion, above its error bound."""
+    floor = PROB_FLOOR
+    if snap.scheme == INVERSION_SCHEME:
+        floor = max(floor, snap.error_bound)
+    return [(int(state), float(prob))
+            for state, prob in zip(snap.states, snap.probabilities)
+            if prob > floor]
+
+
 def _reference_forward(argv, model, start, times, fmt_name):
     from purebirth import __version__
-    from purebirth.cli import PROB_FLOOR, _model_spec
+    from purebirth.cli import _model_spec
 
     header = ["time", "state", "probability"]
     snaps = forward_grid(model, start, times)
-    rows = [[snap.time, int(state), float(prob)] for snap in snaps
-            for state, prob in zip(snap.states, snap.probabilities)
-            if prob > PROB_FLOOR]
+    rows = [[snap.time, state, prob] for snap in snaps
+            for state, prob in _written(snap)]
     assert len(rows) < sum(len(snap.states) for snap in snaps)
+    if snaps[0].scheme == INVERSION_SCHEME:
+        assert len(rows) < sum(int(np.count_nonzero(s.probabilities
+                                                    > PROB_FLOOR))
+                               for s in snaps)
     if fmt_name == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -1119,10 +1136,36 @@ def _reference_forward(argv, model, start, times, fmt_name):
                 "model": {k: v for k, v in _model_spec(args).items()
                           if v is not None},
                 "times": times, "forward_scheme": snaps[0].scheme,
-                "max_mass_defect": max(s.mass_defect for s in snaps)}
+                "max_mass_defect": max(s.mass_defect for s in snaps),
+                "max_error_bound": max(s.error_bound for s in snaps)}
     payload = {"metadata": metadata,
                "rows": [dict(zip(header, row)) for row in rows]}
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def test_no_row_at_or_below_its_error_bound(tmp_path, monkeypatch):
+    # P(T <= 20) is below e^-795 on this chain (a Chernoff bound), so the
+    # 1.39e-11 that inversion finds at the absorbing state is its aliasing
+    # floor, and no row 20,200000,1.3887453539657061e-11 may claim it
+    snaps = []
+
+    def solve(*args):
+        snaps.extend(forward_grid(*args))
+        return snaps
+    monkeypatch.setattr(cli, "forward_grid", solve)
+    out = tmp_path / "forward.csv"
+    assert main(["forward", "--family", "yule", "--N", "200000", "--mu", "1",
+                 "--p", "0.31", "--t", "20", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert not [line for line in lines if line.startswith("20,200000,")]
+    snap, = snaps
+    assert snap.scheme == INVERSION_SCHEME
+    assert PROB_FLOOR < snap.probabilities[-1] <= snap.error_bound
+    rows = [line.split(",") for line in lines[1:]]
+    assert min(float(prob) for _, _, prob in rows) > snap.error_bound
+    # the rows the tracer counts are the rows written
+    assert len(rows) == len(cli._SnapshotRows(snaps)) == len(_written(snap))
+    assert len(rows) < np.count_nonzero(snap.probabilities > PROB_FLOOR)
 
 
 @pytest.mark.parametrize("case", range(len(WRITER_CASES)))
@@ -1338,6 +1381,9 @@ def test_json_metadata_names_inversion_scheme(capsys):
     snaps = forward_grid(yule_scaled(2000, 1.0, 0.31), 1, [10.0, 20.0])
     assert meta["max_mass_defect"] == max(s.mass_defect for s in snaps)
     assert 0.0 < meta["max_mass_defect"] <= 1e-10
+    # INVERSION_BOUND plus the larger of the two times' estimates
+    assert meta["max_error_bound"] == max(s.error_bound for s in snaps)
+    assert INVERSION_BOUND < meta["max_error_bound"] <= 1e-10
 
 
 START_ZERO = {

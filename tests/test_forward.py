@@ -201,7 +201,7 @@ class TestForwardProbabilities:
     def test_a_solution_off_its_tolerance_is_refused(self, monkeypatch, row,
                                                      message):
         def solve(lam, times, counts, abs_tol):
-            return np.array([row]), forward.FORWARD_SCHEME
+            return np.array([row]), forward.FORWARD_SCHEME, abs_tol
 
         monkeypatch.setattr(forward, "_solve", solve)
         with pytest.raises(ToleranceNotMet, match=message):

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from purebirth import (SolverConfig, ToleranceNotMet, expected_absorption_time,
@@ -15,6 +15,7 @@ from purebirth import (SolverConfig, ToleranceNotMet, expected_absorption_time,
                        hypergeometric_mixing, power_law, rate_vector,
                        yule_scaled)
 from purebirth import forward
+from purebirth.cli import PROB_FLOOR
 from purebirth.forward import (FORWARD_SCHEME, INVERSION_BOUND,
                                INVERSION_SCHEME, MASS_DEFECT_TOL)
 
@@ -90,6 +91,29 @@ def test_property_kernel_agrees_with_uniformization(model, times, data):
         assert abs(1.0 - math.fsum(row)) <= MASS_DEFECT_TOL
         assert row.min() >= -10.0 * DEFAULT_TOL
     assert (estimate + INVERSION_BOUND <= DEFAULT_TOL).all()
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(family=st.sampled_from([yule_scaled, hypergeometric_mixing]),
+       n=st.integers(2000, 3000), rate=st.floats(0.5, 2.0),
+       p=st.floats(0.2, 0.6),
+       fractions=st.lists(st.floats(0.2, 0.9), min_size=1, max_size=3))
+def test_property_inverted_rows_lie_within_their_error_bound(family, n, rate,
+                                                             p, fractions):
+    # times at 0.2-0.9 E(T) on 2000-3000 states, where inversion pays
+    model = family(n, rate, p)
+    mean = expected_absorption_time(model).exact_mean
+    times = [f * mean for f in fractions]
+    snaps = forward_grid(model, 1, times)
+    assume(snaps[0].scheme == INVERSION_SCHEME)
+    reference = forward_grid(model, 1, times, SolverConfig(abs_tol=1e-15))
+    for snap, ref in zip(snaps, reference):
+        assert INVERSION_BOUND <= snap.error_bound <= DEFAULT_TOL
+        assert ref.scheme == FORWARD_SCHEME and ref.error_bound == 1e-15
+        # the rows the CLI writes: above PROB_FLOOR and above the bound
+        written = snap.probabilities > max(PROB_FLOOR, snap.error_bound)
+        error = np.abs(snap.probabilities - ref.probabilities)[written]
+        assert (error <= snap.error_bound + ref.error_bound).all()
 
 
 def test_abs_tol_below_the_inversion_bound_keeps_uniformization(
