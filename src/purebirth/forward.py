@@ -125,7 +125,7 @@ class DistributionSnapshot:
     probabilities: np.ndarray
     mass_defect: float
     scheme: str = FORWARD_SCHEME
-    error_bound: float = 0.0  # each probability's, as SolverConfig says
+    error_bound: float = 0.0  # on each probability's error; see SolverConfig
 
     def probability_of(self, state: int) -> float:
         lo, hi = self.states[0], self.states[-1]

@@ -575,8 +575,9 @@ class TestDumpCells:
 
     @pytest.mark.parametrize("cells", [1, 7, 25, 100, 2 ** 13])
     def test_dump_in_many_chunks(self, tmp_path, monkeypatch, cells):
-        # rows of 12 states cut into chunks of 1 and 7 cells, and chunks of
-        # 2, 8 and 682 whole rows; 1100 replicates span a second block
+        # rows of 12 states: chunks of one row where DUMP_CELLS (1 and 7)
+        # holds less than a row, else of 2, 8 and 682 whole rows; 1100
+        # replicates span a second block
         monkeypatch.setattr(cli, "DUMP_CELLS", cells)
         dump = tmp_path / "paths.csv"
         assert main(["simulate", "--family", "hypergeometric", "--N", "14",
@@ -588,7 +589,8 @@ class TestDumpCells:
         assert dump.read_bytes() == _csv_dump(model, 3, 1100, 11)
 
     def test_a_row_longer_than_a_chunk(self, tmp_path):
-        # 9999 states: each replicate's row spans two chunks
+        # 10000 states, more than DUMP_CELLS: each replicate's row is a
+        # chunk of its own
         dump = tmp_path / "paths.csv"
         assert main(["simulate", "--family", "hypergeometric",
                      "--N", "10000", "--lambda", "1", "--p", "1",
