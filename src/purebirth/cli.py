@@ -28,11 +28,14 @@ and skip the parser build, about 2 ms; a one-shot process builds it once.
 build_parser() still returns a new parser on every call.
 
 simulate --trajectories draws each block once, one block at a time: the
-summary is taken from the dumped blocks.  The dump has the same bytes as
-fmt would write, one row per event, rendered in numpy by whole rows, up
-to 8192 cells or one row at a time: a time in [1e-4, 1e16) gets the
-17-digit significand "%.17g" rounds to, exact in float64 by Dekker's
-two-product, and any other time (0.0, the tiny and the huge) is fmt's.
+summary is taken from the dumped blocks.  Both CSV outputs of floats, the
+dump (one row per event) and forward's rows, are rendered by one exact
+kernel in numpy, up to 8192 cells at a time (or one longer dump row), with
+the bytes fmt would write: a cell in [1e-12, 1e16) gets the 17-digit
+significand "%.17g" rounds to, exact in float64 by Dekker's two-product,
+in fixed point from 1e-4 and with an exponent below it; a cell whose
+rounding that arithmetic cannot decide, and any other cell (0.0, the tiny
+and the huge), is fmt's.  forward's JSON rows keep repr.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ import contextlib
 import csv
 import functools
 import json
+import math
 import os
 import re
 import stat
@@ -248,7 +252,8 @@ def _increasing(text: str, kind, flag: str, where: str) -> list:
 class _SnapshotRows:
     """The rows (time, state, probability) of forward_grid's snapshots
     whose probability is above PROB_FLOOR, and under inversion above its
-    error_bound, at or below which it carries no digits; formatted one
+    error_bound, at or below which it carries no digits.  CSV is rendered
+    by _render, up to DUMP_CELLS rows at a time across snapshots; JSON one
     snapshot at a time into one %-template.  len() counts the rows.  Every
     snapshot has a row, since its mass is 1 within MASS_DEFECT_TOL."""
 
@@ -264,15 +269,43 @@ class _SnapshotRows:
                      if snap.scheme == INVERSION_SCHEME else PROB_FLOOR)
             yield snap.probabilities > floor
 
+    def dropped(self):
+        """Per snapshot, the fsum of the probabilities not written."""
+        return [math.fsum(snap.probabilities[~keep].tolist())
+                for snap, keep in zip(self.snapshots, self._keep())]
+
     def _kept(self):
         for snap, keep in zip(self.snapshots, self._keep()):
             yield (snap.time, snap.states[keep].tolist(),
                    snap.probabilities[keep].tolist())
 
+    def _chunks(self):
+        """(snapshot, state index, probability) arrays of the rows, up to
+        DUMP_CELLS at a time; a chunk may span snapshots."""
+        parts, size = [], 0
+        for i, (snap, keep) in enumerate(zip(self.snapshots, self._keep())):
+            kept = np.flatnonzero(keep)
+            while kept.size:
+                part, kept = kept[:DUMP_CELLS - size], kept[DUMP_CELLS - size:]
+                parts.append((np.full(part.size, i), part,
+                              snap.probabilities[part]))
+                size += part.size
+                if size == DUMP_CELLS:
+                    yield [np.concatenate(column) for column in zip(*parts)]
+                    parts, size = [], 0
+        if parts:
+            yield [np.concatenate(column) for column in zip(*parts)]
+
     def csv_lines(self):
-        # "%d" % k == str(k) and "%.17g" % x == fmt(x); no cell needs quoting
-        for t, states, probs in self._kept():
-            yield _fill(f"{fmt(t)},%d,%.17g\n", "", states, probs)
+        # the word tables of the times and of the states, which every
+        # snapshot shares; fmt's digits, and str(k), need no quoting
+        times = _words([fmt(snap.time).encode() + b","
+                        for snap in self.snapshots])
+        states = _words([b"%d," % k
+                         for k in self.snapshots[0].states.tolist()])
+        for which, index, probs in self._chunks():
+            yield _render(times[which], states[index], probs,
+                          _NEWLINE).decode()
 
     def json_rows(self):
         # the list of row objects json.dumps(..., indent=2, sort_keys=True)
@@ -369,12 +402,14 @@ def _cmd_forward(args):
     config = (SolverConfig() if args.abs_tol is None
               else SolverConfig(abs_tol=args.abs_tol))
     snapshots = forward_grid(model, _start(args), grid, config)
+    rows = _SnapshotRows(snapshots)
     meta = _metadata(args, "forward", times=grid,
                      forward_scheme=snapshots[0].scheme,
                      max_mass_defect=max(s.mass_defect for s in snapshots),
                      max_error_bound=max(s.error_bound for s in snapshots))
-    _write_rows(args, ["time", "state", "probability"],
-                _SnapshotRows(snapshots), meta)
+    if args.format == "json":  # a CSV output has no metadata
+        meta["max_dropped_mass"] = max(rows.dropped())
+    _write_rows(args, ["time", "state", "probability"], rows, meta)
 
 
 def _require_arg(args, name):
@@ -392,21 +427,22 @@ def _start(args):
     return 1 if args.start is None else args.start
 
 
-# The trajectory dump writes each time as fmt does, "%.17g", but renders the
-# cells of [1e-4, 1e16) in numpy: there "%.17g" is the 17-digit significand
-# D of x, rounded half to even, written in fixed point with its trailing
-# zeros (and a bare point) dropped.
+# The CSV writers write each float as fmt does, "%.17g", but render the
+# cells of [1e-12, 1e16) in numpy: there "%.17g" is the 17-digit significand
+# D of x, rounded half to even, with its trailing zeros (and a bare point)
+# dropped, written in fixed point from 1e-4 and as d.ddd...e-XX below it.
 DUMP_CELLS = 2 ** 13        # a chunk: whole rows of up to this many cells
 _SPLIT = 134217729.0        # 2**27 + 1, Veltkamp's splitting constant
-_POW = np.array([float(10 ** q) for q in range(22)])  # exact: 5**21 < 2**53
+_POW = np.array([float(10 ** q) for q in range(23)])  # exact: 5**22 < 2**53
 _POW_HI = _SPLIT * _POW - (_SPLIT * _POW - _POW)
 _POW_LO = _POW - _POW_HI
+_UNSURE = 2.0 ** -40        # see _scaled
 
 
 def _words(strings, width=None):
     """The strings NUL-padded to ``width`` bytes, a multiple of 8 (by
     default the longest rounded up), as the rows of a uint64 array.  Its
-    words are little-endian, like all of the dump's: byte j of a word is
+    words are little-endian, like all of the writers': byte j of a word is
     its bits 8j to 8j + 7."""
     width = width or -(-max(map(len, strings)) // 8) * 8
     return np.frombuffer(b"".join(s.ljust(width, b"\0") for s in strings),
@@ -424,13 +460,18 @@ _LEAD = _words([b"0." + b"0" * (-d - 1) if d < 0 else
 # by d + 4: the bits the digits past the units digit move by, one byte for
 # the point, or 1 - d bytes for "0." and the zeros
 _SHIFT = np.array([8 * max(1, 1 - d) for d in range(-4, 16)], np.uint64)
+# by d + 13: word 2 of a field with the exponent "e-XX" of d in [-13, -5]
+# at bytes 18-21, after every digit and the point, and by 9 none
+_EXPONENT = _words([b"\0" * 18 + b"e-%02d" % -d for d in range(-13, -4)]
+                   + [b""], 24)[:, 2]
+_NEWLINE = _words([b"\n"])
 
 
 @functools.cache
 def _groups_of_four():
     """For k < 10**4: k's 4 ASCII digits in the low bytes of a uint64, and
-    the count of its trailing zeros as 4 digits.  Built by the first dump,
-    so that importing the module costs no memory for them."""
+    the count of its trailing zeros as 4 digits.  Built by the first
+    render, so that importing the module costs no memory for them."""
     ascii4 = np.frombuffer(b"".join(b"%04d" % k for k in range(10000)),
                            "<u4").astype(np.uint64)
     zeros = sum((np.arange(10000) % 10 ** j == 0).astype(np.int64)
@@ -439,7 +480,7 @@ def _groups_of_four():
 
 
 def _two_product(x, q):
-    """p, e with p + e == x * 10**q exactly (Dekker's TwoProduct)."""
+    """p, e with p + e == x * 10**q exactly (Dekker's TwoProduct), q <= 22."""
     b, b_hi, b_lo = _POW[q], _POW_HI[q], _POW_LO[q]
     p = x * b
     hi = _SPLIT * x
@@ -452,41 +493,75 @@ def _two_product(x, q):
     return p, e
 
 
+def _scaled(x, q):
+    """p, e, unsure with p + e == x * 10**q, for x * 10**q below 1e18 and
+    q >= 0; unsure marks the cells whose rounding it may not decide.
+
+    Up to q = 22 this is _two_product, exact.  Past it 10**q is no double:
+    x * 10**22 == p1 + e1 exactly, and p1 * 10**r == p2 + e2 and
+    e1 * 10**r == p3 + e3 exactly, r = q - 22 <= 8.  The small terms are
+    summed in float64: |e2| <= 64 and |p3| < 112, so p + e is x * 10**q
+    within 2**-44.  A cell whose e lies within _UNSURE of a multiple of
+    1/2 is marked: its rounding, or its comparison with 1e16 or 1e17, could
+    go either way.  A tie, such as 3 / 2**25 at q = 24, is one of them."""
+    p, e = _two_product(x, np.minimum(q, 22))
+    unsure = np.zeros(len(x), bool)
+    far = np.flatnonzero(q > 22)
+    if far.size:
+        r = q[far] - 22
+        p2, e2 = _two_product(p[far], r)
+        p3, e3 = _two_product(e[far], r)
+        rest = e2 + p3 + e3
+        high = p2 + rest
+        low = (p2 - high) + rest
+        p[far], e[far] = high, low
+        unsure[far] = np.abs(low - 0.5 * np.rint(2.0 * low)) < _UNSURE
+    return p, e, unsure
+
+
 def _significand(x, d):
-    """(d, D) for float64 x in [1e-4, 1e16) and an int64 guess d of its
+    """(d, D) for float64 x in [1e-12, 1e16) and an int64 guess d of its
     decimal exponent that is off by at most one, corrected in place: the
     exponent and the 17-digit significand D that "%.17g" writes,
     1e16 <= D < 1e17, as int64.
 
-    D is rint(x * 10**q) with q = 16 - d.  10**q is an exact double for
-    0 <= q <= 21, and Dekker's TwoProduct, products of Veltkamp's 26-bit
-    halves, gives p + e == x * 10**q exactly in float64.  When
-    x * 10**q >= 1e16 > 2**53, p is an even integer, so p + rint(e) is the
-    rounding half to even that "%.17g" does; it is summed in int64, exact
-    below 2**63.  Two corrections make d the exponent:
+    D is rint(x * 10**q) with q = 16 - d.  _scaled gives p + e ==
+    x * 10**q, exactly for q <= 22.  When x * 10**q >= 1e16 > 2**53, p is
+    an even integer, so p + rint(e) is the rounding half to even that
+    "%.17g" does; it is summed in int64, exact below 2**63.  Two
+    corrections make d the exponent:
     * down, when p + e < 1e16 (p < 1e16, or p == 1e16 and e < 0): d - 1,
       and the product again;
     * up, when D >= 1e17: d + 1, and the product again.  A guess one too
       low gives this; so would a cell corrected down whose x * 10**(q + 1)
-      rounds to 1e17, and it goes back to its first d, where D = 1e16."""
-    p, e = _two_product(x, 16 - d)
+      rounds to 1e17, and it goes back to its first d, where D = 1e16.
+    A cell that _scaled marks on any product takes d and D from fmt."""
+    p, e, unsure = _scaled(x, 16 - d)
     down = np.flatnonzero((p < 1e16) | ((p == 1e16) & (e < 0)))
-    d[down] -= 1
-    p[down], e[down] = _two_product(x[down], 16 - d[down])
+    if down.size:
+        d[down] -= 1
+        p[down], e[down], more = _scaled(x[down], 16 - d[down])
+        unsure[down] |= more
     D = p.astype(np.int64) + np.rint(e).astype(np.int64)
     up = np.flatnonzero(D >= 10 ** 17)
-    d[up] += 1
-    p, e = _two_product(x[up], 16 - d[up])
-    D[up] = p.astype(np.int64) + np.rint(e).astype(np.int64)
+    if up.size:
+        d[up] += 1
+        p, e, more = _scaled(x[up], 16 - d[up])
+        D[up] = p.astype(np.int64) + np.rint(e).astype(np.int64)
+        unsure[up] |= more
+    for i in np.flatnonzero(unsure).tolist():
+        digits, exponent = format(float(x[i]), ".16e").split("e")
+        D[i], d[i] = int(digits.replace(".", "")), int(exponent)
     return d, D
 
 
 def _fixed17(x):
-    """"%.17g" % x for float64 x in [1e-4, 1e16), as 24 NUL-padded bytes
-    per cell: an (n, 3) uint64 array.  In that domain "%.17g" writes the
-    significand of _significand in fixed point, without its trailing
-    zeros and without a point that no digit follows; np.log10 gives the
-    exponent within one."""
+    """"%.17g" % x for float64 x in [1e-12, 1e16), as 24 bytes per cell
+    once their NULs are deleted: an (n, 3) uint64 array.  In that domain "%.17g" writes the
+    significand of _significand without its trailing zeros and without a
+    point that no digit follows: in fixed point for an exponent d >= -4,
+    else as for d = 0 followed by "e-XX".  np.log10 gives the exponent
+    within one."""
     d, D = _significand(x, np.floor(np.log10(x)).astype(np.int64))
     ascii4, trailing_zeros = _groups_of_four()
 
@@ -510,33 +585,38 @@ def _fixed17(x):
               (a >> np.uint64(56)) | (b << np.uint64(8)),
               b >> np.uint64(56)]
 
-    # keep the digits up to the last nonzero one or the units digit; the
-    # first max(d + 1, 0) stay put and the rest move right to make room
-    # for the point, or for "0." and the zeros before the first digit
-    keep = np.maximum(last, d) + 1
-    stay = np.maximum(d + 1, 0)
-    shift = _SHIFT[d + 4]
+    # fixed: the exponent of the fixed-point layout, d, or 0 for the
+    # exponent form; keep the digits up to the last nonzero one or its
+    # units digit; the first max(fixed + 1, 0) stay put and the rest move
+    # right to make room for the point, or for "0." and the zeros before
+    # the first digit
+    fixed = np.where(d < -4, 0, d)
+    keep = np.maximum(last, fixed) + 1
+    stay = np.maximum(fixed + 1, 0)
+    shift = _SHIFT[fixed + 4]
     back = np.uint64(64) - shift
-    lead = d + 4 + 20 * (last > d)
+    lead = fixed + 4 + 20 * (last > fixed)
     out = np.empty((len(x), 3), np.uint64)
     carry = np.uint64(0)
     for k in range(3):
         word = digits[k] & _FIRST[k][keep]
-        fixed = word & _FIRST[k][stay]
-        word ^= fixed
-        fixed |= _LEAD[k][lead]
-        fixed |= carry
+        kept = word & _FIRST[k][stay]
+        word ^= kept
+        kept |= _LEAD[k][lead]
+        kept |= carry
         carry = word >> back
         word <<= shift
-        out[:, k] = fixed | word
+        out[:, k] = kept | word
+    # and the exponent: the NULs between it and the digits are deleted
+    out[:, 2] |= _EXPONENT[np.minimum(d + 13, 9)]
     return out
 
 
 def _cells(x):
-    """fmt(x[i]) for every float64 cell, as 24 NUL-padded bytes: an (n, 3)
-    uint64 array.  _fixed17 renders the cells of its domain and fmt the
-    rest: 0.0, times below 1e-4 and times of 1e16 or more."""
-    inside = (x >= 1e-4) & (x < 1e16)
+    """fmt(x[i]) for every float64 cell, as 24 bytes once their NULs are
+    deleted: an (n, 3) uint64 array.  _fixed17 renders the cells of its domain and fmt the
+    rest: 0.0, cells below 1e-12 and cells of 1e16 or more."""
+    inside = (x >= 1e-12) & (x < 1e16)
     cells = _fixed17(np.where(inside, x, 1.0))
     outside = np.flatnonzero(~inside)
     if outside.size:
@@ -545,24 +625,30 @@ def _cells(x):
     return cells
 
 
+def _render(*columns):
+    """CSV text as bytes: the word columns of its lines side by side, the
+    NULs deleted.  A column is an array of uint64 words, with one row per
+    line or broadcast to the lines, or a float64 array of cells, which
+    _cells renders."""
+    columns = [_cells(c.ravel()).reshape(c.shape + (3,))
+               if c.dtype == np.float64 else c for c in columns]
+    lines = np.broadcast_shapes(*(c.shape[:-1] for c in columns))
+    line = np.concatenate([np.broadcast_to(c, lines + c.shape[-1:])
+                           for c in columns], axis=-1)
+    return line.astype("<u8", copy=False).tobytes().translate(None, b"\0")
+
+
 def _trajectory_lines(first, times, start):
     """The dump's rows "replicate,time,state\\n" of one block of
     event_time_blocks, as bytes, whole rows of up to DUMP_CELLS cells (or
-    one row) at a time: each chunk is laid out NUL-padded in uint64 words
-    and its NULs deleted."""
+    one row) at a time."""
     rows, states = times.shape
     prefix = _words([b"%d," % i for i in range(first, first + rows)])
     suffix = _words([b",%d\n" % k for k in range(start, start + states)])
     height = max(1, DUMP_CELLS // states)
     for r in range(0, rows, height):
-        chunk = times[r:r + height]
-        h = len(chunk)
-        line = np.concatenate(
-            [np.broadcast_to(prefix[r:r + h, None],
-                             (h, states, prefix.shape[1])),
-             _cells(chunk.ravel()).reshape(h, states, 3),
-             np.broadcast_to(suffix, (h, states, suffix.shape[1]))], axis=2)
-        yield line.astype("<u8", copy=False).tobytes().translate(None, b"\0")
+        yield _render(prefix[r:r + height, None], times[r:r + height],
+                      suffix)
 
 
 def _write_summary(args, command, summary, header=(), row=()):

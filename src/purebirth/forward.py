@@ -290,7 +290,8 @@ def _invert(rates, times):
             np.add(s[:, None], rates, out=q)
             np.divide(rates, q, out=q)
             np.cumprod(q, axis=1, out=q)
-            sums[:, :-1] += (weights @ q).real
+            # the real weights times q's (re, im) pairs: one real product
+            sums[:, :-1] += (weights @ q.view(float))[:, 0::2]
             sums[:, -1] += (weights @ (q[:, -1] / s)).real
         sums[:, :-1] /= rates
         out[row] = sums[0]

@@ -24,7 +24,7 @@ from purebirth import (estimate_absorption_time, expected_absorption_time,
 from purebirth import cli, montecarlo
 from purebirth.cli import (PROB_FLOOR, _cells, _config_actions, _parser,
                            _significand, build_parser, fmt, main)
-from purebirth.forward import FORWARD_SCHEME, forward_grid
+from purebirth.forward import FORWARD_SCHEME, SolverConfig, forward_grid
 from purebirth.montecarlo import (RNG_SCHEME, _simulate_ensemble,
                                   event_time_blocks)
 from purebirth import yule_scaled
@@ -492,13 +492,14 @@ def _csv_dump(model, start, replicates, seed):
 def _ties():
     """Doubles x whose x * 10**q, q = 16 - (decimal exponent of x), ends in
     exactly .5: the 17th digit is a tie, rounded half to even.  They are
-    m / 2**(q + 1) with m odd, m < 2**53 and 1e16 <= m * 5**q / 2 < 1e17."""
+    m / 2**(q + 1) with m odd, m < 2**53 and 1e16 <= m * 5**q / 2 < 1e17.
+    q = 24 is the last q with one: 5**25 / 2 > 1e17."""
     out = []
-    for q in range(1, 21):
+    for q in range(1, 25):
         low = -(-2 * 10 ** 16 // 5 ** q) | 1
         high = min((2 * 10 ** 17 - 1) // 5 ** q, 2 ** 53 - 1)
         high -= 1 - high % 2
-        for m in (low, low + 2, low + 4, high):
+        for m in sorted({low, min(low + 2, high), min(low + 4, high), high}):
             x = m / 2 ** (q + 1)
             assert Fraction(x) * 10 ** q % 1 == Fraction(1, 2)
             out.append(x)
@@ -506,11 +507,12 @@ def _ties():
 
 
 def _edges():
-    """Up to 3 doubles on either side of each power of ten from 1e-5 to
-    1e17, the power itself, the ties, 9.9999999999999995e{k} and the ends
-    of the kernel's domain [1e-4, 1e16)."""
-    out = [1e-4, math.nextafter(1e-4, 0), 1e16, math.nextafter(1e16, 0)]
-    for k in range(-5, 18):
+    """Up to 3 doubles on either side of each power of ten from 1e-13 to
+    1e17, the power itself, the ties, 9.9999999999999995e{k}, the ends of
+    the kernel's domain [1e-12, 1e16) and of its fixed form, 1e-4."""
+    out = [1e-12, math.nextafter(1e-12, 0), 1e-4, math.nextafter(1e-4, 0),
+           1e16, math.nextafter(1e16, 0)]
+    for k in range(-13, 18):
         power = float(f"1e{k}")
         out.append(power)
         for toward in (0.0, math.inf):
@@ -518,17 +520,17 @@ def _edges():
             for _ in range(3):
                 x = math.nextafter(x, toward)
                 out.append(x)
-    out += [float(f"9.9999999999999995e{k}") for k in range(-5, 18)]
+    out += [float(f"9.9999999999999995e{k}") for k in range(-13, 18)]
     return out + _ties()
 
 
 class TestDumpCells:
-    """The dump renders each time as fmt does, by the float64 kernel in
-    [1e-4, 1e16) and by fmt itself elsewhere."""
+    """The CSV writers render each cell as fmt does, by the float64 kernel
+    in [1e-12, 1e16) and by fmt itself elsewhere."""
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(st.lists(st.one_of(st.just(0.0),
-                              st.floats(-6, 18).map(lambda u: 10.0 ** u)),
+                              st.floats(-13, 18).map(lambda u: 10.0 ** u)),
                     min_size=1, max_size=64))
     def test_cells_are_fmt(self, values):
         assert _rendered(values) == [fmt(x) for x in values]
@@ -539,7 +541,7 @@ class TestDumpCells:
 
     def test_both_exponent_corrections(self):
         # a guess one too high is corrected down, one too low up
-        values = [x for x in _edges() if 1e-4 <= x < 1e16]
+        values = [x for x in _edges() if 1e-12 <= x < 1e16]
         x = np.array(values)
         digits, exponents = zip(*(format(v, ".16e").split("e")
                                   for v in values))
@@ -1088,10 +1090,12 @@ def test_csv_has_no_trailing_whitespace(capsys):
 
 
 # forward output against renderings by csv.writer + fmt and json.dumps
-# (the writer the template path replaced); each case has rows below
-# PROB_FLOOR that must be left out.  The first case is solved by
-# uniformization, the second by inversion, which also leaves out rows above
-# PROB_FLOOR but at or below their snapshot's error bound.
+# (the writer the kernel path replaced); each case has rows below
+# PROB_FLOOR that must be left out.  The first and third cases are solved
+# by uniformization, the second by inversion, which also leaves out rows
+# above PROB_FLOOR but at or below their snapshot's error bound.  The
+# third writes rows from just above PROB_FLOOR to 1, so every exponent from
+# e-05 to e-12.
 WRITER_CASES = [
     (["--family", "hypergeometric", "--N", "50", "--lambda", "1",
       "--p", "0.31", "--t-grid", "0,10,50,100"],
@@ -1099,6 +1103,9 @@ WRITER_CASES = [
     (["--family", "yule", "--N", "2000", "--mu", "1", "--p", "0.31",
       "--start", "3", "--t-grid", "0.5,7,20", "--unit", "days"],
      yule_scaled(2000, 1.0, 0.31, "days"), 3, [0.5, 7.0, 20.0]),
+    (["--family", "hypergeometric", "--N", "50", "--lambda", "1",
+      "--p", "0.31", "--t-grid", "10,50,100", "--abs-tol", "1e-14"],
+     hypergeometric_mixing(50, 1.0, 0.31), 1, [10.0, 50.0, 100.0]),
 ]
 
 
@@ -1113,12 +1120,22 @@ def _written(snap):
             if prob > floor]
 
 
+def _dropped(snap):
+    """The fsum of a snapshot's probabilities that forward does not write."""
+    written = {state for state, _ in _written(snap)}
+    return math.fsum(float(prob) for state, prob
+                     in zip(snap.states, snap.probabilities)
+                     if state not in written)
+
+
 def _reference_forward(argv, model, start, times, fmt_name):
     from purebirth import __version__
     from purebirth.cli import _model_spec
 
     header = ["time", "state", "probability"]
-    snaps = forward_grid(model, start, times)
+    args = build_parser().parse_args(["forward"] + argv)
+    snaps = forward_grid(model, start, times, None if args.abs_tol is None
+                         else SolverConfig(abs_tol=args.abs_tol))
     rows = [[snap.time, state, prob] for snap in snaps
             for state, prob in _written(snap)]
     assert len(rows) < sum(len(snap.states) for snap in snaps)
@@ -1133,13 +1150,13 @@ def _reference_forward(argv, model, start, times, fmt_name):
         for row in rows:
             writer.writerow([fmt(cell) for cell in row])
         return buf.getvalue()
-    args = build_parser().parse_args(["forward"] + argv)
     metadata = {"command": "forward", "version": __version__,
                 "model": {k: v for k, v in _model_spec(args).items()
                           if v is not None},
                 "times": times, "forward_scheme": snaps[0].scheme,
                 "max_mass_defect": max(s.mass_defect for s in snaps),
-                "max_error_bound": max(s.error_bound for s in snaps)}
+                "max_error_bound": max(s.error_bound for s in snaps),
+                "max_dropped_mass": max(_dropped(snap) for snap in snaps)}
     payload = {"metadata": metadata,
                "rows": [dict(zip(header, row)) for row in rows]}
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -1188,6 +1205,34 @@ def test_forward_output_bytes_match_reference_writer(tmp_path, capsys, case,
     for line, wanted in zip(got_lines, want_lines):
         assert line == wanted
     assert len(got_lines) == len(want_lines)
+    if case == 2 and fmt_name == "csv":
+        assert set(re.findall(r"e-(\d\d)$", got, re.M)) == {
+            f"{k:02d}" for k in range(5, 13)}
+
+
+def test_dropped_mass_is_what_the_written_rows_leave_out(capsys):
+    # on each time the written rows and the dropped mass make up the
+    # snapshot's mass
+    argv = ["forward", "--family", "yule", "--N", "20000", "--mu", "1",
+            "--p", "0.31", "--t-grid", "5,15"]
+    assert main(argv) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]
+    assert main(argv + ["--format", "json"]) == 0
+    meta = json.loads(capsys.readouterr().out)["metadata"]
+    snaps = forward_grid(yule_scaled(20000, 1.0, 0.31), 1, [5.0, 15.0])
+    assert snaps[0].scheme == INVERSION_SCHEME
+    dropped = cli._SnapshotRows(snaps).dropped()
+    assert meta["max_dropped_mass"] == max(dropped) == max(map(_dropped,
+                                                                snaps))
+    for snap, mass in zip(snaps, dropped):
+        written = math.fsum(float(prob) for t, _, prob in rows
+                            if float(t) == snap.time)
+        assert written + mass == pytest.approx(
+            math.fsum(snap.probabilities.tolist()), abs=1e-15, rel=0)
+    # at N = 2e5 and t = 15 the rows left out hold 4.08e-8, four times
+    # MASS_DEFECT_TOL: 3.8e-8 in the rows at or below their error bound
+    snaps = forward_grid(yule_scaled(200000, 1.0, 0.31), 1, [15.0])
+    assert 4.0e-8 < max(cli._SnapshotRows(snaps).dropped()) < 4.2e-8
 
 
 def _traced_peak(call):

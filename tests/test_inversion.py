@@ -76,6 +76,40 @@ models = st.one_of(
               st.integers(2, 40)))
 
 
+def _complex_invert(rates, times):
+    """forward._invert with its node sums by a complex product of the real
+    weights, as it was written before they became one real product."""
+    out = np.empty((times.size, rates.size + 1))
+    estimate = np.empty(times.size)
+    for row, t in enumerate(times.tolist()):
+        sums = np.zeros((2, rates.size + 1))
+        for lo in range(0, forward.EULER_NODES, forward.EULER_CHUNK):
+            hi = lo + forward.EULER_CHUNK
+            s = forward._EULER_NODES[lo:hi] / t
+            weights = forward._EULER_WEIGHTS[:, lo:hi] / t
+            q = np.cumprod(rates / (s[:, None] + rates), axis=1)
+            sums[:, :-1] += (weights @ q).real
+            sums[:, -1] += (weights @ (q[:, -1] / s)).real
+        sums[:, :-1] /= rates
+        out[row], estimate[row] = sums[0], np.abs(sums[1]).max()
+    return out, estimate
+
+
+@pytest.mark.parametrize("model, times", [
+    (yule_scaled(2000, 1.0, 0.31), [2.0 * (i + 1) for i in range(10)]),
+    (yule_scaled(5000, 1.0, 0.31), [5.0, 10.0, 20.0]),
+    (hypergeometric_mixing(5000, 1.0, 0.31), [5.0, 20.0, 40.0]),
+    (power_law(1.0, -2.0, 2000), [1e3, 1e7])],
+    ids=["yule-2000", "yule-5000", "hypergeometric-5000", "power_law-2"])
+def test_real_node_sums_keep_every_bit(model, times):
+    rates = rate_vector(model, 1)
+    times = np.array(times)
+    rows, estimate = forward._invert(rates, times)
+    want_rows, want_estimate = _complex_invert(rates, times)
+    assert np.array_equal(rows, want_rows)
+    assert np.array_equal(estimate, want_estimate)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(model=models, times=st.lists(st.floats(0.01, 50.0), min_size=1,
                                     max_size=6), data=st.data())
