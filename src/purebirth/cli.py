@@ -433,7 +433,8 @@ def _start(args):
 # dropped, written in fixed point from 1e-4 and as d.ddd...e-XX below it.
 DUMP_CELLS = 2 ** 13        # a chunk: whole rows of up to this many cells
 _SPLIT = 134217729.0        # 2**27 + 1, Veltkamp's splitting constant
-_POW = np.array([float(10 ** q) for q in range(23)])  # exact: 5**22 < 2**53
+# 10**min(q, 22), exact: 5**22 < 2**53
+_POW = np.array([float(10 ** min(q, 22)) for q in range(31)])
 _POW_HI = _SPLIT * _POW - (_SPLIT * _POW - _POW)
 _POW_LO = _POW - _POW_HI
 _UNSURE = 2.0 ** -40        # see _scaled
@@ -452,19 +453,19 @@ def _words(strings, width=None):
 # tables of 24-byte fields by column: word k of field i is table[k][i]
 # by byte count m: the first m bytes of a field
 _FIRST = _words([b"\xff" * m for m in range(25)], 24).T
-# by d + 4, then d + 24 with a point: what precedes the digits, or sits
-# between them, in a cell of exponent d
-_LEAD = _words([b"0." + b"0" * (-d - 1) if d < 0 else
+# by d + 13, then d + 42 with a point: what precedes the digits, or sits
+# between them, in a cell of exponent d; below -4, as for d = 0, and then
+# the exponent "e-XX" at bytes 18-21, after every digit and the point (the
+# NULs between them are deleted)
+_LEAD = _words([(b"\0" + b"." * point).ljust(18, b"\0") + b"e-%02d" % -d
+                if d < -4 else b"0." + b"0" * (-d - 1) if d < 0 else
                 b"\0" * (d + 1) + b"." * point
-                for point in (0, 1) for d in range(-4, 16)], 24).T
-# by d + 4: the bits the digits past the units digit move by, one byte for
+                for point in (0, 1) for d in range(-13, 16)], 24).T
+# by d + 13: the bits the digits past the units digit move by, one byte for
 # the point, or 1 - d bytes for "0." and the zeros
-_SHIFT = np.array([8 * max(1, 1 - d) for d in range(-4, 16)], np.uint64)
-# by d + 13: word 2 of a field with the exponent "e-XX" of d in [-13, -5]
-# at bytes 18-21, after every digit and the point, and by 9 none
-_EXPONENT = _words([b"\0" * 18 + b"e-%02d" % -d for d in range(-13, -4)]
-                   + [b""], 24)[:, 2]
-_NEWLINE = _words([b"\n"])
+_SHIFT = np.array([8 * (1 - d if -4 <= d < 0 else 1) for d in range(-13, 16)],
+                  np.uint64)
+_NEWLINE = _words([b"\n"])  # the last word column of a forward CSV row
 
 
 @functools.cache
@@ -480,7 +481,7 @@ def _groups_of_four():
 
 
 def _two_product(x, q):
-    """p, e with p + e == x * 10**q exactly (Dekker's TwoProduct), q <= 22."""
+    """p, e with p + e == x * 10**min(q, 22) exactly (Dekker's TwoProduct)."""
     b, b_hi, b_lo = _POW[q], _POW_HI[q], _POW_LO[q]
     p = x * b
     hi = _SPLIT * x
@@ -497,14 +498,14 @@ def _scaled(x, q):
     """p, e, unsure with p + e == x * 10**q, for x * 10**q below 1e18 and
     q >= 0; unsure marks the cells whose rounding it may not decide.
 
-    Up to q = 22 this is _two_product, exact.  Past it 10**q is no double:
-    x * 10**22 == p1 + e1 exactly, and p1 * 10**r == p2 + e2 and
+    Up to q = 22 this is _two_product, exact.  Past it 10**q is no double;
+    _two_product gives x * 10**22 == p1 + e1, p1 * 10**r == p2 + e2 and
     e1 * 10**r == p3 + e3 exactly, r = q - 22 <= 8.  The small terms are
     summed in float64: |e2| <= 64 and |p3| < 112, so p + e is x * 10**q
     within 2**-44.  A cell whose e lies within _UNSURE of a multiple of
     1/2 is marked: its rounding, or its comparison with 1e16 or 1e17, could
     go either way.  A tie, such as 3 / 2**25 at q = 24, is one of them."""
-    p, e = _two_product(x, np.minimum(q, 22))
+    p, e = _two_product(x, q)
     unsure = np.zeros(len(x), bool)
     far = np.flatnonzero(q > 22)
     if far.size:
@@ -593,9 +594,9 @@ def _fixed17(x):
     fixed = np.where(d < -4, 0, d)
     keep = np.maximum(last, fixed) + 1
     stay = np.maximum(fixed + 1, 0)
-    shift = _SHIFT[fixed + 4]
+    shift = _SHIFT[d + 13]
     back = np.uint64(64) - shift
-    lead = fixed + 4 + 20 * (last > fixed)
+    lead = d + 13 + 29 * (last > fixed)
     out = np.empty((len(x), 3), np.uint64)
     carry = np.uint64(0)
     for k in range(3):
@@ -607,15 +608,14 @@ def _fixed17(x):
         carry = word >> back
         word <<= shift
         out[:, k] = kept | word
-    # and the exponent: the NULs between it and the digits are deleted
-    out[:, 2] |= _EXPONENT[np.minimum(d + 13, 9)]
     return out
 
 
 def _cells(x):
     """fmt(x[i]) for every float64 cell, as 24 bytes once their NULs are
-    deleted: an (n, 3) uint64 array.  _fixed17 renders the cells of its domain and fmt the
-    rest: 0.0, cells below 1e-12 and cells of 1e16 or more."""
+    deleted: an (n, 3) uint64 array.  _fixed17 renders the cells of its
+    domain and fmt the rest: 0.0, cells below 1e-12 and cells of 1e16 or
+    more."""
     inside = (x >= 1e-12) & (x < 1e16)
     cells = _fixed17(np.where(inside, x, 1.0))
     outside = np.flatnonzero(~inside)
