@@ -77,8 +77,8 @@ models = st.one_of(
 
 
 def _complex_invert(rates, times):
-    """forward._invert with its node sums by a complex product of the real
-    weights, as it was written before they became one real product."""
+    """forward._invert with its node sums taken by a complex product of
+    the real weights: the reference for its one real product."""
     out = np.empty((times.size, rates.size + 1))
     estimate = np.empty(times.size)
     for row, t in enumerate(times.tolist()):
