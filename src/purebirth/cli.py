@@ -28,14 +28,18 @@ and skip the parser build, about 2 ms; a one-shot process builds it once.
 build_parser() still returns a new parser on every call.
 
 simulate --trajectories draws each block once, one block at a time: the
-summary is taken from the dumped blocks.  Both CSV outputs of floats, the
-dump (one row per event) and forward's rows, are rendered by one exact
-kernel in numpy, up to 8192 cells at a time (or one longer dump row), with
-the bytes fmt would write: a cell in [1e-12, 1e16) gets the 17-digit
-significand "%.17g" rounds to, exact in float64 by Dekker's two-product,
-in fixed point from 1e-4 and with an exponent below it; a cell whose
-rounding that arithmetic cannot decide, and any other cell (0.0, the tiny
-and the huge), is fmt's.  forward's JSON rows keep repr.
+summary is taken from the dumped blocks.  Every output of many floats,
+the dump (one row per event) and forward's CSV and JSON rows, is rendered
+by one exact kernel in numpy, in chunks of up to 8192 CSV cells (or one
+longer dump row) or 2048 JSON rows.  A CSV cell has the bytes fmt would
+write and a JSON cell those of repr.  In [1e-12, 1e16) the kernel forms
+x * 10**q exactly in float64 by Dekker's two-product: CSV writes the
+17-digit significand "%.17g" rounds to, and JSON the shortest of 15 to 17
+digits that parses back to x, as repr does; in fixed point from 1e-4 and
+with an exponent below it.  A cell whose digits that arithmetic cannot
+decide, a JSON cell of 14 digits or fewer and any other cell (0.0, the
+tiny and the huge) are fmt's or repr's.  The integer columns, the states
+and the dump's replicate numbers, come from the same 4-digit table.
 """
 
 from __future__ import annotations
@@ -252,10 +256,11 @@ def _increasing(text: str, kind, flag: str, where: str) -> list:
 class _SnapshotRows:
     """The rows (time, state, probability) of forward_grid's snapshots
     whose probability is above PROB_FLOOR, and under inversion above its
-    error_bound, at or below which it carries no digits.  CSV is rendered
-    by _render, up to DUMP_CELLS rows at a time across snapshots; JSON one
-    snapshot at a time into one %-template.  len() counts the rows.  Every
-    snapshot has a row, since its mass is 1 within MASS_DEFECT_TOL."""
+    error_bound, at or below which it carries no digits.  Both formats are
+    rendered by _render, in chunks that may span snapshots: CSV up to
+    DUMP_CELLS rows at a time with fmt's digits, JSON up to JSON_ROWS rows
+    with repr's.  len() counts the rows.  Every snapshot has a row, since
+    its mass is 1 within MASS_DEFECT_TOL."""
 
     def __init__(self, snapshots):
         self.snapshots = snapshots
@@ -274,23 +279,18 @@ class _SnapshotRows:
         return [math.fsum(snap.probabilities[~keep].tolist())
                 for snap, keep in zip(self.snapshots, self._keep())]
 
-    def _kept(self):
-        for snap, keep in zip(self.snapshots, self._keep()):
-            yield (snap.time, snap.states[keep].tolist(),
-                   snap.probabilities[keep].tolist())
-
-    def _chunks(self):
+    def _chunks(self, rows):
         """(snapshot, state index, probability) arrays of the rows, up to
-        DUMP_CELLS at a time; a chunk may span snapshots."""
+        rows at a time; a chunk may span snapshots."""
         parts, size = [], 0
         for i, (snap, keep) in enumerate(zip(self.snapshots, self._keep())):
             kept = np.flatnonzero(keep)
             while kept.size:
-                part, kept = kept[:DUMP_CELLS - size], kept[DUMP_CELLS - size:]
+                part, kept = kept[:rows - size], kept[rows - size:]
                 parts.append((np.full(part.size, i), part,
                               snap.probabilities[part]))
                 size += part.size
-                if size == DUMP_CELLS:
+                if size == rows:
                     yield [np.concatenate(column) for column in zip(*parts)]
                     parts, size = [], 0
         if parts:
@@ -301,29 +301,25 @@ class _SnapshotRows:
         # snapshot shares; fmt's digits, and str(k), need no quoting
         times = _words([fmt(snap.time).encode() + b","
                         for snap in self.snapshots])
-        states = _words([b"%d," % k
-                         for k in self.snapshots[0].states.tolist()])
-        for which, index, probs in self._chunks():
+        states = _integers(self.snapshots[0].states, tail=b",")
+        for which, index, probs in self._chunks(DUMP_CELLS):
             yield _render(times[which], states[index], probs,
                           _NEWLINE).decode()
 
     def json_rows(self):
         # the list of row objects json.dumps(..., indent=2, sort_keys=True)
-        # writes, up to its closing "]"; "%r" % x == json.dumps(x) for a
-        # finite float
-        for i, (t, states, probs) in enumerate(self._kept()):
-            row = ('    {\n      "probability": %r,\n      "state": %d,\n'
-                   f'      "time": {json.dumps(t)}\n    }}')
-            yield (",\n" if i else "[\n") + _fill(row, ",\n", probs, states)
-
-
-def _fill(row, sep, first, second):
-    """len(first) copies of a two-placeholder row template, joined by sep
-    and filled from first[i], second[i] in turn."""
-    cells = [None] * (2 * len(first))
-    cells[0::2] = first
-    cells[1::2] = second
-    return sep.join([row] * len(first)) % tuple(cells)
+        # writes, from its "[" up to its closing "]": each row is
+        # ',\n    {\n      "probability": ' (whose "," is the list's "["
+        # on the first row), the cell, ',\n      "state": ' and the state,
+        # and ',\n      "time": <t>\n    }'; json.dumps(x) == repr(x) for
+        # a finite float
+        times = _words([b',\n      "time": %s\n    }' % json.dumps(
+            snap.time).encode() for snap in self.snapshots])
+        states = _integers(self.snapshots[0].states)
+        for i, (which, index, probs) in enumerate(self._chunks(JSON_ROWS)):
+            text = _render(_OPEN_ROW, probs, _STATE, states[index],
+                           times[which], fallback=repr).decode()
+            yield text if i else "[" + text[1:]
 
 
 @contextlib.contextmanager
@@ -438,6 +434,8 @@ _POW = np.array([float(10 ** min(q, 22)) for q in range(31)])
 _POW_HI = _SPLIT * _POW - (_SPLIT * _POW - _POW)
 _POW_LO = _POW - _POW_HI
 _UNSURE = 2.0 ** -40        # see _scaled
+_TEN = np.array([float(10 ** q) for q in range(31)])  # rounded past 10**22
+_POWERS = 10 ** np.arange(1, 8)  # a count of k's digits less one
 
 
 def _words(strings, width=None):
@@ -466,6 +464,12 @@ _LEAD = _words([(b"\0" + b"." * point).ljust(18, b"\0") + b"e-%02d" % -d
 _SHIFT = np.array([8 * (1 - d if -4 <= d < 0 else 1) for d in range(-13, 16)],
                   np.uint64)
 _NEWLINE = _words([b"\n"])  # the last word column of a forward CSV row
+# forward's JSON rows: up to JSON_ROWS at a time, whose 15 words a row
+# take less than DUMP_CELLS CSV rows of 6 words; the words before the
+# probability and between it and the state
+JSON_ROWS = DUMP_CELLS // 4
+_OPEN_ROW = _words([b',\n    {\n      "probability": '])
+_STATE = _words([b',\n      "state": '])
 
 
 @functools.cache
@@ -478,6 +482,30 @@ def _groups_of_four():
     zeros = sum((np.arange(10000) % 10 ** j == 0).astype(np.int64)
                 for j in range(1, 5))
     return ascii4, zeros
+
+
+def _integers(k, head=b"", tail=b""):
+    """_words of head + b"%d" % k + tail for each k of an int64 array, with
+    a head and a tail of up to 8 bytes.  Where head and the digits fit one
+    word, 0 <= k < 10**(8 - len(head)), it is built in numpy: k's 8 digits
+    from _groups_of_four's table, the first at byte 0, shifted right past
+    their leading zeros to sit after head, and tail after them, running
+    into a second word if it must."""
+    if not 0 <= k.min() <= k.max() < 10 ** (8 - len(head)):
+        return _words([b"%s%d%s" % (head, v, tail) for v in k.tolist()])
+    ascii4 = _groups_of_four()[0]
+    # end: the bit at which tail starts, 8 * (len(head) + digits)
+    end = np.uint64(8) * (np.searchsorted(_POWERS, k, "right").astype(
+        np.uint64) + np.uint64(len(head) + 1))
+    word = ascii4[k // 10000] | (ascii4[k % 10000] << np.uint64(32))
+    word >>= np.uint64(64 + 8 * len(head)) - end
+    word <<= np.uint64(8 * len(head))
+    after = np.uint64(int.from_bytes(tail, "little"))
+    word |= np.uint64(int.from_bytes(head, "little")) | (after << end)
+    if int(end.max()) + 8 * len(tail) <= 64:
+        return word[:, None]
+    # numpy shifts a uint64 by 64 or more to 0
+    return np.stack([word, after >> (np.uint64(64) - end)], axis=1)
 
 
 def _two_product(x, q):
@@ -521,22 +549,23 @@ def _scaled(x, q):
 
 
 def _significand(x, d):
-    """(d, D) for float64 x in [1e-12, 1e16) and an int64 guess d of its
-    decimal exponent that is off by at most one, corrected in place: the
-    exponent and the 17-digit significand D that "%.17g" writes,
-    1e16 <= D < 1e17, as int64.
+    """(d, D, frac, unsure) for float64 x in [1e-12, 1e16) and an int64
+    guess d of its decimal exponent that is off by at most one, corrected
+    in place: the exponent and the 17-digit significand D that "%.17g"
+    writes, 1e16 <= D < 1e17, as int64, with D + frac == x * 10**q, and
+    _scaled's unsure marks.
 
     D is rint(x * 10**q) with q = 16 - d.  _scaled gives p + e ==
     x * 10**q, exactly for q <= 22.  When x * 10**q >= 1e16 > 2**53, p is
     an even integer, so p + rint(e) is the rounding half to even that
-    "%.17g" does; it is summed in int64, exact below 2**63.  Two
-    corrections make d the exponent:
+    "%.17g" does; it is summed in int64, exact below 2**63, and frac is
+    e - rint(e).  Two corrections make d the exponent:
     * down, when p + e < 1e16 (p < 1e16, or p == 1e16 and e < 0): d - 1,
       and the product again;
     * up, when D >= 1e17: d + 1, and the product again.  A guess one too
       low gives this; so would a cell corrected down whose x * 10**(q + 1)
       rounds to 1e17, and it goes back to its first d, where D = 1e16.
-    A cell that _scaled marks on any product takes d and D from fmt."""
+    A cell that _scaled marks on any product is marked unsure."""
     p, e, unsure = _scaled(x, 16 - d)
     down = np.flatnonzero((p < 1e16) | ((p == 1e16) & (e < 0)))
     if down.size:
@@ -547,23 +576,56 @@ def _significand(x, d):
     up = np.flatnonzero(D >= 10 ** 17)
     if up.size:
         d[up] += 1
-        p, e, more = _scaled(x[up], 16 - d[up])
-        D[up] = p.astype(np.int64) + np.rint(e).astype(np.int64)
+        p, e[up], more = _scaled(x[up], 16 - d[up])
+        D[up] = p.astype(np.int64) + np.rint(e[up]).astype(np.int64)
         unsure[up] |= more
-    for i in np.flatnonzero(unsure).tolist():
-        digits, exponent = format(float(x[i]), ".16e").split("e")
-        D[i], d[i] = int(digits.replace(".", "")), int(exponent)
-    return d, D
+    return d, D, e - np.rint(e), unsure
 
 
-def _fixed17(x):
-    """"%.17g" % x for float64 x in [1e-12, 1e16), as 24 bytes per cell
-    once their NULs are deleted: an (n, 3) uint64 array.  In that domain "%.17g" writes the
-    significand of _significand without its trailing zeros and without a
-    point that no digit follows: in fixed point for an exponent d >= -4,
-    else as for d = 0 followed by "e-XX".  np.log10 gives the exponent
-    within one."""
-    d, D = _significand(x, np.floor(np.log10(x)).astype(np.int64))
+def _shortest(x, d, D, frac):
+    """(S, unsure): the significand repr writes for float64 x in
+    [1e-12, 1e16), padded to 17 digits, from _significand's d, D and frac,
+    unless it has 14 digits or fewer; and the cells whose digits this does
+    not decide.
+
+    repr writes the shortest digits that parse back to x and, of those,
+    the ones nearest x (Gay 1990).  Scaled by 10**q, x is D + frac, and
+    the reals that parse back to x lie within h, half its ulp, of it
+    (inclusive when its last bit is 0).  At k = 16, 15 and 14 digits, the
+    nearest multiple of u = 10**(17 - k) lies min(r + frac, u - r - frac)
+    away, r = D mod u; S is that multiple at the shortest k within h, else
+    D.  Unsure: a distance within 1e-6 of h, a decimal tie and a power of
+    two (whose interval below x is h / 2)."""
+    m, exponent = np.frexp(x)
+    h = np.ldexp(_TEN[16 - d], exponent - 54)
+    unsure = m == 0.5
+    S = D.copy()
+    for u in (10, 100, 1000):
+        r = D % u
+        below = r + frac  # x * 10**q less the multiple of u at or below D
+        above = u - below
+        near = np.minimum(below, above)
+        unsure |= (np.abs(near - h) < 1e-6) | (below == above)
+        S = np.where(near < h, D - r + u * (above < below), S)
+    return S, unsure
+
+
+def _fixed17(x, shortest=False):
+    """(cells, unsure): "%.17g" % x, or repr(x) if shortest, for float64 x
+    in [1e-12, 1e16), as 24 bytes per cell once their NULs are deleted (an
+    (n, 3) uint64 array), and the cells it leaves to them: those that
+    _significand or _shortest marks.  In that domain both write the
+    significand of _significand, or of _shortest, without its trailing
+    zeros and without a point that no digit follows: in fixed point for an
+    exponent d >= -4, else as for d = 0 followed by "e-XX".  But repr also
+    leaves a cell of 14 digits or fewer, which _shortest does not find, and
+    writes "1234.0" where "%.17g" writes "1234".  np.log10 gives the
+    exponent within one."""
+    d, D, frac, unsure = _significand(x, np.floor(np.log10(x))
+                                      .astype(np.int64))
+    if shortest:
+        D, more = _shortest(x, d, D, frac)
+        unsure |= more
     ascii4, trailing_zeros = _groups_of_four()
 
     # D as its first digit and four groups of 4 digits
@@ -608,29 +670,31 @@ def _fixed17(x):
         carry = word >> back
         word <<= shift
         out[:, k] = kept | word
-    return out
+    if shortest:
+        unsure |= (last < 14) | (last <= fixed)
+    return out, unsure
 
 
-def _cells(x):
-    """fmt(x[i]) for every float64 cell, as 24 bytes once their NULs are
-    deleted: an (n, 3) uint64 array.  _fixed17 renders the cells of its
-    domain and fmt the rest: 0.0, cells below 1e-12 and cells of 1e16 or
-    more."""
+def _cells(x, fallback=fmt):
+    """fallback(x[i]) for every float64 cell, fmt or repr, as 24 bytes once
+    their NULs are deleted: an (n, 3) uint64 array.  _fixed17 renders the
+    cells of its domain and fallback the rest: 0.0, cells below 1e-12 and
+    cells of 1e16 or more, and those _fixed17 leaves to it."""
     inside = (x >= 1e-12) & (x < 1e16)
-    cells = _fixed17(np.where(inside, x, 1.0))
-    outside = np.flatnonzero(~inside)
-    if outside.size:
-        cells[outside] = _words([fmt(t).encode()
-                                 for t in x[outside].tolist()], 24)
+    cells, unsure = _fixed17(np.where(inside, x, 1.0), fallback is repr)
+    other = np.flatnonzero(unsure | ~inside)
+    if other.size:
+        cells[other] = _words([fallback(t).encode()
+                               for t in x[other].tolist()], 24)
     return cells
 
 
-def _render(*columns):
-    """CSV text as bytes: the word columns of its lines side by side, the
-    NULs deleted.  A column is an array of uint64 words, with one row per
-    line or broadcast to the lines, or a float64 array of cells, which
-    _cells renders."""
-    columns = [_cells(c.ravel()).reshape(c.shape + (3,))
+def _render(*columns, fallback=fmt):
+    """Text as bytes: the word columns of its lines side by side, the NULs
+    deleted.  A column is an array of uint64 words, with one row per line
+    or broadcast to the lines, or a float64 array of cells, which _cells
+    renders with fallback's digits."""
+    columns = [_cells(c.ravel(), fallback).reshape(c.shape + (3,))
                if c.dtype == np.float64 else c for c in columns]
     lines = np.broadcast_shapes(*(c.shape[:-1] for c in columns))
     line = np.concatenate([np.broadcast_to(c, lines + c.shape[-1:])
@@ -643,8 +707,8 @@ def _trajectory_lines(first, times, start):
     event_time_blocks, as bytes, whole rows of up to DUMP_CELLS cells (or
     one row) at a time."""
     rows, states = times.shape
-    prefix = _words([b"%d," % i for i in range(first, first + rows)])
-    suffix = _words([b",%d\n" % k for k in range(start, start + states)])
+    prefix = _integers(np.arange(first, first + rows), tail=b",")
+    suffix = _integers(np.arange(start, start + states), b",", b"\n")
     height = max(1, DUMP_CELLS // states)
     for r in range(0, rows, height):
         yield _render(prefix[r:r + height, None], times[r:r + height],

@@ -162,14 +162,18 @@ def forward_grid(model: RateModel, start_state: int, times: Sequence[float],
         raise OutOfRange(f"times times the largest rate {big} overflow")
     # with Lambda t <= abs_tol the chain stays put but for that much mass
     moving = counts > config.abs_tol
-    solutions = np.zeros((times.size, len(states)))
-    solutions[~moving, 0] = 1.0
     bounds = np.full(times.size, config.abs_tol)
     scheme = FORWARD_SCHEME
     if moving.any():
         solved, scheme, bounds[moving] = _solve(
             lam, times[moving], counts[moving], config.abs_tol)
-        solutions[moving] = solved
+    if moving.all():
+        solutions = solved  # held once: each snapshot views its row
+    else:
+        solutions = np.zeros((times.size, len(states)))
+        solutions[~moving, 0] = 1.0
+        if moving.any():
+            solutions[moving] = solved
     return [_make_snapshot(float(t), states, y, config, scheme, bound)
             for t, y, bound in zip(times, solutions, bounds.tolist())]
 
@@ -324,7 +328,9 @@ def _stirling_error(n):
 
 
 def _make_snapshot(t, states, y, config, scheme, error_bound):
-    mass_defect = abs(1.0 - math.fsum(y))
+    """The snapshot of row y, checked, and then clipped to [0, 1] in place:
+    its probabilities are a view of y."""
+    mass_defect = abs(1.0 - math.fsum(y.tolist()))
     if mass_defect > MASS_DEFECT_TOL:
         raise ToleranceNotMet(
             f"probability mass defect {mass_defect:.3e} at t={t}")
@@ -335,8 +341,8 @@ def _make_snapshot(t, states, y, config, scheme, error_bound):
     if worst < -neg_floor:
         raise ToleranceNotMet(
             f"negative probability {worst:.3e} at t={t} exceeds roundoff floor")
-    clipped = np.clip(y, 0.0, 1.0)
-    return DistributionSnapshot(time=t, states=states, probabilities=clipped,
+    np.clip(y, 0.0, 1.0, out=y)
+    return DistributionSnapshot(time=t, states=states, probabilities=y,
                                 mass_defect=mass_defect, scheme=scheme,
                                 error_bound=error_bound)
 

@@ -470,9 +470,10 @@ class TestSimulate:
         assert "--seed" in capsys.readouterr().err
 
 
-def _rendered(values):
-    """The text of each cell that the trajectory dump renders."""
-    cells = _cells(np.array(values, dtype=float))
+def _rendered(values, fallback=fmt):
+    """The text of each cell that the CSV writers render, or with repr's
+    digits the JSON writer."""
+    cells = _cells(np.array(values, dtype=float), fallback)
     return [bytes(row).replace(b"\0", b"").decode()
             for row in cells.view(np.uint8).reshape(len(values), 24)]
 
@@ -548,9 +549,16 @@ class TestDumpCells:
         want_D = [int(s.replace(".", "")) for s in digits]
         want_d = [int(s) for s in exponents]
         for miss in (-1, 0, 1):
-            d, D = _significand(x, np.array(want_d, np.int64) + miss)
+            d, D, frac, unsure = _significand(
+                x, np.array(want_d, np.int64) + miss)
             assert D.tolist() == want_D
             assert d.tolist() == want_d
+            # D + frac is x * 10**q, exactly up to q = 22 and within 2**-44
+            # past it
+            for v, q, D_v, f in zip(values, 16 - d, D.tolist(),
+                                    frac.tolist()):
+                miss_by = Fraction(v) * 10 ** int(q) - D_v - Fraction(f)
+                assert miss_by == 0 or (q > 22 and abs(miss_by) < 2 ** -44)
 
     @pytest.mark.parametrize("argv, model, start", [
         # times of 1e16 and more: fmt writes them with an exponent
@@ -602,6 +610,93 @@ class TestDumpCells:
         model = hypergeometric_mixing(10000, 1.0, 1.0)
         assert model.absorbing_state > cli.DUMP_CELLS
         assert dump.read_bytes() == _csv_dump(model, 1, 3, 2)
+
+
+def _shortest_ties(u):
+    """Doubles x whose x * 10**q, q = 16 - (decimal exponent of x), is an
+    integer that ends in u / 2, u = 10 or 100: a tie between two decimals
+    of 17 - log10(u) digits.  They are j / 2**q with x * 10**q = j * 5**q,
+    j odd for u = 10 and twice an odd number for u = 100."""
+    out = []
+    for q in range(2, 23):
+        low = -(-10 ** 16 // 5 ** q)
+        high = min((10 ** 17 - 1) // 5 ** q, 2 ** 53 - 1)
+        for j in range(low, min(low + 400, high)):
+            if j % 2 == 1 or (u == 100 and j % 4 == 2):
+                x = j / 2 ** q
+                if Fraction(x) * 10 ** q % u == u // 2:
+                    out.append(x)
+    assert len(out) > 200
+    return out
+
+
+def _short_decimals():
+    """Decimals of 1-15 significant digits over the kernel's exponents,
+    each with its neighbours up to 2 ulps away."""
+    out = []
+    for k in range(1, 16):
+        for digits in ("1234567890123456"[:k], "9" * k, "1" + "0" * (k - 1),
+                       "3" * (k - 1) + "7", "5" * k):
+            for e in range(-12 - k + 1, 16 - k + 1):
+                x = float(f"{int(digits)}e{e}")
+                out.append(x)
+                for toward in (0.0, math.inf):
+                    y = x
+                    for _ in range(2):
+                        y = math.nextafter(y, toward)
+                        out.append(y)
+    return out
+
+
+class TestShortestCells:
+    """forward's JSON rows render each cell as repr does, by the kernel's
+    shortest digits in [1e-12, 1e16) and by repr itself elsewhere."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.one_of(st.just(0.0),
+                              st.floats(-13, 16).map(lambda u: 10.0 ** u)),
+                    min_size=1, max_size=64))
+    def test_cells_are_repr(self, values):
+        assert _rendered(values, repr) == [repr(x) for x in values]
+
+    @pytest.mark.parametrize("values", [
+        # every power of two in the kernel's domain
+        [2.0 ** k for k in range(-39, 54)],
+        _shortest_ties(10), _shortest_ties(100), _short_decimals(),
+        [1.0, math.nextafter(1.0, 0), PROB_FLOOR,
+         math.nextafter(PROB_FLOOR, 0), math.nextafter(PROB_FLOOR, 1)],
+        _edges()], ids=["powers of two", "16-digit ties", "15-digit ties",
+                        "short decimals", "one and the floor", "edges"])
+    def test_edges_are_repr(self, values):
+        assert _rendered(values, repr) == [repr(x) for x in values]
+
+    def test_the_kernel_writes_15_to_17_digits(self):
+        # the cells that repr takes whole are few: not the 15- to 17-digit
+        # probabilities of a forward run
+        x = forward_grid(yule_scaled(2000, 1.0, 0.31), 1,
+                         [4.0, 8.0]).__getitem__(1).probabilities
+        x = x[x > PROB_FLOOR]
+        _, unsure = cli._fixed17(x, shortest=True)
+        assert np.count_nonzero(unsure) < 0.02 * x.size
+        lengths = {len(repr(v).split("e")[0].replace(".", "").lstrip("0"))
+                   for v in x[~unsure].tolist()}
+        assert lengths == {15, 16, 17}
+        assert _rendered(x, repr) == [repr(v) for v in x.tolist()]
+
+
+@pytest.mark.parametrize("head, tail", [(b"", b","), (b"", b""),
+                                        (b",", b"\n"), (b"[", b"]" * 8)])
+@pytest.mark.parametrize("k", [[0], [9], [10], [10 ** 7], [99999999],
+                               [0, 9, 10, 10 ** 7, 99999999],
+                               list(range(1, 5001)), [10 ** 8, 5],
+                               [2 ** 62]],
+                         ids=["0", "9", "10", "1e7", "99999999", "mixed",
+                              "1-5000", "1e8", "2**62"])
+def test_integer_words_are_percent_d(k, head, tail):
+    want = cli._words([b"%s%d%s" % (head, v, tail) for v in k])
+    got = cli._integers(np.array(k, np.int64), head, tail)
+    assert got.shape == want.shape
+    assert (got == want).all()
 
 
 SWEEP_YULE = ["sweep", "--family", "yule", "--N", "10", "--mu", "1",
