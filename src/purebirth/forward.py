@@ -68,13 +68,14 @@ BLOCK = 64                    # powers of P held between weight products
 
 # Euler inversion: Bromwich abscissa A / (2t), EULER_TERMS terms summed
 # before EULER_AVERAGED more are averaged binomially; nodes are processed
-# EULER_CHUNK at a time, whose complex (EULER_CHUNK x states) working array
-# is no larger than uniformization's (BLOCK + 1) real rows
+# EULER_CHUNK at a time, and states EULER_TILE at a time, so the complex
+# working array, EULER_CHUNK x (EULER_TILE + 1), is 2.1 MB at most
 EULER_A = 25.0
 EULER_TERMS = 50
 EULER_AVERAGED = 20
 EULER_NODES = EULER_TERMS + EULER_AVERAGED + 1
 EULER_CHUNK = 16
+EULER_TILE = 8192
 # the discretization error of the inversion, for 0 <= p <= 1
 INVERSION_BOUND = math.exp(-EULER_A) / -math.expm1(-EULER_A)
 # inversion is chosen only above this many uniformization state-steps
@@ -281,21 +282,32 @@ def _invert(rates, times):
     With r_i = lambda_i / (lambda_i + s) and Q_j = r_0 ... r_j, the
     transform is Q_j / lambda_j for a transient state j and Q_last / s for
     the absorbing one, so one cumulative product per node serves them all.
+    It runs over tiles of states; with more than one, column 0 of the
+    working array carries Q up to the tile before, so cumprod multiplies
+    in the whole row's order.  One tile has no such column: numpy's add
+    and divide wrote the rows of a view past it about 20% slower.
     """
     out = np.empty((times.size, rates.size + 1))
     estimate = np.empty(times.size)
-    chunk = np.empty((EULER_CHUNK, rates.size), dtype=complex)
+    width = min(rates.size, EULER_TILE)
+    lead = int(rates.size > width)
+    work = np.empty((EULER_CHUNK, lead + width), dtype=complex)
     for row, t in enumerate(times.tolist()):
         sums = np.zeros((2, rates.size + 1))
         for lo in range(0, EULER_NODES, EULER_CHUNK):
             s = _EULER_NODES[lo:lo + EULER_CHUNK] / t
             weights = _EULER_WEIGHTS[:, lo:lo + EULER_CHUNK] / t
-            q = chunk[:s.size]
-            np.add(s[:, None], rates, out=q)
-            np.divide(rates, q, out=q)
-            np.cumprod(q, axis=1, out=q)
-            # the real weights times q's (re, im) pairs: one real product
-            sums[:, :-1] += (weights @ q.view(float))[:, 0::2]
+            for a in range(0, rates.size, width):
+                r = rates[a:a + width]
+                carried = work[:s.size, :lead + r.size]
+                q = carried[:, lead:]
+                np.add(s[:, None], r, out=q)
+                np.divide(r, q, out=q)
+                part = carried if a else q  # the first tile carries nothing
+                np.cumprod(part, axis=1, out=part)
+                # the real weights times q's (re, im) pairs: one real product
+                sums[:, a:a + r.size] += (weights @ q.view(float))[:, 0::2]
+                carried[:, 0] = q[:, -1]
             sums[:, -1] += (weights @ (q[:, -1] / s)).real
         sums[:, :-1] /= rates
         out[row] = sums[0]

@@ -620,13 +620,11 @@ def _shortest_ties(u):
     out = []
     for q in range(2, 23):
         low = -(-10 ** 16 // 5 ** q)
-        high = min((10 ** 17 - 1) // 5 ** q, 2 ** 53 - 1)
-        for j in range(low, min(low + 400, high)):
-            if j % 2 == 1 or (u == 100 and j % 4 == 2):
-                x = j / 2 ** q
-                if Fraction(x) * 10 ** q % u == u // 2:
-                    out.append(x)
-    assert len(out) > 200
+        for j in range(low, min(low + 400, -(-10 ** 17 // 5 ** q))):
+            x = j / 2 ** q
+            if Fraction(x) * 10 ** q % u == u // 2:
+                out.append(x)
+    assert len(out) > 1000
     return out
 
 
@@ -674,7 +672,7 @@ class TestShortestCells:
         # the cells that repr takes whole are few: not the 15- to 17-digit
         # probabilities of a forward run
         x = forward_grid(yule_scaled(2000, 1.0, 0.31), 1,
-                         [4.0, 8.0]).__getitem__(1).probabilities
+                         [8.0])[0].probabilities
         x = x[x > PROB_FLOOR]
         _, unsure = cli._fixed17(x, shortest=True)
         assert np.count_nonzero(unsure) < 0.02 * x.size
@@ -685,7 +683,8 @@ class TestShortestCells:
 
 
 @pytest.mark.parametrize("head, tail", [(b"", b","), (b"", b""),
-                                        (b",", b"\n"), (b"[", b"]" * 8)])
+                                        (b",", b"\n"), (b"[", b"]" * 8)],
+                         ids=["csv", "digits", "dump", "long tail"])
 @pytest.mark.parametrize("k", [[0], [9], [10], [10 ** 7], [99999999],
                                [0, 9, 10, 10 ** 7, 99999999],
                                list(range(1, 5001)), [10 ** 8, 5],

@@ -78,7 +78,8 @@ models = st.one_of(
 
 def _complex_invert(rates, times):
     """forward._invert with its node sums taken by a complex product of
-    the real weights: the reference for its one real product."""
+    the real weights, over all states at once: the reference for its one
+    real product and its tiles."""
     out = np.empty((times.size, rates.size + 1))
     estimate = np.empty(times.size)
     for row, t in enumerate(times.tolist()):
@@ -99,8 +100,10 @@ def _complex_invert(rates, times):
     (yule_scaled(2000, 1.0, 0.31), [2.0 * (i + 1) for i in range(10)]),
     (yule_scaled(5000, 1.0, 0.31), [5.0, 10.0, 20.0]),
     (hypergeometric_mixing(5000, 1.0, 0.31), [5.0, 20.0, 40.0]),
-    (power_law(1.0, -2.0, 2000), [1e3, 1e7])],
-    ids=["yule-2000", "yule-5000", "hypergeometric-5000", "power_law-2"])
+    (power_law(1.0, -2.0, 2000), [1e3, 1e7]),
+    (yule_scaled(20000, 1.0, 0.31), [0.5, 12.5, 25.0])],
+    ids=["yule-2000", "yule-5000", "hypergeometric-5000", "power_law-2",
+         "yule-20000-tiled"])
 def test_real_node_sums_keep_every_bit(model, times):
     rates = rate_vector(model, 1)
     times = np.array(times)
