@@ -435,7 +435,7 @@ _POW_HI = _SPLIT * _POW - (_SPLIT * _POW - _POW)
 _POW_LO = _POW - _POW_HI
 _UNSURE = 2.0 ** -40        # see _scaled
 _TEN = np.array([float(10 ** q) for q in range(31)])  # rounded past 10**22
-_POWERS = 10 ** np.arange(1, 8)  # a count of k's digits less one
+_POWERS = 10 ** np.arange(1, 8)  # k's digits less one: searchsorted in it
 
 
 def _words(strings, width=None):
